@@ -22,21 +22,11 @@
 // bench/baselines/BENCH_service_smoke.json by tools/check_bench.py,
 // which asserts the `telemetry_overhead_ok` boolean: the telemetry-on
 // stream must stay within 3% (plus an additive noise floor) of the
-// telemetry-off stream — and the `arena_zero_steady` boolean: once the
-// executors' per-job arenas are warm, serving more jobs must request
-// zero further blocks from the system allocator.
-//
-// The allocator overrides at the bottom route through malloc/free, which
-// GCC's inliner misreads as new/free mismatches at the use sites — a
-// false positive for replaced global allocators, silenced file-wide.
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-#include <atomic>
+// telemetry-off stream.
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
-#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -45,13 +35,6 @@
 #include "crowdrank.hpp"
 
 namespace {
-
-/// Global allocation counters fed by the operator new overrides at the
-/// bottom of this file. Read only at quiescent points (after drain()),
-/// so executor-thread allocations are attributed to the pass that caused
-/// them.
-std::atomic<std::uint64_t> g_new_calls{0};
-std::atomic<std::uint64_t> g_new_bytes{0};
 
 using namespace crowdrank;
 
@@ -231,72 +214,6 @@ WarmPoint measure_warm(const VoteBatch& votes, std::size_t object_count,
   return point;
 }
 
-/// Allocation probe: the same single-worker stream served twice by ONE
-/// service instance. The cold pass grows the executors' per-job arenas
-/// (util/arena.hpp) to the high-water mark; the warm pass must serve every
-/// job from the retained blocks. `arena_zero_steady` pins the contract:
-/// the arena `system_allocs` delta across the warm pass is zero (and no
-/// reset was refused), i.e. the serve path stops touching the system
-/// allocator once warm. The global-new deltas quantify the remaining
-/// per-job traffic — submission copies and result containers at the API
-/// boundary, which deliberately live on the heap so they outlive the
-/// arena rewind.
-struct AllocationPoint {
-  double cold_bytes_per_job = 0.0;
-  double warm_bytes_per_job = 0.0;
-  double cold_allocs_per_job = 0.0;
-  double warm_allocs_per_job = 0.0;
-  std::uint64_t arena_bytes_peak = 0;
-  std::uint64_t arena_system_allocs = 0;
-  std::uint64_t arena_system_allocs_delta = 0;
-  bool arena_zero_steady = false;
-};
-
-AllocationPoint measure_allocation(const VoteBatch& votes,
-                                   std::size_t object_count,
-                                   std::size_t job_count) {
-  service::ServiceConfig config;
-  config.worker_count = 1;
-  config.queue_capacity = job_count;
-  service::RankingService svc(config);
-
-  const auto run_pass = [&] {
-    for (std::size_t k = 0; k < job_count; ++k) {
-      service::RankingJob job;
-      job.votes = votes;
-      job.object_count = object_count;
-      job.seed = k + 1;
-      svc.submit(std::move(job));
-    }
-    (void)svc.drain();
-  };
-
-  const std::uint64_t calls0 = g_new_calls.load(std::memory_order_relaxed);
-  const std::uint64_t bytes0 = g_new_bytes.load(std::memory_order_relaxed);
-  run_pass();  // cold: arenas request their blocks
-  const ArenaStats cold_stats = svc.arena_stats();
-  const std::uint64_t calls1 = g_new_calls.load(std::memory_order_relaxed);
-  const std::uint64_t bytes1 = g_new_bytes.load(std::memory_order_relaxed);
-  run_pass();  // warm: retained blocks only
-  const ArenaStats warm_stats = svc.arena_stats();
-  const std::uint64_t calls2 = g_new_calls.load(std::memory_order_relaxed);
-  const std::uint64_t bytes2 = g_new_bytes.load(std::memory_order_relaxed);
-
-  AllocationPoint point;
-  const double jobs = static_cast<double>(job_count);
-  point.cold_bytes_per_job = static_cast<double>(bytes1 - bytes0) / jobs;
-  point.warm_bytes_per_job = static_cast<double>(bytes2 - bytes1) / jobs;
-  point.cold_allocs_per_job = static_cast<double>(calls1 - calls0) / jobs;
-  point.warm_allocs_per_job = static_cast<double>(calls2 - calls1) / jobs;
-  point.arena_bytes_peak = warm_stats.bytes_peak;
-  point.arena_system_allocs = warm_stats.system_allocs;
-  point.arena_system_allocs_delta =
-      warm_stats.system_allocs - cold_stats.system_allocs;
-  point.arena_zero_steady = point.arena_system_allocs_delta == 0 &&
-                            warm_stats.skipped_resets == 0;
-  return point;
-}
-
 }  // namespace
 
 int main() {
@@ -387,55 +304,10 @@ int main() {
   warm_run.note("cache_hit_us", warm.cache_hit_us);
   warm_run.note("cache_correct", warm.cache_correct);
 
-  const AllocationPoint alloc = measure_allocation(votes, n, job_count);
-  std::cout << "allocation (1 worker, global new): cold "
-            << TableWriter::fmt(alloc.cold_bytes_per_job / 1024.0, 1)
-            << " KiB/job (" << TableWriter::fmt(alloc.cold_allocs_per_job, 0)
-            << " allocs), warm "
-            << TableWriter::fmt(alloc.warm_bytes_per_job / 1024.0, 1)
-            << " KiB/job (" << TableWriter::fmt(alloc.warm_allocs_per_job, 0)
-            << " allocs); arena peak "
-            << TableWriter::fmt(
-                   static_cast<double>(alloc.arena_bytes_peak) / 1024.0, 1)
-            << " KiB, steady-state system allocs "
-            << (alloc.arena_zero_steady ? "ZERO" : "NONZERO (regression)")
-            << "\n";
-
-  trace::RunReport::Run& alloc_run = report.add_run("allocation");
-  alloc_run.note("cold_bytes_per_job", alloc.cold_bytes_per_job);
-  alloc_run.note("warm_bytes_per_job", alloc.warm_bytes_per_job);
-  alloc_run.note("cold_allocs_per_job", alloc.cold_allocs_per_job);
-  alloc_run.note("warm_allocs_per_job", alloc.warm_allocs_per_job);
-  alloc_run.note("arena_bytes_peak",
-                 static_cast<std::int64_t>(alloc.arena_bytes_peak));
-  alloc_run.note("arena_system_allocs",
-                 static_cast<std::int64_t>(alloc.arena_system_allocs));
-  alloc_run.note("arena_zero_steady", alloc.arena_zero_steady);
-
   if (!report.write_file("BENCH_service.json")) {
     std::cerr << "ERROR: cannot write BENCH_service.json\n";
     return 1;
   }
   std::cout << "\nwrote BENCH_service.json\n";
-  return (overhead.ok && warm.cache_correct && alloc.arena_zero_steady) ? 0
-                                                                        : 1;
+  return (overhead.ok && warm.cache_correct) ? 0 : 1;
 }
-
-// ---------------------------------------------------------------------
-// Allocation counting: replace the global allocator with a counting
-// malloc shim. Defined after all bench code to keep the overrides obvious.
-// ---------------------------------------------------------------------
-
-void* operator new(std::size_t size) {
-  g_new_calls.fetch_add(1, std::memory_order_relaxed);
-  g_new_bytes.fetch_add(size, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }

@@ -25,9 +25,7 @@ constexpr double kCostLogFloor = -745.0;
 }  // namespace
 
 SapsCostCache::SapsCostCache(const Matrix& weights)
-    : weights_(&weights),
-      n_(weights.rows()),
-      costs_(n_ * n_, 0.0, arena::current()) {
+    : weights_(&weights), n_(weights.rows()), costs_(n_ * n_, 0.0) {
   CR_EXPECTS(weights.is_square(), "cost cache requires a square matrix");
   const std::span<const double> w = weights.data();
   // Batch -safe_log transform; element-disjoint chunks, and the simd

@@ -17,13 +17,11 @@
 #pragma once
 
 #include <cstddef>
-#include <memory_resource>
 #include <span>
 #include <vector>
 
 #include "core/saps.hpp"
 #include "graph/types.hpp"
-#include "util/arena.hpp"
 #include "util/matrix.hpp"
 #include "util/rng.hpp"
 
@@ -52,9 +50,7 @@ class SapsCostCache {
  private:
   const Matrix* weights_;
   std::size_t n_;
-  // Per-search scratch: drawn from the caller's arena::current() resource,
-  // so a service executor's arena absorbs the n^2 buffer each job.
-  std::pmr::vector<double> costs_;
+  std::vector<double> costs_;
 };
 
 /// Total path cost sum of c(p[i] -> p[i+1]); bitwise-identical to

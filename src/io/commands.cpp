@@ -346,17 +346,6 @@ int cmd_infer(const std::vector<std::string>& argv, std::ostream& out) {
 
 // -- crowdrank index / query: persistent artifacts + warm serving --------
 
-/// Writes one framed artifact into the bundle directory; filesystem
-/// refusals surface as CLI errors (artifact encoding itself cannot fail).
-void write_bundle_artifact(const std::string& dir, const std::string& name,
-                           const std::string& bytes, std::ostream& out) {
-  const std::string path = (std::filesystem::path(dir) / name).string();
-  if (const auto err = service::artifact::write_file(path, bytes)) {
-    throw Error("cannot write artifact " + path + ": " + err->to_string());
-  }
-  out << "wrote " << path << "\n";
-}
-
 /// The request both commands build; everything here enters the content
 /// key, so index and query share one constructor for it.
 api::Request request_from_args(const Args& args, VoteBatch votes,
@@ -403,33 +392,6 @@ int cmd_index(const std::vector<std::string>& argv, std::ostream& out) {
       << request.votes.size() << " votes (seed " << request.seed << ")\n";
   out << "artifact key " << response.artifact_key << " (result schema "
       << response.artifact_schema_version << ")\n";
-
-  // Supporting artifacts alongside the result: the input batch, the
-  // comparison graph over original ids, and the engine's intermediate
-  // products (which live in the hardened batch's compact id space).
-  write_bundle_artifact(dir, "votes.crart",
-                        service::artifact::encode(request.votes), out);
-  TaskGraph tasks(request.object_count);
-  for (const Vote& v : request.votes) {
-    if (v.i == v.j || v.i >= request.object_count ||
-        v.j >= request.object_count) {
-      continue;  // hardening's problem, not the comparison graph's
-    }
-    tasks.add_edge(std::min(v.i, v.j), std::max(v.i, v.j));
-  }
-  write_bundle_artifact(dir, "task_graph.crart",
-                        service::artifact::encode(tasks), out);
-  if (response.inference.has_value()) {
-    const std::size_t compact_n = response.inference->closure.rows();
-    write_bundle_artifact(
-        dir, "preference_graph.crart",
-        service::artifact::encode(
-            response.inference->step1.to_preference_graph(compact_n)),
-        out);
-    write_bundle_artifact(dir, "closure.crart",
-                          service::artifact::encode(response.inference->closure),
-                          out);
-  }
   return 0;
 }
 

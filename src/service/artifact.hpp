@@ -1,11 +1,9 @@
 // Versioned binary artifacts: the persistence format of the serving layer.
 //
-// Everything the pipeline computes from a vote batch — the batch itself,
-// the comparison TaskGraph, the smoothed PreferenceGraph, propagation
-// closures (dense or CSR), and finished ranking results — can be written
-// as a self-describing framed artifact and read back in another process,
-// which is what makes `crowdrank index` / `crowdrank query` and the
-// result cache's disk tier possible.
+// A finished ranking result (`RankedResult`) can be written as a
+// self-describing framed artifact and read back in another process, which
+// is what makes the result cache's disk tier and `crowdrank index` /
+// `crowdrank query` possible.
 //
 // Frame layout (all integers little-endian, fixed width):
 //
@@ -20,8 +18,8 @@
 //
 // Content is build-stamp independent: no timestamps, hostnames, versions
 // of the writing binary, or pointers ever enter a frame, so the same
-// logical value encodes to the same bytes forever (the golden files in
-// tests/data/ pin this byte-exactly).
+// logical value encodes to the same bytes forever (the golden file in
+// tests/data/ pins this byte-exactly).
 //
 // Error contract: readers never throw. Every corruption — short reads,
 // wrong magic, a future format or schema version, a flipped bit caught by
@@ -41,37 +39,21 @@
 #include <string>
 #include <string_view>
 
-#include "crowd/vote.hpp"
-#include "graph/preference_graph.hpp"
-#include "graph/task_graph.hpp"
 #include "service/job.hpp"
-#include "util/matrix.hpp"
-#include "util/sparse_matrix.hpp"
 
 namespace crowdrank::service::artifact {
 
 inline constexpr std::uint32_t kFormatVersion = 1;
 
-/// What a frame carries. Values are stable on-disk identifiers.
+/// What a frame carries. Values are stable on-disk identifiers (1-5 are
+/// retired and must not be reused).
 enum class Kind : std::uint32_t {
-  VoteBatch = 1,
-  TaskGraph = 2,
-  PreferenceGraph = 3,
-  SparseMatrix = 4,
-  DenseMatrix = 5,
   RankedResult = 6,
 };
 
-const char* kind_name(Kind kind);
-
-/// Per-kind payload schema versions: bump one when its payload layout
-/// changes, and old frames of that kind are rejected (BadSchemaVersion)
-/// instead of being misread.
-inline constexpr std::uint32_t kVoteBatchSchema = 1;
-inline constexpr std::uint32_t kTaskGraphSchema = 1;
-inline constexpr std::uint32_t kPreferenceGraphSchema = 1;
-inline constexpr std::uint32_t kSparseMatrixSchema = 1;
-inline constexpr std::uint32_t kDenseMatrixSchema = 1;
+/// Payload schema version of RankedResult frames: bump it when the payload
+/// layout changes, and old frames are rejected (BadSchemaVersion) instead
+/// of being misread.
 inline constexpr std::uint32_t kRankedResultSchema = 1;
 
 enum class ErrorCode : std::uint32_t {
@@ -124,27 +106,11 @@ struct RankedResult {
   friend bool operator==(const RankedResult&, const RankedResult&) = default;
 };
 
-// -- encoding (infallible: any in-memory value frames cleanly) ----------
-
-std::string encode(const VoteBatch& votes);
-std::string encode(const TaskGraph& graph);
-std::string encode(const PreferenceGraph& graph);
-std::string encode(const SparseMatrix& matrix);
-std::string encode(const Matrix& matrix);
+/// Infallible: any in-memory value frames cleanly.
 std::string encode(const RankedResult& result);
 
-// -- decoding (never throws; structured rejection) ----------------------
-
-Result<VoteBatch> decode_votes(std::string_view bytes);
-Result<TaskGraph> decode_task_graph(std::string_view bytes);
-Result<PreferenceGraph> decode_preference_graph(std::string_view bytes);
-Result<SparseMatrix> decode_sparse_matrix(std::string_view bytes);
-Result<Matrix> decode_matrix(std::string_view bytes);
+/// Never throws; every rejection is structured.
 Result<RankedResult> decode_result(std::string_view bytes);
-
-/// Kind of a framed artifact without decoding its payload (frame checks
-/// up to and including the checksum still apply).
-Result<Kind> peek_kind(std::string_view bytes);
 
 // -- file tier -----------------------------------------------------------
 
@@ -165,7 +131,7 @@ std::optional<ArtifactError> ensure_directory(const std::string& path);
 
 namespace detail {
 /// Frames an arbitrary payload (tests use this to forge kind/schema
-/// combinations with valid checksums; encoders use it internally).
+/// combinations with valid checksums; the encoder uses it internally).
 std::string frame(Kind kind, std::uint32_t schema, std::string_view payload);
 }  // namespace detail
 

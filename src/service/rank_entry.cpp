@@ -114,7 +114,7 @@ RankOutcome run_ranking(const RankParams& params, Rng& rng) {
     std::size_t worker_count = params.worker_count;
 
     if (params.repair) {
-      const HardenedBatch batch =
+      HardenedBatch batch =
           harden_votes(*params.votes, params.object_count, *params.hardening,
                        &out.hardening);
       out.ranking.excluded = out.hardening.excluded_objects;
@@ -131,8 +131,8 @@ RankOutcome run_ranking(const RankParams& params, Rng& rng) {
       }
       object_count = batch.objects.size();
       worker_count = std::max(worker_count, batch.workers.size());
-      votes = batch.votes;
-      object_map = batch.objects;
+      votes = std::move(batch.votes);
+      object_map = std::move(batch.objects);
     } else {
       votes = *params.votes;
       for (const Vote& v : votes) {

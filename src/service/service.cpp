@@ -200,6 +200,9 @@ struct RankingService::Impl {
     // touch concurrently and is atomic for exactly that reason.
     std::uint64_t id = 0;
     std::size_t index = 0;  ///< submission index (FaultPlan::only_job)
+    /// Batch size at submit time: run_job moves `job.votes` out, so the
+    /// span attribute and the postmortem echo read this instead.
+    std::size_t vote_count = 0;
     RankingJob job;
     std::atomic<bool> cancel_requested{false};
     enum class State { Queued, Running, Done } state = State::Queued;
@@ -220,11 +223,6 @@ struct RankingService::Impl {
   // joined by the destructor after the stop handshake; never touched in
   // between, so it needs no guard (TSA does not analyze ctors/dtors).
   std::vector<std::thread> executors;
-  /// One per-job arena per executor, created before the threads spawn and
-  /// read-only (as a vector) afterwards; executor i touches only slot i
-  /// while running, and arena_stats() reads are internally synchronized by
-  /// each Arena's own mutex.
-  std::vector<std::unique_ptr<Arena>> arenas;
   ServiceStats counters CR_GUARDED_BY(mutex);
   std::uint64_t next_id CR_GUARDED_BY(mutex) = 1;
   bool stopping CR_GUARDED_BY(mutex) = false;
@@ -296,7 +294,6 @@ struct RankingService::Impl {
     // thread: jobs are the unit of parallelism, so N executors never
     // serialize on the global pool's region lock.
     InlineRegion inline_region;
-    Arena& arena = *arenas[executor];
     MutexLock lock(mutex);
     while (true) {
       while (!stopping && queue.empty()) {
@@ -316,25 +313,7 @@ struct RankingService::Impl {
       }
       ticket->state = Ticket::State::Running;
       lock.unlock();
-      {
-        // All matrix/graph scratch the job allocates on this thread draws
-        // from the executor's arena; the JobResult it leaves behind holds
-        // only plain heap containers, so the rewind below frees every
-        // job-lifetime byte while retaining the blocks for the next job.
-        arena::Scope scope(arena);
-        run_job(*ticket, executor);
-      }
-      arena.reset();
-      if (config.trace != nullptr) {
-        const ArenaStats as = arena.stats();
-        metrics::Registry& m = config.trace->metrics();
-        m.gauge("service.arena.bytes_peak")
-            .set(static_cast<double>(as.bytes_peak));
-        m.gauge("service.arena.system_allocs")
-            .set(static_cast<double>(as.system_allocs));
-        m.gauge("service.arena.skipped_resets")
-            .set(static_cast<double>(as.skipped_resets));
-      }
+      run_job(*ticket, executor);
       lock.lock();
       ticket->state = Ticket::State::Done;
       count_outcome(ticket->result.outcome);
@@ -362,7 +341,7 @@ struct RankingService::Impl {
       sink->span_attr(span, "id",
                       static_cast<std::int64_t>(ticket.id));
       sink->span_attr(span, "votes",
-                      static_cast<std::int64_t>(ticket.job.votes.size()));
+                      static_cast<std::int64_t>(ticket.vote_count));
     }
 
     // Which fault plans apply to this job: its own, plus the
@@ -381,7 +360,10 @@ struct RankingService::Impl {
     try {
       // Service stage: input hardening (plus injected vote mutations).
       control.poll(PipelineStage::Hardening);
-      VoteBatch votes = ticket.job.votes;
+      // This executor owns the ticket while it runs and nothing reads the
+      // batch afterwards, so it moves out instead of being copied and the
+      // retained ticket keeps no votes.
+      VoteBatch votes = std::move(ticket.job.votes);
       for (const FaultPlan* plan : faults) {
         mutate_votes(votes, *plan, ticket.job.object_count);
       }
@@ -509,7 +491,7 @@ struct RankingService::Impl {
         {"seed", static_cast<std::int64_t>(job.seed)},
         {"object_count", static_cast<std::int64_t>(job.object_count)},
         {"worker_count", static_cast<std::int64_t>(job.worker_count)},
-        {"votes", static_cast<std::int64_t>(job.votes.size())},
+        {"votes", static_cast<std::int64_t>(ticket.vote_count)},
         {"search", std::string(search_method_name(job.inference.search))},
         {"check_invariants",
          job.inference.check_invariants || config.check_invariants},
@@ -552,10 +534,6 @@ RankingService::RankingService(ServiceConfig config)
              "RankingService queue capacity must be at least 1");
   impl_->config = std::move(config);
   impl_->executors.reserve(impl_->config.worker_count);
-  impl_->arenas.reserve(impl_->config.worker_count);
-  for (std::size_t i = 0; i < impl_->config.worker_count; ++i) {
-    impl_->arenas.push_back(std::make_unique<Arena>());
-  }
   for (std::size_t i = 0; i < impl_->config.worker_count; ++i) {
     impl_->executors.emplace_back([impl = impl_.get(), i] {
       impl->executor_loop(i);
@@ -618,6 +596,7 @@ std::uint64_t RankingService::submit(RankingJob job) {
   if (deadline.count() > 0) {
     ticket->deadline_point = ticket->submit_time + deadline;
   }
+  ticket->vote_count = job.votes.size();
   ticket->job = std::move(job);
   impl_->by_id.emplace(ticket->id, ticket);
   impl_->all.push_back(ticket);
@@ -713,23 +692,6 @@ std::vector<JobResult> RankingService::drain() {
 ServiceStats RankingService::stats() const {
   MutexLock lock(impl_->mutex);
   return impl_->counters;
-}
-
-ArenaStats RankingService::arena_stats() const {
-  ArenaStats total;
-  for (const auto& arena : impl_->arenas) {
-    const ArenaStats s = arena->stats();
-    total.system_allocs += s.system_allocs;
-    total.bytes_reserved += s.bytes_reserved;
-    total.bytes_used += s.bytes_used;
-    total.bytes_peak += s.bytes_peak;
-    total.allocs += s.allocs;
-    total.oversize_allocs += s.oversize_allocs;
-    total.resets += s.resets;
-    total.skipped_resets += s.skipped_resets;
-    total.outstanding += s.outstanding;
-  }
-  return total;
 }
 
 }  // namespace crowdrank::service

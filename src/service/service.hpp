@@ -27,10 +27,7 @@
 // Each executor thread holds a `InlineRegion`, so the engine's internal
 // parallel kernels run inline on the job's own lane: throughput scales by
 // running jobs concurrently instead of serializing kernel-level regions
-// on the global pool. Each executor also owns a monotonic `Arena`
-// (util/arena.hpp) bound around every job it runs and rewound afterwards,
-// so a warm executor's per-job matrix/graph scratch is pointer bumps into
-// retained blocks instead of steady-state malloc traffic.
+// on the global pool.
 #pragma once
 
 #include <chrono>
@@ -42,7 +39,6 @@
 #include "service/hardening.hpp"
 #include "service/job.hpp"
 #include "service/result_cache.hpp"
-#include "util/arena.hpp"
 
 namespace crowdrank::trace {
 class TraceSink;
@@ -134,13 +130,6 @@ class RankingService {
   std::vector<JobResult> drain();
 
   ServiceStats stats() const;
-
-  /// Allocator statistics summed over the executors' per-job arenas (see
-  /// util/arena.hpp). Each executor binds its arena around every job it
-  /// runs and rewinds it afterwards, so after the first few jobs warm the
-  /// blocks, `system_allocs` stays flat while jobs keep completing —
-  /// bench/service_throughput asserts exactly that steady state.
-  ArenaStats arena_stats() const;
 
  private:
   struct Impl;

@@ -26,7 +26,7 @@ constexpr std::size_t kSerialFlopLimit = 1 << 18;
 }  // namespace
 
 Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
-    : rows_(rows), cols_(cols), data_(rows * cols, fill, arena::current()) {}
+    : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
 Matrix Matrix::zero(std::size_t n) { return Matrix(n, n, 0.0); }
 

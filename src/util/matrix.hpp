@@ -18,24 +18,12 @@
 // any thread count. The inner j sweeps (axpy4/axpy/add/scale/max) dispatch
 // through util/simd, whose AVX2 paths vectorize across output lanes with
 // the identical per-element op order — same bits on every backend.
-// Storage is a std::pmr::vector drawing from the *thread-local* resource
-// `arena::current()` (util/arena.hpp): under a service executor's
-// arena::Scope, per-job matrices become pointer bumps into a reusable
-// region; everywhere else the default new/delete resource applies and
-// nothing changes. Construction and copy-construction capture the calling
-// thread's resource explicitly (the pmr default of "copies use the default
-// resource" would silently punch through the arena); moves carry their
-// source's resource with the storage, and assignments keep the
-// destination's resource (cross-resource assigns copy elements, never
-// alias another arena's memory).
 #pragma once
 
 #include <cstddef>
-#include <memory_resource>
 #include <span>
 #include <vector>
 
-#include "util/arena.hpp"
 #include "util/error.hpp"
 
 namespace crowdrank {
@@ -43,15 +31,7 @@ namespace crowdrank {
 /// Row-major dense matrix of doubles.
 class Matrix {
  public:
-  Matrix() : data_(arena::current()) {}
-  Matrix(const Matrix& other)
-      : rows_(other.rows_),
-        cols_(other.cols_),
-        data_(other.data_, arena::current()) {}
-  Matrix(Matrix&& other) noexcept = default;
-  Matrix& operator=(const Matrix& other) = default;
-  Matrix& operator=(Matrix&& other) = default;
-  ~Matrix() = default;
+  Matrix() = default;
 
   /// rows x cols matrix, zero-initialized (or filled with `fill`).
   Matrix(std::size_t rows, std::size_t cols, double fill = 0.0);
@@ -128,7 +108,7 @@ class Matrix {
 
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
-  std::pmr::vector<double> data_;
+  std::vector<double> data_;
 };
 
 }  // namespace crowdrank

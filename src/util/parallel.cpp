@@ -8,7 +8,6 @@
 #include <thread>
 #include <utility>
 
-#include "util/arena.hpp"
 #include "util/error.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
@@ -71,9 +70,6 @@ struct ThreadPool::State {
   std::uint64_t generation CR_GUARDED_BY(mutex) = 0;
   const std::function<void(std::size_t)>* task CR_GUARDED_BY(mutex) =
       nullptr;
-  /// The region caller's arena::current() binding, forwarded to workers
-  /// for the duration of the region (restored before they park again).
-  std::pmr::memory_resource* region_arena CR_GUARDED_BY(mutex) = nullptr;
   std::size_t active_workers CR_GUARDED_BY(mutex) = 0;
   bool stopping CR_GUARDED_BY(mutex) = false;
 
@@ -264,16 +260,10 @@ void ThreadPool::worker_loop(std::size_t lane) {
       continue;
     }
     const auto* task = s.task;
-    std::pmr::memory_resource* region_arena = s.region_arena;
     lock.unlock();
 
     t_in_region = true;
-    // Job-scoped allocations made on this worker land in the caller's
-    // arena for the duration of the region.
-    std::pmr::memory_resource* previous =
-        arena::exchange_current(region_arena);
     drain_timed(*task, lane);
-    arena::exchange_current(previous);
     t_in_region = false;
 
     lock.lock();
@@ -313,7 +303,6 @@ void ThreadPool::run(std::size_t count,
   {
     MutexLock lock(s.mutex);
     s.task = &task;
-    s.region_arena = arena::current();
     const std::size_t lanes_needed = s.workers.size() + 1;
     if (s.lane_count.load(std::memory_order_relaxed) != lanes_needed) {
       s.lanes =

@@ -55,11 +55,9 @@ class ThreadPool {
   /// thread; blocks until all complete. Tasks are distributed by
   /// work-stealing: each lane starts with an even contiguous slice and
   /// idle lanes steal the upper half of the fullest lane's remainder, so
-  /// callers must not depend on task->thread mapping. The calling thread's
-  /// arena::current() binding is forwarded to the workers for the duration
-  /// of the region (see util/arena.hpp). The first exception thrown by any
-  /// task is rethrown on the caller after the region drains. Nested calls
-  /// (from a pool worker) run inline.
+  /// callers must not depend on task->thread mapping. The first exception
+  /// thrown by any task is rethrown on the caller after the region drains.
+  /// Nested calls (from a pool worker) run inline.
   void run(std::size_t count, const std::function<void(std::size_t)>& task);
 
   /// True when the current thread is executing inside a parallel region.

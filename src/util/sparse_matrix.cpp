@@ -29,11 +29,7 @@ constexpr std::size_t kScanDivisor = 4;
 }  // namespace
 
 SparseMatrix::SparseMatrix(std::size_t rows, std::size_t cols)
-    : rows_(rows),
-      cols_(cols),
-      row_ptr_(rows + 1, 0, arena::current()),
-      col_idx_(arena::current()),
-      values_(arena::current()) {}
+    : rows_(rows), cols_(cols), row_ptr_(rows + 1, 0) {}
 
 SparseMatrix SparseMatrix::from_dense(const Matrix& dense) {
   SparseMatrix out(dense.rows(), dense.cols());
@@ -218,9 +214,9 @@ SparseMatrix SparseMatrix::multiply_impl(const SparseMatrix& lhs,
   }
 
   struct ChunkOut {
-    std::pmr::vector<std::uint32_t> cols{arena::current()};
-    std::pmr::vector<double> vals{arena::current()};
-    std::pmr::vector<std::size_t> row_nnz{arena::current()};
+    std::vector<std::uint32_t> cols;
+    std::vector<double> vals;
+    std::vector<std::size_t> row_nnz;
     std::uint64_t updates = 0;
   };
   const std::size_t chunk_count =
@@ -242,7 +238,7 @@ SparseMatrix SparseMatrix::multiply_impl(const SparseMatrix& lhs,
       // accumulator, no zero-test branch). Per output element the terms
       // land in ascending-k CSR order — the exact chain one axpy per
       // entry produces.
-      std::pmr::vector<double> acc(m, 0.0, arena::current());
+      std::vector<double> acc(m, 0.0);
       for (std::size_t i = r0; i < r1; ++i) {
         const std::size_t begin = lhs.row_ptr_[i];
         const std::size_t nnz_row = lhs.row_ptr_[i + 1] - begin;
@@ -277,10 +273,9 @@ SparseMatrix SparseMatrix::multiply_impl(const SparseMatrix& lhs,
       }
       return;
     }
-    std::pmr::vector<double> acc(m, 0.0, arena::current());
-    std::pmr::vector<unsigned char> present(arena::current());
-    std::pmr::vector<std::uint32_t> touched(arena::current());
-    present.assign(m, 0);
+    std::vector<double> acc(m, 0.0);
+    std::vector<unsigned char> present(m, 0);
+    std::vector<std::uint32_t> touched;
     for (std::size_t i = r0; i < r1; ++i) {
       touched.clear();
       for (std::size_t ae = lhs.row_ptr_[i]; ae < lhs.row_ptr_[i + 1];

@@ -21,11 +21,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory_resource>
 #include <span>
 #include <vector>
 
-#include "util/arena.hpp"
 #include "util/matrix.hpp"
 
 namespace crowdrank {
@@ -37,24 +35,7 @@ namespace crowdrank {
 /// here and to to_dense().
 class SparseMatrix {
  public:
-  // Storage draws from the thread-local arena::current() resource with the
-  // same capture rules as Matrix (see util/matrix.hpp): explicit capture on
-  // construction and copy-construction, moves carry their resource,
-  // assignments keep the destination's.
-  SparseMatrix()
-      : row_ptr_(arena::current()),
-        col_idx_(arena::current()),
-        values_(arena::current()) {}
-  SparseMatrix(const SparseMatrix& other)
-      : rows_(other.rows_),
-        cols_(other.cols_),
-        row_ptr_(other.row_ptr_, arena::current()),
-        col_idx_(other.col_idx_, arena::current()),
-        values_(other.values_, arena::current()) {}
-  SparseMatrix(SparseMatrix&& other) noexcept = default;
-  SparseMatrix& operator=(const SparseMatrix& other) = default;
-  SparseMatrix& operator=(SparseMatrix&& other) = default;
-  ~SparseMatrix() = default;
+  SparseMatrix() = default;
 
   /// rows x cols matrix with no stored entries.
   SparseMatrix(std::size_t rows, std::size_t cols);
@@ -124,12 +105,9 @@ class SparseMatrix {
 
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
-  /// size rows_ + 1 (empty shape: {})
-  std::pmr::vector<std::size_t> row_ptr_;
-  /// size nnz, ascending per row
-  std::pmr::vector<std::uint32_t> col_idx_;
-  /// size nnz, parallel to col_idx_
-  std::pmr::vector<double> values_;
+  std::vector<std::size_t> row_ptr_;    ///< size rows_ + 1 (empty shape: {})
+  std::vector<std::uint32_t> col_idx_;  ///< size nnz, ascending per row
+  std::vector<double> values_;          ///< size nnz, parallel to col_idx_
 };
 
 }  // namespace crowdrank

@@ -1,6 +1,6 @@
 // Equivalence tests: the literal materialized-lists TAPS (§V-D1 verbatim)
 // against the production lazy TAPS and Held-Karp.
-#include "core/taps_reference.hpp"
+#include "taps_reference.hpp"
 
 #include <gtest/gtest.h>
 

@@ -472,16 +472,23 @@ TEST(Cli, IndexThenQueryServesFromArtifacts) {
                 &out),
             0);
 
-  // index ranks and persists the full artifact bundle.
+  // index ranks and persists exactly one artifact: the ranked result,
+  // named by its content key.
   ASSERT_EQ(run({"index", "--votes", dir.file("votes.csv"), "--artifacts",
                  dir.file("bundle"), "--seed", "3"},
                 &out),
             0);
-  EXPECT_NE(out.find("artifact key "), std::string::npos);
-  for (const char* name : {"votes.crart", "task_graph.crart",
-                           "preference_graph.crart", "closure.crart"}) {
-    EXPECT_TRUE(fs::exists(dir.path / "bundle" / name)) << name;
+  const std::string key_label = "artifact key ";
+  const std::size_t key_at = out.find(key_label);
+  ASSERT_NE(key_at, std::string::npos);
+  const std::size_t key_begin = key_at + key_label.size();
+  const std::string key =
+      out.substr(key_begin, out.find(' ', key_begin) - key_begin);
+  std::vector<std::string> written;
+  for (const auto& entry : fs::directory_iterator(dir.path / "bundle")) {
+    written.push_back(entry.path().filename().string());
   }
+  EXPECT_EQ(written, std::vector<std::string>{key + ".crart"});
 
   // query serves the stored result (a later invocation = fresh cache
   // instance, so the answer can only come from the disk artifacts) and

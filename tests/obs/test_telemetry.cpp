@@ -238,6 +238,10 @@ TEST(TelemetryTest, ServiceEmitsOnePostmortemPerFailedTerminalOutcome) {
   const JsonValue* config_echo = doc.find("config");
   ASSERT_NE(config_echo, nullptr);
   EXPECT_DOUBLE_EQ(config_echo->number_at("seed"), 2.0);
+  // The submitted batch size, even though the executor moved the batch
+  // out of the job before the postmortem was written.
+  EXPECT_DOUBLE_EQ(config_echo->number_at("votes"),
+                   static_cast<double>(clean_job(2).votes.size()));
   EXPECT_EQ(config_echo->string_at("search"), "saps");
   const JsonValue* hardening = doc.find("hardening");
   ASSERT_NE(hardening, nullptr);

@@ -11,8 +11,8 @@ that report into a CI gate:
     absorb runner-to-runner variance, tight enough to catch a kernel
     silently falling off its fast path);
   * correctness booleans (`identical`, `rankings_match`,
-    `telemetry_overhead_ok`, `cache_correct`, `arena_zero_steady`) must
-    be true, exactly as the baseline recorded them;
+    `telemetry_overhead_ok`, `cache_correct`) must be true, exactly as
+    the baseline recorded them;
   * rows whose baseline carries a `speedup_floor` note must keep their
     current `speedup` at or above 0.9x that floor (the 0.9 absorbs
     run-to-run jitter; the floor itself encodes the expectation, e.g.
@@ -52,7 +52,7 @@ import sys
 NOISE_FLOOR_MS = 0.5
 
 BOOLEAN_KEYS = {"identical", "rankings_match", "telemetry_overhead_ok",
-                "cache_correct", "arena_zero_steady"}
+                "cache_correct"}
 EXACT_INT_KEYS = {"densify_step", "horizon", "n"}
 ACCURACY_TOLERANCE = 0.05
 
