@@ -6,6 +6,7 @@
 
 #include "core/propagation.hpp"
 #include "core/saps.hpp"
+#include "core/saps_kernel.hpp"
 #include "core/taps.hpp"
 #include "core/truth_discovery.hpp"
 #include "graph/hamiltonian.hpp"
@@ -115,12 +116,13 @@ void BM_SapsMoveDeltas(benchmark::State& state) {
   rng.shuffle(path);
   std::size_t a = n / 4;
   std::size_t b = 3 * n / 4;
+  const SapsCostCache cache(closure);
   for (auto _ : state) {
     // One of each move's delta: rotate and swap are O(1), reverse O(len).
     benchmark::DoNotOptimize(
-        saps_rotate_delta(closure, path, a, (a + b) / 2, b));
-    benchmark::DoNotOptimize(saps_reverse_delta(closure, path, a, b));
-    benchmark::DoNotOptimize(saps_swap_delta(closure, path, a, b));
+        saps_rotate_delta(cache, path, a, (a + b) / 2, b));
+    benchmark::DoNotOptimize(saps_reverse_delta(cache, path, a, b));
+    benchmark::DoNotOptimize(saps_swap_delta(cache, path, a, b));
   }
 }
 BENCHMARK(BM_SapsMoveDeltas)->Arg(100)->Arg(1000);
@@ -128,12 +130,13 @@ BENCHMARK(BM_SapsMoveDeltas)->Arg(100)->Arg(1000);
 void BM_SpectralPropagation(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(8);
-  PreferenceGraph g(n);
+  std::vector<WeightedEdge> edges;
   for (VertexId i = 0; i + 1 < n; ++i) {
     const double w = rng.uniform(0.6, 0.95);
-    g.set_weight(i, i + 1, w);
-    g.set_weight(i + 1, i, 1.0 - w);
+    edges.push_back({i, i + 1, w});
+    edges.push_back({i + 1, i, 1.0 - w});
   }
+  const PreferenceGraph g(n, edges);
   PropagationConfig config;
   config.mode = state.range(1) == 0 ? PropagationMode::BoundedWalks
                                     : PropagationMode::SpectralLimit;

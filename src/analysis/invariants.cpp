@@ -1,5 +1,6 @@
 #include "analysis/invariants.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -159,74 +160,42 @@ void check_truth_discovery(const TruthDiscoveryResult& step1,
   }
 }
 
-void check_preference_graph(const PreferenceGraph& graph) {
+void check_preference_graph(const CsrAdjacency& graph) {
   constexpr const char* kStage = "preference_graph";
   note_check(kStage);
+  if (graph.row_ptr.empty() || graph.row_ptr.front() != 0 ||
+      graph.row_ptr.back() != graph.neighbors.size() ||
+      graph.neighbors.size() != graph.weights.size()) {
+    fail(kStage, "CSR shape is not closed: row_ptr must run from 0 to the "
+                 "edge count, with one weight per neighbor");
+  }
   const std::size_t n = graph.vertex_count();
-  const Matrix& w = graph.weights();
-  if (w.rows() != n || w.cols() != n) {
-    fail(kStage, "dense weight matrix shape does not match vertex count");
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (w(i, i) != 0.0) {
-      std::ostringstream os;
-      os << "self-preference " << w(i, i) << " at vertex " << i;
-      fail(kStage, os.str());
-    }
-    for (std::size_t j = 0; j < n; ++j) {
-      const double v = w(i, j);
-      if (!(v >= 0.0 && v <= 1.0)) {
-        std::ostringstream os;
-        os << "weight " << v << " at " << pair_str(i, j)
-           << " is outside [0, 1]";
-        fail(kStage, os.str());
-      }
-    }
-  }
-  // CSR cross-consistency with the dense view it mirrors.
-  check_csr_consistency(w, graph.out_csr());
-}
-
-void check_csr_consistency(const Matrix& weights, const CsrAdjacency& csr) {
-  constexpr const char* kStage = "preference_graph_csr";
-  note_check(kStage);
-  const std::size_t n = weights.rows();
-  if (csr.row_ptr.size() != n + 1 || csr.row_ptr.front() != 0 ||
-      csr.row_ptr.back() != csr.neighbors.size() ||
-      csr.neighbors.size() != csr.weights.size()) {
-    fail(kStage, "CSR shape disagrees with the dense matrix");
-  }
   for (std::size_t v = 0; v < n; ++v) {
-    const std::size_t begin = csr.row_ptr[v];
-    const std::size_t end = csr.row_ptr[v + 1];
+    const std::size_t begin = graph.row_ptr[v];
+    const std::size_t end = graph.row_ptr[v + 1];
     if (end < begin) {
       std::ostringstream os;
       os << "row_ptr not monotone at vertex " << v;
       fail(kStage, os.str());
     }
-    std::size_t dense_out = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (weights(v, j) > 0.0) ++dense_out;
-    }
-    if (end - begin != dense_out) {
-      std::ostringstream os;
-      os << "CSR row " << v << " lists " << end - begin
-         << " out-edges, dense matrix has " << dense_out;
-      fail(kStage, os.str());
-    }
     for (std::size_t e = begin; e < end; ++e) {
-      const VertexId to = csr.neighbors[e];
-      if (to >= n || (e > begin && csr.neighbors[e - 1] >= to)) {
+      const VertexId to = graph.neighbors[e];
+      if (to >= n || (e > begin && graph.neighbors[e - 1] >= to)) {
         std::ostringstream os;
         os << "CSR row " << v << " neighbors not strictly ascending valid "
            << "ids at entry " << e - begin;
         fail(kStage, os.str());
       }
-      if (csr.weights[e] != weights(v, to)) {
+      if (to == v) {
         std::ostringstream os;
-        os << "CSR weight " << csr.weights[e] << " of edge "
-           << pair_str(v, to) << " disagrees with dense weight "
-           << weights(v, to);
+        os << "self-preference " << graph.weights[e] << " at vertex " << v;
+        fail(kStage, os.str());
+      }
+      const double w = graph.weights[e];
+      if (!(w > 0.0 && w <= 1.0)) {
+        std::ostringstream os;
+        os << "weight " << w << " at " << pair_str(v, to)
+           << " is outside (0, 1]";
         fail(kStage, os.str());
       }
     }
@@ -313,8 +282,28 @@ void check_smoothing(const PreferenceGraph& direct,
   if (smoothed.vertex_count() != n) {
     fail(kStage, "smoothing changed the vertex count");
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
+  // Every pair either graph touches has a direct edge in some direction;
+  // a smoothed edge between two directly unrelated objects is invented.
+  const CsrAdjacency& out = smoothed.out_csr();
+  for (VertexId i = 0; i < n; ++i) {
+    for (std::size_t e = out.row_ptr[i]; e < out.row_ptr[i + 1]; ++e) {
+      const VertexId j = out.neighbors[e];
+      if (!direct.has_edge(i, j) && !direct.has_edge(j, i)) {
+        std::ostringstream os;
+        os << "smoothing added an edge on the non-task pair "
+           << pair_str(i, j);
+        fail(kStage, os.str());
+      }
+    }
+  }
+  const CsrAdjacency& in = direct.out_csr();
+  for (VertexId a = 0; a < n; ++a) {
+    for (std::size_t e = in.row_ptr[a]; e < in.row_ptr[a + 1]; ++e) {
+      const VertexId b = in.neighbors[e];
+      // Visit each pair once, from the lower id's edge when it has one.
+      if (b < a && direct.has_edge(b, a)) continue;
+      const VertexId i = std::min(a, b);
+      const VertexId j = std::max(a, b);
       const double dij = direct.weight(i, j);
       const double dji = direct.weight(j, i);
       const double sij = smoothed.weight(i, j);

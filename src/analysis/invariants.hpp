@@ -78,16 +78,12 @@ void check_truth_discovery(const TruthDiscoveryResult& step1,
                            std::size_t object_count,
                            std::size_t worker_count);
 
-/// Preference-graph representation: weights in [0, 1] with a zero
-/// diagonal, and the lazily-built CSR view row-consistent with the dense
-/// matrix (monotone row_ptr, strictly ascending neighbors, matching
-/// weights and per-row degree).
-void check_preference_graph(const PreferenceGraph& graph);
-
-/// The CSR-vs-dense cross-check of check_preference_graph on its own, for
-/// any (weights, csr) pair claiming to describe the same digraph. Exposed
-/// separately so tests can corrupt a detached CsrAdjacency.
-void check_csr_consistency(const Matrix& weights, const CsrAdjacency& csr);
+/// Preference-graph representation, O(n + m): the out-edge CSR's row_ptr
+/// is monotone and closed (0 to m, one weight per neighbor), every row is
+/// strictly ascending over in-range ids with no self-preference, and every
+/// stored weight lies in (0, 1]. Takes the CSR itself (a graph passes
+/// `out_csr()`) so tests can corrupt a detached copy.
+void check_preference_graph(const CsrAdjacency& graph);
 
 /// SparseMatrix structural invariants (the sparse-first propagation state,
 /// checked at the densify boundary): row_ptr spans [0, nnz] monotonically
@@ -104,6 +100,7 @@ void check_sparse_dense_consistency(const SparseMatrix& sparse,
 /// 1-edge of `direct` the smoothed pair carries total mass 1 with the
 /// reverse mass inside [min_mass, max_mass] (so the unanimous direction
 /// stays preferred); every other weight is bit-identical to `direct`.
+/// Walks both graphs' edges, not all n^2 pairs.
 void check_smoothing(const PreferenceGraph& direct,
                      const PreferenceGraph& smoothed,
                      const SmoothingConfig& config);

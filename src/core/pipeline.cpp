@@ -247,14 +247,13 @@ InferenceResult InferenceEngine::infer_impl(
 
   // Step 2: preference smoothing of the 1-edges. `direct` outlives the
   // timed scope so the validators can diff it against the smoothed graph.
-  PreferenceGraph smoothed(object_count);
-  PreferenceGraph direct(object_count);
-  {
+  const auto [direct, smoothed] = [&] {
     trace::StepScope phase(result.timings, "step2_smoothing");
-    direct = step1.to_preference_graph(object_count);
-    result.one_edge_count = direct.one_edges().size();
-    smoothed = smooth_preferences(direct, step1, task_workers,
-                                  config_.smoothing, &rng, &result.step2);
+    PreferenceGraph direct_graph = step1.to_preference_graph(object_count);
+    result.one_edge_count = direct_graph.one_edges().size();
+    PreferenceGraph smoothed_graph =
+        smooth_preferences(direct_graph, step1, task_workers,
+                           config_.smoothing, &rng, &result.step2);
     if (phase.span().active()) {
       phase.span().set_attr("one_edges", result.one_edge_count);
       phase.span().set_attr("one_edges_smoothed",
@@ -262,10 +261,11 @@ InferenceResult InferenceEngine::infer_impl(
       phase.span().set_attr("strongly_connected_after",
                             result.step2.strongly_connected_after);
     }
-  }
+    return std::pair{std::move(direct_graph), std::move(smoothed_graph)};
+  }();
   if (validate) {
-    analysis::check_preference_graph(direct);
-    analysis::check_preference_graph(smoothed);
+    analysis::check_preference_graph(direct.out_csr());
+    analysis::check_preference_graph(smoothed.out_csr());
     analysis::check_smoothing(direct, smoothed, config_.smoothing);
   }
   snapshot.smoothed = &smoothed;

@@ -20,6 +20,20 @@ namespace {
 /// evidence counter is an exact integer-sum reduction.
 constexpr std::size_t kRowGrain = 16;
 
+/// The dense n x n weight matrix of a CSR graph, for the BoundedWalks and
+/// ExactPaths engines, which are dense by nature: the one place this file
+/// materializes a pre-closure graph densely.
+Matrix dense_weights(const CsrAdjacency& adj) {
+  const std::size_t n = adj.vertex_count();
+  Matrix dense(n, n, 0.0);  // lint:allow(dense-in-propagation)
+  for (VertexId i = 0; i < n; ++i) {
+    for (std::size_t e = adj.row_ptr[i]; e < adj.row_ptr[i + 1]; ++e) {
+      dense(i, adj.neighbors[e]) = adj.weights[e];
+    }
+  }
+  return dense;
+}
+
 /// S = sum_{k=1..L} W^k by doubling, max-renormalized each step (only the
 /// entry *ratios* of S survive, which is all the pair-normalized closure
 /// needs). L = smallest power of two >= the configured target length.
@@ -54,8 +68,8 @@ Matrix spectral_walk_sum(const PreferenceGraph& smoothed,
 
   const bool validate = analysis::invariant_checks_enabled();
 
-  // The smoothed graph's cached CSR view is the natural sparse starting
-  // point — no dense scan, no conversion beyond an O(m) copy.
+  // The smoothed graph's CSR is the natural sparse starting point — no
+  // dense scan, no conversion beyond an O(m) copy.
   const CsrAdjacency& adj = smoothed.out_csr();
   SparseMatrix s_sparse = SparseMatrix::from_csr(
       n, n, adj.row_ptr, adj.neighbors, adj.weights);
@@ -217,8 +231,6 @@ Matrix propagate_preferences(const PreferenceGraph& smoothed,
              "completeness floor must be in (0, 0.5)");
   const std::size_t n = smoothed.vertex_count();
 
-  const Matrix& direct = smoothed.weights();
-
   if (config.mode == PropagationMode::SpectralLimit) {
     CR_EXPECTS(config.fill_threshold >= 0.0 && config.fill_threshold <= 1.0,
                "fill threshold must be in [0, 1]");
@@ -229,9 +241,12 @@ Matrix propagate_preferences(const PreferenceGraph& smoothed,
     // pair-normalized sum (alpha is documented as ignored).
     PropagationStats local;
     const Matrix sum = spectral_walk_sum(smoothed, config, local);
-    if (metrics::Counter* c = trace::counter("propagation.densify_step")) {
-      c->add(local.densify_step);
-      trace::counter("propagation.sparse_flops")->add(local.sparse_flops);
+    // One sink snapshot for both (see trace::counter).
+    if (trace::TraceSink* sink = trace::sink()) {
+      sink->metrics().counter("propagation.densify_step").add(
+          local.densify_step);
+      sink->metrics().counter("propagation.sparse_flops").add(
+          local.sparse_flops);
     }
     Matrix closure(n, n, 0.0);  // lint:allow(dense-in-propagation)
     local.pairs_without_evidence = parallel_reduce(
@@ -273,6 +288,8 @@ Matrix propagate_preferences(const PreferenceGraph& smoothed,
   // The bounded-walks / exact-paths engines are inherently dense (they
   // blend against the dense direct matrix pairwise); the sparse-first
   // mandate covers only the SpectralLimit branch above.
+  const CsrAdjacency& adj = smoothed.out_csr();
+  const Matrix direct = dense_weights(adj);
   Matrix indirect =
       config.mode == PropagationMode::BoundedWalks
           ? walk_indirect_preferences(direct, config.max_length)
@@ -281,23 +298,21 @@ Matrix propagate_preferences(const PreferenceGraph& smoothed,
   if (config.aggregation == PathAggregation::Average) {
     // Divide each pair's walk-sum by the number of contributing walks so
     // w* stays on the direct weights' [0,1] scale. The count matrix reuses
-    // the same power-sum over the 0/1 adjacency indicator. Both O(n^2)
-    // element-wise passes (indicator build, normalization) run as
-    // element-disjoint row blocks on the pool.
-    Matrix adjacency(n, n, 0.0);  // lint:allow(dense-in-propagation)
-    parallel_for(0, n, kRowGrain, [&](std::size_t r0, std::size_t r1) {
-      for (std::size_t i = r0; i < r1; ++i) {
-        for (std::size_t j = 0; j < n; ++j) {
-          if (direct(i, j) > 0.0) adjacency(i, j) = 1.0;
-        }
+    // the same engine over the direct edges at weight 1; the O(n^2)
+    // normalization runs as element-disjoint row blocks on the pool.
+    std::vector<WeightedEdge> unit_edges;
+    unit_edges.reserve(adj.edge_count());
+    for (VertexId i = 0; i < n; ++i) {
+      for (std::size_t e = adj.row_ptr[i]; e < adj.row_ptr[i + 1]; ++e) {
+        unit_edges.push_back({i, adj.neighbors[e], 1.0});
       }
-    });
+    }
+    const PreferenceGraph indicator(n, unit_edges);
     const Matrix counts =
         config.mode == PropagationMode::BoundedWalks
-            ? walk_indirect_preferences(adjacency, config.max_length)
-            : exact_indirect_preferences(
-                  PreferenceGraph::from_matrix(adjacency),
-                  config.max_length);
+            ? walk_indirect_preferences(dense_weights(indicator.out_csr()),
+                                        config.max_length)
+            : exact_indirect_preferences(indicator, config.max_length);
     parallel_for(0, n, kRowGrain, [&](std::size_t r0, std::size_t r1) {
       for (std::size_t i = r0; i < r1; ++i) {
         for (std::size_t j = 0; j < n; ++j) {

@@ -88,18 +88,4 @@ void saps_rotate(Path& path, std::size_t first, std::size_t middle,
 void saps_reverse(Path& path, std::size_t first, std::size_t last);
 void saps_swap(Path& path, std::size_t a, std::size_t b);
 
-/// Incremental objective deltas: the change in path_log_cost if the move
-/// were applied, computed without copying or mutating the path — O(1) for
-/// rotate (block-internal edges survive) and swap, O(last - first) for
-/// reverse (its interior edges flip direction). The annealing loop
-/// evaluates proposals through these; tests pin them to the brute-force
-/// recompute.
-double saps_rotate_delta(const Matrix& w, const Path& path,
-                         std::size_t first, std::size_t middle,
-                         std::size_t last);
-double saps_reverse_delta(const Matrix& w, const Path& path,
-                          std::size_t first, std::size_t last);
-double saps_swap_delta(const Matrix& w, const Path& path, std::size_t a,
-                       std::size_t b);
-
 }  // namespace crowdrank

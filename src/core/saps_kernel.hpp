@@ -2,17 +2,18 @@
 //
 // Every SAPS proposal is scored as a sum/difference of edge costs
 // c(u -> v) = -log w(u, v). The closure matrix never changes during a
-// search, yet the uncached formulation in core/saps.hpp re-derives each
-// cost through `safe_log` on every evaluation — millions of redundant
-// `std::log` calls per search. `SapsCostCache` materializes the full n x n
-// cost matrix once per `saps_search` call (parallelized, element-disjoint)
-// and the cached kernels below read it back with one load per edge.
+// search, yet the uncached formulation (the reference deltas in
+// tests/core/saps_reference.hpp) re-derives each cost through `safe_log`
+// on every evaluation — millions of redundant `std::log` calls per search.
+// `SapsCostCache` materializes the full n x n cost matrix once per
+// `saps_search` call (parallelized, element-disjoint) and the cached
+// kernels below read it back with one load per edge.
 //
 // Contract: every cached kernel is **bitwise-identical** to its uncached
-// counterpart in core/saps.hpp / graph/hamiltonian.hpp. The cache stores
-// exactly `-math::safe_log(w(u, v))` (including the safe_log floor for
-// w <= 0), and each kernel accumulates its terms in the same order as the
-// uncached code, so no float rounding can diverge.
+// counterpart in tests/core/saps_reference.hpp / graph/hamiltonian.hpp.
+// The cache stores exactly `-math::safe_log(w(u, v))` (including the
+// safe_log floor for w <= 0), and each kernel accumulates its terms in the
+// same order as the uncached code, so no float rounding can diverge.
 // tests/core/test_saps_kernel.cpp pins this bit for bit.
 #pragma once
 
@@ -57,8 +58,12 @@ class SapsCostCache {
 /// path_log_cost(weights, path) from graph/hamiltonian.hpp.
 double path_log_cost(const SapsCostCache& cache, const Path& path);
 
-/// Cached incremental deltas: bitwise-identical to the Matrix overloads in
-/// core/saps.hpp with the same index preconditions.
+/// Incremental objective deltas: the change in path_log_cost if the move
+/// were applied, computed without copying or mutating the path — O(1) for
+/// rotate and swap, O(last - first) for reverse. The annealing loop scores
+/// every proposal through these. Bitwise-identical to the uncached Matrix
+/// overloads in tests/core/saps_reference.hpp; index preconditions mirror
+/// saps_rotate / saps_reverse / saps_swap.
 double saps_rotate_delta(const SapsCostCache& cache, const Path& path,
                          std::size_t first, std::size_t middle,
                          std::size_t last);

@@ -37,45 +37,53 @@ PreferenceGraph smooth_preferences(
       trace::counter("smoothing.backward_ones");
   metrics::Histogram* trace_mass = trace::histogram("smoothing.mass");
 
-  PreferenceGraph smoothed = graph;
+  // The smoothed graph carries exactly step 1's task pairs: each pair keeps
+  // its stored weights unless one direction is a 1-edge.
+  std::vector<WeightedEdge> edges;
+  edges.reserve(2 * step1.truths.size());
   for (std::size_t t = 0; t < step1.truths.size(); ++t) {
     const TaskTruth& truth = step1.truths[t];
     const VertexId i = truth.task.first;
     const VertexId j = truth.task.second;
+    double w_ij = graph.weight(i, j);
+    double w_ji = graph.weight(j, i);
     // Identify 1-edges in either orientation: x == 1 means i -> j is a
     // 1-edge (j -> i absent); x == 0 the reverse.
-    const bool forward_one = smoothed.weight(i, j) == 1.0;
-    const bool backward_one = smoothed.weight(j, i) == 1.0;
-    if (!forward_one && !backward_one) {
-      continue;
+    const bool forward_one = w_ij == 1.0;
+    const bool backward_one = w_ji == 1.0;
+    if (forward_one || backward_one) {
+      const auto& workers = assignment_workers[t];
+      CR_EXPECTS(!workers.empty(), "a crowdsourced task must have workers");
+      double err_sum = 0.0;
+      for (const WorkerId k : workers) {
+        CR_EXPECTS(k < step1.worker_quality.size(),
+                   "worker id outside the quality vector");
+        const double sigma =
+            worker_sigma_from_quality(step1.worker_quality[k]);
+        const double err = config.mode == SmoothingMode::ExpectedError
+                               ? math::expected_abs_normal(sigma)
+                               : std::abs(rng->normal(0.0, sigma));
+        err_sum += err;
+      }
+      const double mass = std::clamp(
+          err_sum / static_cast<double>(workers.size()), config.min_mass,
+          config.max_mass);
+      if (forward_one) {
+        w_ij = 1.0 - mass;
+        w_ji = mass;
+        if (trace_forward != nullptr) trace_forward->add(1);
+      } else {
+        w_ji = 1.0 - mass;
+        w_ij = mass;
+        if (trace_backward != nullptr) trace_backward->add(1);
+      }
+      if (trace_mass != nullptr) trace_mass->observe(mass);
+      ++local.one_edges_smoothed;
     }
-    const auto& workers = assignment_workers[t];
-    CR_EXPECTS(!workers.empty(), "a crowdsourced task must have workers");
-    double err_sum = 0.0;
-    for (const WorkerId k : workers) {
-      CR_EXPECTS(k < step1.worker_quality.size(),
-                 "worker id outside the quality vector");
-      const double sigma = worker_sigma_from_quality(step1.worker_quality[k]);
-      const double err = config.mode == SmoothingMode::ExpectedError
-                             ? math::expected_abs_normal(sigma)
-                             : std::abs(rng->normal(0.0, sigma));
-      err_sum += err;
-    }
-    const double mass = std::clamp(
-        err_sum / static_cast<double>(workers.size()), config.min_mass,
-        config.max_mass);
-    if (forward_one) {
-      smoothed.set_weight(i, j, 1.0 - mass);
-      smoothed.set_weight(j, i, mass);
-      if (trace_forward != nullptr) trace_forward->add(1);
-    } else {
-      smoothed.set_weight(j, i, 1.0 - mass);
-      smoothed.set_weight(i, j, mass);
-      if (trace_backward != nullptr) trace_backward->add(1);
-    }
-    if (trace_mass != nullptr) trace_mass->observe(mass);
-    ++local.one_edges_smoothed;
+    edges.push_back({i, j, w_ij});
+    edges.push_back({j, i, w_ji});
   }
+  PreferenceGraph smoothed(graph.vertex_count(), edges);
 
   local.strongly_connected_after = smoothed.is_strongly_connected();
   if (metrics::Counter* c = trace::counter("smoothing.one_edges_smoothed")) {

@@ -53,7 +53,9 @@ struct SmoothingStats {
 /// 1-edge came from so the right workers' qualities are consulted;
 /// `assignment_workers[t]` lists the workers of truths[t]'s task.
 /// `rng` may be null for SmoothingMode::ExpectedError.
-/// Returns the smoothed graph (the paper's G~_P).
+/// Returns the smoothed graph (the paper's G~_P), built in O(n + m) from
+/// step 1's task pairs with their weights read from `graph`; edges of
+/// `graph` between other pairs are not carried over.
 PreferenceGraph smooth_preferences(
     const PreferenceGraph& graph, const TruthDiscoveryResult& step1,
     std::span<const std::vector<WorkerId>> assignment_workers,

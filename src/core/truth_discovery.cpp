@@ -103,10 +103,9 @@ TruthDiscoveryResult discover_truth(const VoteBatch& votes,
   metrics::Series* trace_delta = trace::series("truth_discovery.delta");
   metrics::Series* trace_spread =
       trace::series("truth_discovery.quality_spread");
-  if (trace_votes != nullptr) {
-    trace_votes->add(g.votes.size());
-    trace_tasks->add(num_tasks);
-  }
+  // Each handle is guarded on its own (see trace::counter).
+  if (trace_votes != nullptr) trace_votes->add(g.votes.size());
+  if (trace_tasks != nullptr) trace_tasks->add(num_tasks);
 
   const std::size_t iteration_cap =
       config.use_quality_weighting ? config.max_iterations : 1;
@@ -236,14 +235,15 @@ TruthDiscoveryResult discover_truth(const VoteBatch& votes,
 
 PreferenceGraph TruthDiscoveryResult::to_preference_graph(
     std::size_t n) const {
-  PreferenceGraph graph(n);
+  std::vector<WeightedEdge> edges;
+  edges.reserve(2 * truths.size());
   for (const TaskTruth& t : truths) {
     CR_EXPECTS(t.task.first < n && t.task.second < n,
                "truth references an out-of-range object");
-    graph.set_weight(t.task.first, t.task.second, t.x);
-    graph.set_weight(t.task.second, t.task.first, 1.0 - t.x);
+    edges.push_back({t.task.first, t.task.second, t.x});
+    edges.push_back({t.task.second, t.task.first, 1.0 - t.x});
   }
-  return graph;
+  return PreferenceGraph(n, edges);
 }
 
 std::vector<TaskTruth> majority_vote_truth(const VoteBatch& votes,

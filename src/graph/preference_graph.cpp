@@ -1,129 +1,93 @@
 #include "graph/preference_graph.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "util/error.hpp"
 
 namespace crowdrank {
 
-PreferenceGraph::PreferenceGraph(std::size_t n)
-    : n_(n), weights_(n, n, 0.0) {
+namespace {
+
+/// Stable counting sort of `edges` by `key(edge)` in [0, n): O(n + m).
+template <typename Key>
+std::vector<WeightedEdge> counting_sort(std::span<const WeightedEdge> edges,
+                                        std::size_t n, Key key) {
+  std::vector<std::size_t> start(n + 1, 0);
+  for (const WeightedEdge& e : edges) ++start[key(e) + 1];
+  std::partial_sum(start.begin(), start.end(), start.begin());
+  std::vector<WeightedEdge> sorted(edges.size());
+  for (const WeightedEdge& e : edges) sorted[start[key(e)]++] = e;
+  return sorted;
+}
+
+}  // namespace
+
+PreferenceGraph::PreferenceGraph(std::size_t n,
+                                 std::span<const WeightedEdge> edges) {
   CR_EXPECTS(n >= 2, "a preference graph needs at least two objects");
+  for (const WeightedEdge& e : edges) {
+    CR_EXPECTS(e.from < n && e.to < n, "vertex id out of range");
+    CR_EXPECTS(e.from != e.to, "self-preference is not allowed");
+    CR_EXPECTS(e.weight >= 0.0 && e.weight <= 1.0,
+               "preference weight must lie in [0, 1]");
+  }
+  // Sorting by target and then, stably, by source leaves every row in
+  // ascending target order with any repeated (from, to) adjacent.
+  const std::vector<WeightedEdge> by_target =
+      counting_sort(edges, n, [](const WeightedEdge& e) { return e.to; });
+  const std::vector<WeightedEdge> sorted = counting_sort(
+      by_target, n, [](const WeightedEdge& e) { return e.from; });
+
+  csr_.row_ptr.assign(n + 1, 0);
+  csr_.neighbors.reserve(sorted.size());
+  csr_.weights.reserve(sorted.size());
+  for (std::size_t k = 0; k < sorted.size(); ++k) {
+    const WeightedEdge& e = sorted[k];
+    CR_EXPECTS(k == 0 || sorted[k - 1].from != e.from ||
+                   sorted[k - 1].to != e.to,
+               "repeated preference edge");
+    if (e.weight > 0.0) {
+      ++csr_.row_ptr[e.from + 1];
+      csr_.neighbors.push_back(e.to);
+      csr_.weights.push_back(e.weight);
+    }
+  }
+  std::partial_sum(csr_.row_ptr.begin(), csr_.row_ptr.end(),
+                   csr_.row_ptr.begin());
 }
 
-void PreferenceGraph::check_vertex(VertexId v) const {
-  CR_EXPECTS(v < n_, "vertex id out of range");
+double PreferenceGraph::weight(VertexId from, VertexId to) const {
+  CR_DEBUG_EXPECTS(from < vertex_count() && to < vertex_count(),
+                   "vertex id out of range");
+  const auto begin = csr_.neighbors.begin() +
+                     static_cast<std::ptrdiff_t>(csr_.row_ptr[from]);
+  const auto end = csr_.neighbors.begin() +
+                   static_cast<std::ptrdiff_t>(csr_.row_ptr[from + 1]);
+  const auto it = std::lower_bound(begin, end, to);
+  if (it == end || *it != to) return 0.0;
+  return csr_.weights[static_cast<std::size_t>(it - csr_.neighbors.begin())];
 }
 
-std::size_t PreferenceGraph::edge_count() const {
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < n_; ++i) {
-    for (std::size_t j = 0; j < n_; ++j) {
-      if (weights_(i, j) > 0.0) ++count;
-    }
-  }
-  return count;
-}
-
-void PreferenceGraph::set_weight(VertexId from, VertexId to, double weight) {
-  check_vertex(from);
-  check_vertex(to);
-  CR_EXPECTS(from != to, "self-preference is not allowed");
-  CR_EXPECTS(weight >= 0.0 && weight <= 1.0,
-             "preference weight must lie in [0, 1]");
-  weights_(from, to) = weight;
-  if (csr_built_) {
-    // Only row `from` of the CSR mirror went stale; remember exactly that
-    // so the next out_csr() re-scans one row, not the whole matrix.
-    if (dirty_rows_.empty()) {
-      dirty_rows_.assign(n_, 0);
-    }
-    if (dirty_rows_[from] == 0) {
-      dirty_rows_[from] = 1;
-      ++dirty_count_;
-    }
-  }
-}
-
-const CsrAdjacency& PreferenceGraph::out_csr() const {
-  if (csr_built_ && dirty_count_ == 0) {
-    return csr_;
-  }
-  if (!csr_built_) {
-    // First build: one row-major scan. The scan emits each row's neighbors
-    // in ascending id order, which the single-pass build preserves.
-    csr_.row_ptr.assign(n_ + 1, 0);
-    csr_.neighbors.clear();
-    csr_.weights.clear();
-    for (std::size_t i = 0; i < n_; ++i) {
-      csr_.row_ptr[i] = csr_.neighbors.size();
-      for (std::size_t j = 0; j < n_; ++j) {
-        const double w = weights_(i, j);
-        if (w > 0.0) {
-          csr_.neighbors.push_back(static_cast<VertexId>(j));
-          csr_.weights.push_back(w);
-        }
-      }
-    }
-    csr_.row_ptr[n_] = csr_.neighbors.size();
-    csr_built_ = true;
-    return csr_;
-  }
-  // Amortized refresh: splice the clean rows' segments out of the stale
-  // view verbatim and re-scan the dense matrix only for the d dirty rows —
-  // O(n + m + d * n) against the full rebuild's O(n^2).
-  CsrAdjacency fresh;
-  fresh.row_ptr.assign(n_ + 1, 0);
-  fresh.neighbors.reserve(csr_.neighbors.size());
-  fresh.weights.reserve(csr_.weights.size());
-  for (std::size_t i = 0; i < n_; ++i) {
-    fresh.row_ptr[i] = fresh.neighbors.size();
-    if (dirty_rows_[i] != 0) {
-      for (std::size_t j = 0; j < n_; ++j) {
-        const double w = weights_(i, j);
-        if (w > 0.0) {
-          fresh.neighbors.push_back(static_cast<VertexId>(j));
-          fresh.weights.push_back(w);
-        }
-      }
-    } else {
-      const std::size_t begin = csr_.row_ptr[i];
-      const std::size_t end = csr_.row_ptr[i + 1];
-      fresh.neighbors.insert(fresh.neighbors.end(),
-                             csr_.neighbors.begin() + begin,
-                             csr_.neighbors.begin() + end);
-      fresh.weights.insert(fresh.weights.end(),
-                           csr_.weights.begin() + begin,
-                           csr_.weights.begin() + end);
-    }
-  }
-  fresh.row_ptr[n_] = fresh.neighbors.size();
-  csr_ = std::move(fresh);
-  std::fill(dirty_rows_.begin(), dirty_rows_.end(), 0);
-  dirty_count_ = 0;
-  return csr_;
+std::vector<std::size_t> PreferenceGraph::in_degrees() const {
+  std::vector<std::size_t> in(vertex_count(), 0);
+  for (const VertexId u : csr_.neighbors) ++in[u];
+  return in;
 }
 
 std::size_t PreferenceGraph::in_degree(VertexId v) const {
-  check_vertex(v);
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < n_; ++i) {
-    if (weights_(i, v) > 0.0) ++count;
-  }
-  return count;
+  CR_EXPECTS(v < vertex_count(), "vertex id out of range");
+  return static_cast<std::size_t>(
+      std::count(csr_.neighbors.begin(), csr_.neighbors.end(), v));
 }
 
 std::size_t PreferenceGraph::out_degree(VertexId v) const {
-  check_vertex(v);
-  std::size_t count = 0;
-  for (std::size_t j = 0; j < n_; ++j) {
-    if (weights_(v, j) > 0.0) ++count;
-  }
-  return count;
+  CR_EXPECTS(v < vertex_count(), "vertex id out of range");
+  return csr_.row_ptr[v + 1] - csr_.row_ptr[v];
 }
 
 bool PreferenceGraph::is_in_node(VertexId v) const {
-  return in_degree(v) > 0 && out_degree(v) == 0;
+  return out_degree(v) == 0 && in_degree(v) > 0;
 }
 
 bool PreferenceGraph::is_out_node(VertexId v) const {
@@ -131,17 +95,19 @@ bool PreferenceGraph::is_out_node(VertexId v) const {
 }
 
 std::vector<VertexId> PreferenceGraph::in_nodes() const {
+  const std::vector<std::size_t> in = in_degrees();
   std::vector<VertexId> result;
-  for (VertexId v = 0; v < n_; ++v) {
-    if (is_in_node(v)) result.push_back(v);
+  for (VertexId v = 0; v < vertex_count(); ++v) {
+    if (in[v] > 0 && out_degree(v) == 0) result.push_back(v);
   }
   return result;
 }
 
 std::vector<VertexId> PreferenceGraph::out_nodes() const {
+  const std::vector<std::size_t> in = in_degrees();
   std::vector<VertexId> result;
-  for (VertexId v = 0; v < n_; ++v) {
-    if (is_out_node(v)) result.push_back(v);
+  for (VertexId v = 0; v < vertex_count(); ++v) {
+    if (out_degree(v) > 0 && in[v] == 0) result.push_back(v);
   }
   return result;
 }
@@ -149,10 +115,10 @@ std::vector<VertexId> PreferenceGraph::out_nodes() const {
 std::vector<std::pair<VertexId, VertexId>> PreferenceGraph::one_edges()
     const {
   std::vector<std::pair<VertexId, VertexId>> result;
-  for (std::size_t i = 0; i < n_; ++i) {
-    for (std::size_t j = 0; j < n_; ++j) {
-      if (weights_(i, j) == 1.0) {
-        result.emplace_back(i, j);
+  for (VertexId i = 0; i < vertex_count(); ++i) {
+    for (std::size_t e = csr_.row_ptr[i]; e < csr_.row_ptr[i + 1]; ++e) {
+      if (csr_.weights[e] == 1.0) {
+        result.emplace_back(i, csr_.neighbors[e]);
       }
     }
   }
@@ -160,53 +126,48 @@ std::vector<std::pair<VertexId, VertexId>> PreferenceGraph::one_edges()
 }
 
 bool PreferenceGraph::is_complete() const {
-  for (std::size_t i = 0; i < n_; ++i) {
-    for (std::size_t j = 0; j < n_; ++j) {
-      if (i != j && weights_(i, j) <= 0.0) return false;
-    }
-  }
-  return true;
+  // Rows hold distinct non-self targets, so n(n-1) edges means every pair.
+  const std::size_t n = vertex_count();
+  return edge_count() == n * (n - 1);
 }
 
 bool PreferenceGraph::is_strongly_connected() const {
-  // Kosaraju without recursion: forward DFS reachability from vertex 0,
-  // then backward DFS reachability; strongly connected iff both cover V.
-  const auto reaches_all = [&](bool forward) {
-    std::vector<bool> seen(n_, false);
+  const std::size_t n = vertex_count();
+  // Iterative DFS from vertex 0: does it reach every vertex?
+  const auto reaches_all = [n](const std::vector<std::size_t>& row_ptr,
+                               const std::vector<VertexId>& targets) {
+    std::vector<bool> seen(n, false);
     std::vector<VertexId> stack{0};
     seen[0] = true;
     std::size_t visited = 1;
     while (!stack.empty()) {
       const VertexId v = stack.back();
       stack.pop_back();
-      for (VertexId u = 0; u < n_; ++u) {
-        const double w = forward ? weights_(v, u) : weights_(u, v);
-        if (w > 0.0 && !seen[u]) {
+      for (std::size_t e = row_ptr[v]; e < row_ptr[v + 1]; ++e) {
+        const VertexId u = targets[e];
+        if (!seen[u]) {
           seen[u] = true;
           ++visited;
           stack.push_back(u);
         }
       }
     }
-    return visited == n_;
+    return visited == n;
   };
-  return reaches_all(true) && reaches_all(false);
-}
-
-PreferenceGraph PreferenceGraph::from_matrix(const Matrix& weights) {
-  CR_EXPECTS(weights.is_square(), "weight matrix must be square");
-  PreferenceGraph g(weights.rows());
-  for (std::size_t i = 0; i < weights.rows(); ++i) {
-    for (std::size_t j = 0; j < weights.cols(); ++j) {
-      if (i == j) {
-        CR_EXPECTS(weights(i, j) == 0.0,
-                   "weight matrix diagonal must be zero");
-        continue;
-      }
-      g.set_weight(i, j, weights(i, j));
+  if (!reaches_all(csr_.row_ptr, csr_.neighbors)) return false;
+  // The reversed adjacency (each vertex's in-edge sources), scattered from
+  // the out-rows in O(n + m).
+  std::vector<std::size_t> in_ptr(n + 1, 0);
+  const std::vector<std::size_t> in = in_degrees();
+  std::partial_sum(in.begin(), in.end(), in_ptr.begin() + 1);
+  std::vector<VertexId> in_sources(edge_count());
+  std::vector<std::size_t> cursor(in_ptr.begin(), in_ptr.end() - 1);
+  for (VertexId v = 0; v < n; ++v) {
+    for (std::size_t e = csr_.row_ptr[v]; e < csr_.row_ptr[v + 1]; ++e) {
+      in_sources[cursor[csr_.neighbors[e]]++] = v;
     }
   }
-  return g;
+  return reaches_all(in_ptr, in_sources);
 }
 
 }  // namespace crowdrank

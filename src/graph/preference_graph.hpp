@@ -1,26 +1,34 @@
 // Preference graph (paper §III): a weighted, directed graph over the same
 // vertices as the task graph. The weight w_ij in (0, 1] of edge v_i -> v_j
-// is the truth confidence of "O_i is preferred to O_j"; w_ij == 0 means the
-// edge is absent. The graph is stored densely (n x n weight matrix) because
-// inference Step 3 turns it into a complete digraph anyway; graph traversals
-// (reachability, diagnostics) go through the CSR view instead, because the
-// budget constraint makes the pre-closure graph 2l/n-regular with
-// l << C(n,2), i.e. very sparse.
+// is the truth confidence of "O_i is preferred to O_j"; an absent edge has
+// weight 0. The budget keeps this pre-closure graph sparse — fair task
+// assignment makes it 2l/n-regular with l << C(n, 2) — so it is stored as
+// one immutable CSR of its positive-weight out-edges, built once from an
+// edge list, and every query below costs O(n + m) or less. Only Step 3's
+// closure is complete; it is a separate dense matrix.
 #pragma once
 
 #include <cstddef>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/types.hpp"
-#include "util/error.hpp"
-#include "util/matrix.hpp"
 
 namespace crowdrank {
+
+/// One directed edge `from -> to` carrying `weight`: the input vocabulary
+/// of the PreferenceGraph constructor.
+struct WeightedEdge {
+  VertexId from;
+  VertexId to;
+  double weight;
+};
 
 /// Compressed-sparse-row adjacency over the positive-weight edges: the
 /// out-neighbors of vertex v are `neighbors[row_ptr[v] .. row_ptr[v + 1])`
 /// (ascending vertex id) with parallel `weights`. Traversing it costs
-/// O(n + m) instead of the dense matrix scan's O(n^2).
+/// O(n + m) instead of a dense matrix scan's O(n^2).
 struct CsrAdjacency {
   std::vector<std::size_t> row_ptr;  ///< size n + 1
   std::vector<VertexId> neighbors;   ///< size m, row-sorted
@@ -32,88 +40,62 @@ struct CsrAdjacency {
   std::size_t edge_count() const { return neighbors.size(); }
 };
 
-/// Weighted digraph with dense weight storage. Invariants enforced:
-/// weights lie in [0, 1]; the diagonal is always 0 (no self-preference).
+/// Immutable weighted digraph. Invariants, enforced at construction: ids
+/// in range, no self-preference, weights in (0, 1], and at most one edge
+/// per ordered pair.
 class PreferenceGraph {
  public:
-  /// n isolated vertices; n >= 2.
-  explicit PreferenceGraph(std::size_t n);
+  /// Builds the graph on n >= 2 vertices. Every edge needs both ids < n,
+  /// from != to and a weight in [0, 1]; a repeated (from, to) throws.
+  /// Weight-0 edges mean "absent" and are dropped. O(n + m).
+  PreferenceGraph(std::size_t n, std::span<const WeightedEdge> edges);
 
-  std::size_t vertex_count() const { return n_; }
+  std::size_t vertex_count() const { return csr_.vertex_count(); }
 
-  /// Number of directed edges (entries with weight > 0).
-  std::size_t edge_count() const;
+  /// Number of directed edges (weight > 0). O(1).
+  std::size_t edge_count() const { return csr_.edge_count(); }
 
-  /// Sets w(from -> to). Requires weight in [0, 1] and from != to.
-  /// weight == 0 removes the edge.
-  void set_weight(VertexId from, VertexId to, double weight);
-
-  /// w(from -> to); 0 when the edge is absent. This is the innermost read
-  /// of every graph traversal, so its bounds check is debug-only.
-  double weight(VertexId from, VertexId to) const {
-    CR_DEBUG_EXPECTS(from < n_ && to < n_, "vertex id out of range");
-    return weights_(from, to);
-  }
+  /// w(from -> to); 0 when the edge is absent. A binary search of row
+  /// `from`; the bounds check is debug-only.
+  double weight(VertexId from, VertexId to) const;
 
   bool has_edge(VertexId from, VertexId to) const {
     return weight(from, to) > 0.0;
   }
 
-  /// Number of incoming / outgoing edges of v.
+  /// Number of incoming (O(m)) / outgoing (O(1)) edges of v.
   std::size_t in_degree(VertexId v) const;
   std::size_t out_degree(VertexId v) const;
 
   /// An *in-node* has only incoming edges (and at least one); an *out-node*
   /// has only outgoing edges (paper §III). In-nodes must rank last,
   /// out-nodes first; two of either kind rule out any Hamiltonian path
-  /// (Thm 4.3).
+  /// (Thm 4.3). The list queries cost O(n + m).
   bool is_in_node(VertexId v) const;
   bool is_out_node(VertexId v) const;
   std::vector<VertexId> in_nodes() const;
   std::vector<VertexId> out_nodes() const;
 
   /// Directed edges carrying weight exactly 1 ("1-edges", §V-B): unanimous
-  /// votes. These are what preference smoothing adjusts.
+  /// votes. These are what preference smoothing adjusts. Row-major order.
   std::vector<std::pair<VertexId, VertexId>> one_edges() const;
 
-  /// True when every ordered pair (i, j), i != j, has weight > 0.
+  /// True when every ordered pair (i, j), i != j, has weight > 0. O(1).
   bool is_complete() const;
 
-  /// Strong connectivity via Kosaraju's two-pass DFS (iterative).
+  /// Strong connectivity via Kosaraju's two passes (iterative DFS from
+  /// vertex 0 over the out-edges, then over the reversed edges). O(n + m).
   /// The smoothed graph must be strongly connected for Thm 5.1 to hold.
   bool is_strongly_connected() const;
 
-  /// The underlying weight matrix (dense, row = from, col = to).
-  const Matrix& weights() const { return weights_; }
-
-  /// CSR view of the out-edges, built lazily and kept fresh by amortized
-  /// dirty-row rebuilds: set_weight(from, to, w) marks only row `from`
-  /// dirty, and the next out_csr() re-scans the d dirty rows while
-  /// splicing the other rows' segments straight out of the previous view —
-  /// O(n + m + d * n) instead of the full O(n^2) dense scan. Smoothing,
-  /// which touches a handful of 1-edge rows between propagation reads, is
-  /// the workload this amortizes. Not thread-safe against mutation or a
-  /// concurrent rebuild: obtain the reference once, before fanning out
-  /// parallel readers (reachability_closure does exactly that).
-  const CsrAdjacency& out_csr() const;
-
-  /// Builds a graph directly from a weight matrix (validating invariants).
-  static PreferenceGraph from_matrix(const Matrix& weights);
+  /// The out-edge CSR itself: the graph's only representation.
+  const CsrAdjacency& out_csr() const { return csr_; }
 
  private:
-  void check_vertex(VertexId v) const;
+  /// In-degree of every vertex in one pass over the CSR.
+  std::vector<std::size_t> in_degrees() const;
 
-  std::size_t n_;
-  Matrix weights_;
-  // Lazily-built CSR mirror of weights_. After the first build, set_weight
-  // marks only the written row in dirty_rows_ so out_csr() can splice the
-  // untouched rows from the cached view instead of re-scanning the whole
-  // dense matrix; dirty_count_ lets the fresh-view fast path skip the flag
-  // array entirely.
-  mutable CsrAdjacency csr_;
-  mutable bool csr_built_ = false;
-  mutable std::vector<unsigned char> dirty_rows_;
-  mutable std::size_t dirty_count_ = 0;
+  CsrAdjacency csr_;
 };
 
 }  // namespace crowdrank

@@ -17,6 +17,7 @@ std::size_t SccDecomposition::largest() const {
 
 SccDecomposition strongly_connected_components(const PreferenceGraph& g) {
   const std::size_t n = g.vertex_count();
+  const CsrAdjacency& adj = g.out_csr();
   constexpr std::size_t kUnvisited = static_cast<std::size_t>(-1);
 
   std::vector<std::size_t> index(n, kUnvisited);
@@ -28,16 +29,17 @@ SccDecomposition strongly_connected_components(const PreferenceGraph& g) {
   SccDecomposition result;
   result.component_of.assign(n, kUnvisited);
 
-  // Iterative Tarjan: frame = (vertex, next neighbor to try).
+  // Iterative Tarjan: frame = (vertex, CSR index of the next out-edge to
+  // try). Rows are ascending, so neighbors are tried in vertex-id order.
   struct Frame {
     VertexId v;
-    VertexId next;
+    std::size_t next;
   };
   std::vector<Frame> frames;
 
   for (VertexId root = 0; root < n; ++root) {
     if (index[root] != kUnvisited) continue;
-    frames.push_back(Frame{root, 0});
+    frames.push_back(Frame{root, adj.row_ptr[root]});
     index[root] = lowlink[root] = next_index++;
     stack.push_back(root);
     on_stack[root] = true;
@@ -46,14 +48,13 @@ SccDecomposition strongly_connected_components(const PreferenceGraph& g) {
       Frame& frame = frames.back();
       const VertexId v = frame.v;
       bool descended = false;
-      while (frame.next < n) {
-        const VertexId u = frame.next++;
-        if (u == v || g.weight(v, u) <= 0.0) continue;
+      while (frame.next < adj.row_ptr[v + 1]) {
+        const VertexId u = adj.neighbors[frame.next++];
         if (index[u] == kUnvisited) {
           index[u] = lowlink[u] = next_index++;
           stack.push_back(u);
           on_stack[u] = true;
-          frames.push_back(Frame{u, 0});
+          frames.push_back(Frame{u, adj.row_ptr[u]});
           descended = true;
           break;
         }
@@ -96,12 +97,11 @@ std::vector<std::pair<std::size_t, std::size_t>> condensation_edges(
   CR_EXPECTS(scc.component_of.size() == g.vertex_count(),
              "decomposition does not match the graph");
   std::set<std::pair<std::size_t, std::size_t>> edges;
-  const std::size_t n = g.vertex_count();
-  for (VertexId v = 0; v < n; ++v) {
-    for (VertexId u = 0; u < n; ++u) {
-      if (v == u || g.weight(v, u) <= 0.0) continue;
+  const CsrAdjacency& adj = g.out_csr();
+  for (VertexId v = 0; v < g.vertex_count(); ++v) {
+    for (std::size_t e = adj.row_ptr[v]; e < adj.row_ptr[v + 1]; ++e) {
       const std::size_t cv = scc.component_of[v];
-      const std::size_t cu = scc.component_of[u];
+      const std::size_t cu = scc.component_of[adj.neighbors[e]];
       if (cv != cu) {
         edges.emplace(cv, cu);
       }

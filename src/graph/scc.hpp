@@ -36,8 +36,8 @@ struct SccDecomposition {
   bool single_component() const { return count() == 1; }
 };
 
-/// Tarjan's algorithm, iterative (no recursion — safe for n in the
-/// thousands). O(V + E) on the dense adjacency.
+/// Tarjan's algorithm, iterative (no recursion — safe for large n).
+/// O(V + E) over the graph's CSR.
 SccDecomposition strongly_connected_components(const PreferenceGraph& g);
 
 /// Condensation edges: distinct pairs (from_component, to_component) with

@@ -1,7 +1,5 @@
 #include "graph/transitive_closure.hpp"
 
-#include <queue>
-
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 
@@ -10,8 +8,6 @@ namespace crowdrank {
 std::vector<std::vector<bool>> reachability_closure(
     const PreferenceGraph& g) {
   const std::size_t n = g.vertex_count();
-  // Materialize the CSR view on the calling thread before fanning out:
-  // the lazy build is not safe to race, the finished view is.
   const CsrAdjacency& csr = g.out_csr();
   std::vector<std::vector<bool>> closure(n, std::vector<bool>(n, false));
   parallel_for(0, n, /*grain=*/8, [&](std::size_t s0, std::size_t s1) {
@@ -38,51 +34,27 @@ std::vector<std::vector<bool>> reachability_closure(
   return closure;
 }
 
-std::vector<std::vector<bool>> reachability_closure_dense(
-    const PreferenceGraph& g) {
-  const std::size_t n = g.vertex_count();
-  std::vector<std::vector<bool>> closure(n, std::vector<bool>(n, false));
-  for (VertexId src = 0; src < n; ++src) {
-    std::queue<VertexId> frontier;
-    frontier.push(src);
-    std::vector<bool> seen(n, false);
-    seen[src] = true;  // marks "expanded", not "reachable": closure excludes
-                       // the trivial empty path src -> src
-    while (!frontier.empty()) {
-      const VertexId v = frontier.front();
-      frontier.pop();
-      for (VertexId u = 0; u < n; ++u) {
-        if (g.weight(v, u) > 0.0 && !closure[src][u]) {
-          closure[src][u] = true;
-          if (!seen[u]) {
-            seen[u] = true;
-            frontier.push(u);
-          }
-        }
-      }
-    }
-  }
-  return closure;
-}
-
 namespace {
 
 /// DFS over simple paths from src accumulating products into out(src, *).
-void enumerate_paths(const PreferenceGraph& g, VertexId src, VertexId current,
+/// Out-edges are tried in ascending target order (CSR rows are sorted), so
+/// every out(src, j) sums its path products in a fixed order.
+void enumerate_paths(const CsrAdjacency& adj, VertexId src, VertexId current,
                      double product, std::size_t depth, std::size_t max_len,
                      std::vector<bool>& on_path, Matrix& out) {
   if (depth >= max_len) return;
-  const std::size_t n = g.vertex_count();
-  for (VertexId next = 0; next < n; ++next) {
-    const double w = g.weight(current, next);
-    if (w <= 0.0 || on_path[next]) continue;
-    const double extended = product * w;
+  for (std::size_t e = adj.row_ptr[current]; e < adj.row_ptr[current + 1];
+       ++e) {
+    const VertexId next = adj.neighbors[e];
+    if (on_path[next]) continue;
+    const double extended = product * adj.weights[e];
     if (depth + 1 >= 2) {
       // Paths of length >= 2 contribute to the indirect preference.
       out(src, next) += extended;
     }
     on_path[next] = true;
-    enumerate_paths(g, src, next, extended, depth + 1, max_len, on_path, out);
+    enumerate_paths(adj, src, next, extended, depth + 1, max_len, on_path,
+                    out);
     on_path[next] = false;
   }
 }
@@ -97,7 +69,7 @@ Matrix exact_indirect_preferences(const PreferenceGraph& g,
   std::vector<bool> on_path(n, false);
   for (VertexId src = 0; src < n; ++src) {
     on_path[src] = true;
-    enumerate_paths(g, src, src, 1.0, 0, max_len, on_path, out);
+    enumerate_paths(g.out_csr(), src, src, 1.0, 0, max_len, on_path, out);
     on_path[src] = false;
   }
   return out;

@@ -22,17 +22,11 @@
 namespace crowdrank {
 
 /// Boolean reachability closure: result(i, j) == true iff j is reachable
-/// from i by a non-empty directed path. Runs one BFS per source over the
-/// graph's CSR adjacency — O(n + m) per source instead of the dense scan's
-/// O(n^2) — with sources fanned out across the util/parallel pool (each
-/// source owns its output row, so the result is thread-count independent).
+/// from i by a non-empty directed path. Runs one DFS per source over the
+/// graph's CSR adjacency — O(n + m) per source — with sources fanned out
+/// across the util/parallel pool (each source owns its output row, so the
+/// result is thread-count independent).
 std::vector<std::vector<bool>> reachability_closure(const PreferenceGraph& g);
-
-/// Reference implementation of `reachability_closure` over the dense weight
-/// matrix, single-threaded. Kept as the equivalence oracle for the CSR
-/// version (tests) and for graphs mutated concurrently with traversal.
-std::vector<std::vector<bool>> reachability_closure_dense(
-    const PreferenceGraph& g);
 
 /// Exact indirect preference per the paper's definition: for every ordered
 /// pair (i, j), the sum over all *simple* directed paths i -> ... -> j with

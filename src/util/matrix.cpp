@@ -105,11 +105,12 @@ Matrix Matrix::multiply_impl(const Matrix& lhs, const Matrix& rhs,
              "addend must be shaped like the product");
   // Dense-kernel accounting for the tracing layer: one relaxed-atomic load
   // when tracing is off, two sharded counter adds when on. The flop figure
-  // is the dense upper bound (the kernel skips zero lhs entries).
-  if (metrics::Counter* mults = trace::counter("matrix.multiplies")) {
-    mults->add(1);
-    trace::counter("matrix.flops")
-        ->add(static_cast<std::uint64_t>(2) * n * k_dim * m);
+  // is the dense upper bound (the kernel skips zero lhs entries). Both adds
+  // go through one sink snapshot (see trace::counter).
+  if (trace::TraceSink* sink = trace::sink()) {
+    sink->metrics().counter("matrix.multiplies").add(1);
+    sink->metrics().counter("matrix.flops").add(
+        static_cast<std::uint64_t>(2) * n * k_dim * m);
   }
   Matrix out(n, m, 0.0);
   const auto row_block = [&](std::size_t r0, std::size_t r1) {

@@ -206,9 +206,10 @@ SparseMatrix SparseMatrix::multiply_impl(const SparseMatrix& lhs,
     if (flops != nullptr) {
       *flops = 2 * updates;
     }
-    if (metrics::Counter* mults = trace::counter("sparse.multiplies")) {
-      mults->add(1);
-      trace::counter("sparse.flops")->add(2 * updates);
+    // One sink snapshot for both (see trace::counter).
+    if (trace::TraceSink* sink = trace::sink()) {
+      sink->metrics().counter("sparse.multiplies").add(1);
+      sink->metrics().counter("sparse.flops").add(2 * updates);
     }
     return result;
   }
@@ -369,9 +370,9 @@ SparseMatrix SparseMatrix::multiply_impl(const SparseMatrix& lhs,
   if (flops != nullptr) {
     *flops = 2 * updates;
   }
-  if (metrics::Counter* mults = trace::counter("sparse.multiplies")) {
-    mults->add(1);
-    trace::counter("sparse.flops")->add(2 * updates);
+  if (trace::TraceSink* sink = trace::sink()) {
+    sink->metrics().counter("sparse.multiplies").add(1);
+    sink->metrics().counter("sparse.flops").add(2 * updates);
   }
   return result;
 }

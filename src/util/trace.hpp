@@ -175,7 +175,9 @@ class StepScope {
 /// Metric handles on the active sink, or nullptr when tracing is off.
 /// Idiom: resolve once at function/stage entry, then guard updates with
 /// `if (h) h->...`. The name-lookup cost (one mutex + map) is paid only
-/// while tracing.
+/// while tracing. Guard every handle on its own, or take one `sink()`
+/// snapshot for several: concurrent engine runs swap the active sink, so
+/// one lookup can succeed and the next return null.
 metrics::Counter* counter(const char* name);
 metrics::Gauge* gauge(const char* name);
 metrics::Histogram* histogram(const char* name);

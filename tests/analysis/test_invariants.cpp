@@ -170,38 +170,37 @@ TEST(TruthInvariant, FiresOnVotelessTask) {
 
 // ---------------------------------------------------- preference graph
 
+using Edges = std::vector<WeightedEdge>;
+
 PreferenceGraph small_graph() {
-  PreferenceGraph g(3);
-  g.set_weight(0, 1, 0.8);
-  g.set_weight(1, 0, 0.2);
-  g.set_weight(1, 2, 0.6);
-  g.set_weight(2, 1, 0.4);
-  return g;
+  return PreferenceGraph(
+      3, Edges{{0, 1, 0.8}, {1, 0, 0.2}, {1, 2, 0.6}, {2, 1, 0.4}});
 }
 
 TEST(PreferenceGraphInvariant, AcceptsConsistentGraph) {
   const PreferenceGraph g = small_graph();
-  EXPECT_NO_THROW(analysis::check_preference_graph(g));
+  EXPECT_NO_THROW(analysis::check_preference_graph(g.out_csr()));
 }
+
+// The graph validates its edges at construction, so these corrupt a
+// detached copy of its CSR.
 
 TEST(CsrInvariant, FiresOnCorruptedWeight) {
   const PreferenceGraph g = small_graph();
   CsrAdjacency csr = g.out_csr();
-  csr.weights[0] += 0.05;  // no longer mirrors the dense matrix
-  const std::string msg = violation(
-      [&] { analysis::check_csr_consistency(g.weights(), csr); });
-  EXPECT_TRUE(mentions(msg, "disagrees with dense weight")) << msg;
+  csr.weights[0] += 0.5;  // 1.3: no longer a probability
+  const std::string msg =
+      violation([&] { analysis::check_preference_graph(csr); });
+  EXPECT_TRUE(mentions(msg, "outside (0, 1]")) << msg;
 }
 
 TEST(CsrInvariant, FiresOnUnsortedNeighbors) {
-  PreferenceGraph g(3);
-  g.set_weight(0, 1, 0.5);
-  g.set_weight(0, 2, 0.5);
+  const PreferenceGraph g(3, Edges{{0, 1, 0.5}, {0, 2, 0.5}});
   CsrAdjacency csr = g.out_csr();
   std::swap(csr.neighbors[0], csr.neighbors[1]);
   std::swap(csr.weights[0], csr.weights[1]);
-  const std::string msg = violation(
-      [&] { analysis::check_csr_consistency(g.weights(), csr); });
+  const std::string msg =
+      violation([&] { analysis::check_preference_graph(csr); });
   EXPECT_TRUE(mentions(msg, "ascending")) << msg;
 }
 
@@ -209,7 +208,7 @@ TEST(CsrInvariant, FiresOnRowCountMismatch) {
   const PreferenceGraph g = small_graph();
   CsrAdjacency csr = g.out_csr();
   csr.row_ptr[1] = 0;  // row 0 now claims zero out-edges
-  EXPECT_THROW(analysis::check_csr_consistency(g.weights(), csr),
+  EXPECT_THROW(analysis::check_preference_graph(csr),
                analysis::InvariantError);
 }
 
@@ -217,8 +216,8 @@ TEST(CsrInvariant, FiresOnTruncatedShape) {
   const PreferenceGraph g = small_graph();
   CsrAdjacency csr = g.out_csr();
   csr.neighbors.pop_back();
-  const std::string msg = violation(
-      [&] { analysis::check_csr_consistency(g.weights(), csr); });
+  const std::string msg =
+      violation([&] { analysis::check_preference_graph(csr); });
   EXPECT_TRUE(mentions(msg, "CSR shape")) << msg;
 }
 
@@ -293,33 +292,35 @@ TEST(SparseDenseInvariant, FiresOnExtraDenseEntry) {
 // ------------------------------------------------------------ smoothing
 
 TEST(SmoothingInvariant, AcceptsProperSmoothing) {
-  PreferenceGraph direct(3);
-  direct.set_weight(0, 1, 1.0);  // a 1-edge
-  direct.set_weight(1, 2, 0.7);
-  direct.set_weight(2, 1, 0.3);
-
-  PreferenceGraph smoothed = direct;
-  smoothed.set_weight(0, 1, 0.9);
-  smoothed.set_weight(1, 0, 0.1);
+  const PreferenceGraph direct(
+      3, Edges{{0, 1, 1.0}, {1, 2, 0.7}, {2, 1, 0.3}});  // (0, 1): a 1-edge
+  const PreferenceGraph smoothed(
+      3, Edges{{0, 1, 0.9}, {1, 0, 0.1}, {1, 2, 0.7}, {2, 1, 0.3}});
   EXPECT_NO_THROW(
       analysis::check_smoothing(direct, smoothed, SmoothingConfig{}));
 }
 
 TEST(SmoothingInvariant, FiresWhenNonOneEdgeChanges) {
-  PreferenceGraph direct(3);
-  direct.set_weight(1, 2, 0.7);
-  direct.set_weight(2, 1, 0.3);
-  PreferenceGraph smoothed = direct;
-  smoothed.set_weight(1, 2, 0.65);
+  const PreferenceGraph direct(3, Edges{{1, 2, 0.7}, {2, 1, 0.3}});
+  const PreferenceGraph smoothed(3, Edges{{1, 2, 0.65}, {2, 1, 0.3}});
   const std::string msg = violation([&] {
     analysis::check_smoothing(direct, smoothed, SmoothingConfig{});
   });
   EXPECT_TRUE(mentions(msg, "non-1-edge")) << msg;
 }
 
+TEST(SmoothingInvariant, FiresWhenSmoothingInventsAnEdge) {
+  const PreferenceGraph direct(3, Edges{{1, 2, 0.7}, {2, 1, 0.3}});
+  const PreferenceGraph smoothed(
+      3, Edges{{1, 2, 0.7}, {2, 1, 0.3}, {2, 0, 0.5}});  // (0, 2): no task
+  const std::string msg = violation([&] {
+    analysis::check_smoothing(direct, smoothed, SmoothingConfig{});
+  });
+  EXPECT_TRUE(mentions(msg, "non-task pair")) << msg;
+}
+
 TEST(SmoothingInvariant, FiresWhenOneEdgeLeftUnanimous) {
-  PreferenceGraph direct(2);
-  direct.set_weight(0, 1, 1.0);
+  const PreferenceGraph direct(2, Edges{{0, 1, 1.0}});
   const PreferenceGraph smoothed = direct;  // smoothing "forgot" the edge
   const std::string msg = violation([&] {
     analysis::check_smoothing(direct, smoothed, SmoothingConfig{});
@@ -328,11 +329,9 @@ TEST(SmoothingInvariant, FiresWhenOneEdgeLeftUnanimous) {
 }
 
 TEST(SmoothingInvariant, FiresWhenReverseMassEscapesClamp) {
-  PreferenceGraph direct(2);
-  direct.set_weight(0, 1, 1.0);
-  PreferenceGraph smoothed = direct;
-  smoothed.set_weight(0, 1, 0.9995);
-  smoothed.set_weight(1, 0, 0.0005);  // below the 1e-3 min_mass floor
+  const PreferenceGraph direct(2, Edges{{0, 1, 1.0}});
+  const PreferenceGraph smoothed(
+      2, Edges{{0, 1, 0.9995}, {1, 0, 0.0005}});  // below min_mass 1e-3
   const std::string msg = violation([&] {
     analysis::check_smoothing(direct, smoothed, SmoothingConfig{});
   });

@@ -93,11 +93,12 @@ TEST(Confidence, GroupsPartitionTheRanking) {
 TEST(Confidence, IntegratesWithPropagationOutput) {
   // A clean chain through Step 3: the weakest boundary must be one of the
   // adjacent-in-truth pairs (they carry the least transitive support).
-  PreferenceGraph g(6);
+  std::vector<WeightedEdge> edges;
   for (VertexId i = 0; i + 1 < 6; ++i) {
-    g.set_weight(i, i + 1, 0.9);
-    g.set_weight(i + 1, i, 0.1);
+    edges.push_back({i, i + 1, 0.9});
+    edges.push_back({i + 1, i, 0.1});
   }
+  const PreferenceGraph g(6, edges);
   const Matrix closure = propagate_preferences(g, {}, nullptr);
   const auto c = ranking_confidence(closure, Ranking::identity(6));
   EXPECT_GT(c.min_belief, 0.5);  // still correctly oriented everywhere

@@ -4,6 +4,7 @@
 // CMakePresets.json) — they exercise every parallel region in the hot path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/pipeline.hpp"
@@ -71,18 +72,24 @@ TEST_F(DeterminismTest,
   // representation handoff; the closure must not depend on the thread
   // count at any fill threshold.
   Rng rng(29);
-  PreferenceGraph g(60);
+  std::vector<WeightedEdge> edges;
+  const auto has_edge = [&edges](VertexId from, VertexId to) {
+    return std::any_of(edges.begin(), edges.end(), [&](const WeightedEdge& e) {
+      return e.from == from && e.to == to;
+    });
+  };
   for (VertexId i = 0; i + 1 < 60; ++i) {
-    g.set_weight(i, i + 1, 0.9);
-    g.set_weight(i + 1, i, 0.1);
+    edges.push_back({i, i + 1, 0.9});
+    edges.push_back({i + 1, i, 0.1});
     // A few long-range chords so the fill grows unevenly across rows.
     if (rng.bernoulli(0.2)) {
       const auto j = static_cast<VertexId>(rng.uniform_int(0, 59));
-      if (j != i && !g.has_edge(i, j)) {
-        g.set_weight(i, j, rng.uniform(0.3, 0.7));
+      if (j != i && !has_edge(i, j)) {
+        edges.push_back({i, j, rng.uniform(0.3, 0.7)});
       }
     }
   }
+  const PreferenceGraph g(60, edges);
   PropagationConfig config;
   config.mode = PropagationMode::SpectralLimit;
   for (const double threshold : {0.15, 1.0}) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../graph/dense_reference.hpp"
 #include "graph/hamiltonian.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -11,12 +12,12 @@ namespace crowdrank {
 namespace {
 
 PreferenceGraph smoothed_chain(std::size_t n, double forward = 0.9) {
-  PreferenceGraph g(n);
+  std::vector<WeightedEdge> edges;
   for (VertexId i = 0; i + 1 < n; ++i) {
-    g.set_weight(i, i + 1, forward);
-    g.set_weight(i + 1, i, 1.0 - forward);
+    edges.push_back({i, i + 1, forward});
+    edges.push_back({i + 1, i, 1.0 - forward});
   }
-  return g;
+  return PreferenceGraph(n, edges);
 }
 
 TEST(Propagation, ClosureIsCompleteAndNormalized) {
@@ -72,14 +73,15 @@ TEST(Propagation, ExactAndWalkModesAgreeOnShortHorizon) {
   // With max_length = 2 there are no repeated-vertex walks between
   // distinct endpoints, so the two modes coincide exactly.
   Rng rng(3);
-  PreferenceGraph g(5);
+  std::vector<WeightedEdge> edges;
   for (VertexId i = 0; i < 5; ++i) {
     for (VertexId j = 0; j < 5; ++j) {
       if (i != j && rng.bernoulli(0.5)) {
-        g.set_weight(i, j, rng.uniform(0.1, 0.9));
+        edges.push_back({i, j, rng.uniform(0.1, 0.9)});
       }
     }
   }
+  const PreferenceGraph g(5, edges);
   PropagationConfig walk;
   walk.max_length = 2;
   PropagationConfig exact;
@@ -108,16 +110,17 @@ TEST(Propagation, ClosureAlwaysHasHamiltonianPath) {
   // Thm 5.1: the closure is complete, hence Hamiltonian.
   Rng rng(4);
   for (int trial = 0; trial < 10; ++trial) {
-    PreferenceGraph g(7);
     // Random strongly-connected-ish smoothed graph: bidirectional chain
     // plus random extras.
+    std::vector<WeightedEdge> edges;
     for (VertexId i = 0; i + 1 < 7; ++i) {
       const double w = rng.uniform(0.55, 0.95);
-      g.set_weight(i, i + 1, w);
-      g.set_weight(i + 1, i, 1.0 - w);
+      edges.push_back({i, i + 1, w});
+      edges.push_back({i + 1, i, 1.0 - w});
     }
+    const PreferenceGraph g(7, edges);
     const Matrix closure = propagate_preferences(g, {}, nullptr);
-    const PreferenceGraph cg = PreferenceGraph::from_matrix(closure);
+    const PreferenceGraph cg = graph_from_matrix(closure);
     EXPECT_TRUE(cg.is_complete());
     EXPECT_TRUE(has_hamiltonian_path(cg)) << "trial " << trial;
   }
@@ -126,8 +129,8 @@ TEST(Propagation, ClosureAlwaysHasHamiltonianPath) {
 TEST(Propagation, OneSidedEvidenceClampedByFloor) {
   // Only a forward edge (no reverse, no cycle): after normalization the
   // reverse weight would be exactly 0; the floor keeps it positive.
-  PreferenceGraph g(3);
-  g.set_weight(0, 1, 1.0);  // deliberately unsmoothed
+  const std::vector<WeightedEdge> unsmoothed{{0, 1, 1.0}};
+  const PreferenceGraph g(3, unsmoothed);
   PropagationConfig config;
   const Matrix closure = propagate_preferences(g, config, nullptr);
   EXPECT_DOUBLE_EQ(closure(1, 0), config.completeness_floor);

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 #include <cmath>
 
+#include "../graph/dense_reference.hpp"
 #include "core/propagation.hpp"
 #include "graph/hamiltonian.hpp"
 #include "util/rng.hpp"
@@ -10,12 +11,12 @@ namespace crowdrank {
 namespace {
 
 PreferenceGraph smoothed_chain(std::size_t n, double forward = 0.9) {
-  PreferenceGraph g(n);
+  std::vector<WeightedEdge> edges;
   for (VertexId i = 0; i + 1 < n; ++i) {
-    g.set_weight(i, i + 1, forward);
-    g.set_weight(i + 1, i, 1.0 - forward);
+    edges.push_back({i, i + 1, forward});
+    edges.push_back({i + 1, i, 1.0 - forward});
   }
-  return g;
+  return PreferenceGraph(n, edges);
 }
 
 PropagationConfig spectral() {
@@ -64,15 +65,16 @@ TEST(SpectralPropagation, CoversPairsBeyondBoundedHorizon) {
 TEST(SpectralPropagation, AgreesWithBoundedOnDenseGraphs) {
   // On a dense smoothed graph both modes orient pairs the same way.
   Rng rng(5);
-  PreferenceGraph g(12);
+  std::vector<WeightedEdge> edges;
   for (VertexId i = 0; i < 12; ++i) {
     for (VertexId j = i + 1; j < 12; ++j) {
       const double w = (i < j) ? rng.uniform(0.6, 0.95)
                                : rng.uniform(0.05, 0.4);
-      g.set_weight(i, j, w);
-      g.set_weight(j, i, 1.0 - w);
+      edges.push_back({i, j, w});
+      edges.push_back({j, i, 1.0 - w});
     }
   }
+  const PreferenceGraph g(12, edges);
   PropagationConfig bounded;
   bounded.mode = PropagationMode::BoundedWalks;
   const Matrix mb = propagate_preferences(g, bounded, nullptr);
@@ -86,7 +88,7 @@ TEST(SpectralPropagation, AgreesWithBoundedOnDenseGraphs) {
 }
 
 TEST(SpectralPropagation, EdgelessGraphFallsBackEverywhere) {
-  PreferenceGraph g(5);
+  const PreferenceGraph g(5, std::vector<WeightedEdge>{});
   PropagationStats stats;
   const Matrix closure = propagate_preferences(g, spectral(), &stats);
   EXPECT_EQ(stats.pairs_without_evidence, 10u);
@@ -98,7 +100,7 @@ TEST(SpectralPropagation, ClosureHamiltonianAlways) {
   for (int trial = 0; trial < 5; ++trial) {
     const auto g = smoothed_chain(7, rng.uniform(0.55, 0.95));
     const Matrix closure = propagate_preferences(g, spectral(), nullptr);
-    const PreferenceGraph cg = PreferenceGraph::from_matrix(closure);
+    const PreferenceGraph cg = graph_from_matrix(closure);
     EXPECT_TRUE(cg.is_complete());
     EXPECT_TRUE(has_hamiltonian_path(cg));
   }
@@ -184,12 +186,13 @@ TEST(SpectralPropagation, RejectsInvalidHybridKnobs) {
 TEST(SpectralPropagation, NoOverflowOnHeavyGraphs) {
   // Dense near-1 weights: unnormalized W^n would overflow by astronomical
   // margins; the renormalized doubling must stay finite.
-  PreferenceGraph g(64);
+  std::vector<WeightedEdge> edges;
   for (VertexId i = 0; i < 64; ++i) {
     for (VertexId j = 0; j < 64; ++j) {
-      if (i != j) g.set_weight(i, j, i < j ? 0.99 : 0.01);
+      if (i != j) edges.push_back({i, j, i < j ? 0.99 : 0.01});
     }
   }
+  const PreferenceGraph g(64, edges);
   const Matrix closure = propagate_preferences(g, spectral(), nullptr);
   for (const double v : closure.data()) {
     EXPECT_TRUE(std::isfinite(v));

@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "graph/hamiltonian.hpp"
+#include "saps_reference.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 

@@ -12,6 +12,7 @@
 
 #include "core/saps.hpp"
 #include "graph/hamiltonian.hpp"
+#include "saps_reference.hpp"
 #include "util/math.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"

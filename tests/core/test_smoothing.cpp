@@ -17,14 +17,19 @@ struct Fixture {
   PreferenceGraph graph;
   std::vector<std::vector<WorkerId>> task_workers;
 
-  explicit Fixture(std::vector<double> qualities) : graph(4) {
+  explicit Fixture(std::vector<double> qualities)
+      : step1(make_step1(std::move(qualities))),
+        graph(step1.to_preference_graph(4)),
+        task_workers{{0, 1, 2}, {0, 1, 2}, {0, 1, 2}} {}
+
+  static TruthDiscoveryResult make_step1(std::vector<double> qualities) {
+    TruthDiscoveryResult step1;
     step1.worker_quality = std::move(qualities);
     // Tasks: (0,1) unanimous forward, (1,2) unanimous backward,
     // (2,3) contested 0.7/0.3.
     step1.truths = {TaskTruth{{0, 1}, 1.0, 3}, TaskTruth{{1, 2}, 0.0, 3},
                     TaskTruth{{2, 3}, 0.7, 3}};
-    graph = step1.to_preference_graph(4);
-    task_workers = {{0, 1, 2}, {0, 1, 2}, {0, 1, 2}};
+    return step1;
   }
 };
 

@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "../graph/dense_reference.hpp"
 #include "graph/hamiltonian.hpp"
 #include "graph/preference_graph.hpp"
 #include "util/error.hpp"
@@ -65,7 +66,7 @@ TEST(Taps, MatchesBruteForceEnumeration) {
   for (int trial = 0; trial < 10; ++trial) {
     const std::size_t n = 6;
     const Matrix m = random_closure(n, rng);
-    const PreferenceGraph g = PreferenceGraph::from_matrix(m);
+    const PreferenceGraph g = graph_from_matrix(m);
     double best = 0.0;
     for (const Path& p : enumerate_hamiltonian_paths(g)) {
       best = std::max(best, path_probability(m, p));

@@ -5,22 +5,27 @@
 
 #include <cmath>
 
+#include "dense_reference.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace crowdrank {
 namespace {
 
-PreferenceGraph random_digraph(std::size_t n, double edge_prob, Rng& rng) {
-  PreferenceGraph g(n);
+using Edges = std::vector<WeightedEdge>;
+
+/// Random weight matrix with zero diagonal; each off-diagonal entry is an
+/// edge with probability edge_prob.
+Matrix random_digraph(std::size_t n, double edge_prob, Rng& rng) {
+  Matrix w(n, n, 0.0);
   for (VertexId i = 0; i < n; ++i) {
     for (VertexId j = 0; j < n; ++j) {
       if (i != j && rng.bernoulli(edge_prob)) {
-        g.set_weight(i, j, rng.uniform(0.05, 1.0));
+        w(i, j) = rng.uniform(0.05, 1.0);
       }
     }
   }
-  return g;
+  return w;
 }
 
 TEST(PermutationPath, Validation) {
@@ -49,16 +54,11 @@ TEST(PathLogCost, MatchesNegLogProbability) {
 }
 
 TEST(HpExistence, DirectedChainAndReverse) {
-  PreferenceGraph g(4);
-  g.set_weight(0, 1, 1.0);
-  g.set_weight(1, 2, 1.0);
-  g.set_weight(2, 3, 1.0);
+  const PreferenceGraph g(4, Edges{{0, 1, 1.0}, {1, 2, 1.0}, {2, 3, 1.0}});
   EXPECT_TRUE(has_hamiltonian_path(g));
 
-  PreferenceGraph no_hp(4);
-  no_hp.set_weight(0, 1, 1.0);
-  no_hp.set_weight(0, 2, 1.0);
-  no_hp.set_weight(0, 3, 1.0);  // star: no HP
+  const PreferenceGraph no_hp(
+      4, Edges{{0, 1, 1.0}, {0, 2, 1.0}, {0, 3, 1.0}});  // star: no HP
   EXPECT_FALSE(has_hamiltonian_path(no_hp));
 }
 
@@ -79,7 +79,7 @@ TEST(HpExistence, UndirectedTaskGraph) {
 TEST(HpExistence, MatchesEnumerationOnRandomGraphs) {
   Rng rng(7);
   for (int trial = 0; trial < 40; ++trial) {
-    const PreferenceGraph g = random_digraph(6, 0.3, rng);
+    const PreferenceGraph g = graph_from_matrix(random_digraph(6, 0.3, rng));
     const bool dp = has_hamiltonian_path(g);
     const bool brute = !enumerate_hamiltonian_paths(g).empty();
     EXPECT_EQ(dp, brute) << "trial " << trial;
@@ -87,17 +87,18 @@ TEST(HpExistence, MatchesEnumerationOnRandomGraphs) {
 }
 
 TEST(Enumeration, CompleteGraphHasFactorialPaths) {
-  PreferenceGraph g(4);
+  Edges edges;
   for (VertexId i = 0; i < 4; ++i) {
     for (VertexId j = 0; j < 4; ++j) {
-      if (i != j) g.set_weight(i, j, 0.5);
+      if (i != j) edges.push_back({i, j, 0.5});
     }
   }
+  const PreferenceGraph g(4, edges);
   EXPECT_EQ(enumerate_hamiltonian_paths(g).size(), 24u);  // 4!
 }
 
 TEST(Enumeration, RejectsLargeGraphs) {
-  PreferenceGraph g(11);
+  const PreferenceGraph g(11, Edges{});
   EXPECT_THROW(enumerate_hamiltonian_paths(g), Error);
 }
 
@@ -122,9 +123,9 @@ TEST(HeldKarp, ReturnsNulloptWithoutHp) {
 TEST(HeldKarp, MatchesBruteForceOnRandomGraphs) {
   Rng rng(13);
   for (int trial = 0; trial < 30; ++trial) {
-    const PreferenceGraph g = random_digraph(7, 0.7, rng);
-    const auto dp = max_probability_hamiltonian_path(g.weights());
-    const auto all = enumerate_hamiltonian_paths(g);
+    const Matrix w = random_digraph(7, 0.7, rng);
+    const auto dp = max_probability_hamiltonian_path(w);
+    const auto all = enumerate_hamiltonian_paths(graph_from_matrix(w));
     if (all.empty()) {
       EXPECT_FALSE(dp.has_value()) << "trial " << trial;
       continue;
@@ -132,9 +133,9 @@ TEST(HeldKarp, MatchesBruteForceOnRandomGraphs) {
     ASSERT_TRUE(dp.has_value()) << "trial " << trial;
     double best = 0.0;
     for (const Path& p : all) {
-      best = std::max(best, path_probability(g.weights(), p));
+      best = std::max(best, path_probability(w, p));
     }
-    EXPECT_NEAR(path_probability(g.weights(), *dp), best, 1e-12)
+    EXPECT_NEAR(path_probability(w, *dp), best, 1e-12)
         << "trial " << trial;
   }
 }

@@ -3,13 +3,20 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
+#include "core/smoothing.hpp"
+#include "core/truth_discovery.hpp"
+#include "graph/scc.hpp"
 #include "util/error.hpp"
 
 namespace crowdrank {
 namespace {
 
+using Edges = std::vector<WeightedEdge>;
+
 TEST(PreferenceGraph, StartsEmpty) {
-  PreferenceGraph g(3);
+  const PreferenceGraph g(3, Edges{});
   EXPECT_EQ(g.vertex_count(), 3u);
   EXPECT_EQ(g.edge_count(), 0u);
   EXPECT_FALSE(g.has_edge(0, 1));
@@ -17,20 +24,42 @@ TEST(PreferenceGraph, StartsEmpty) {
 }
 
 TEST(PreferenceGraph, WeightsValidated) {
-  PreferenceGraph g(3);
-  EXPECT_THROW(g.set_weight(0, 0, 0.5), Error);
-  EXPECT_THROW(g.set_weight(0, 1, -0.1), Error);
-  EXPECT_THROW(g.set_weight(0, 1, 1.1), Error);
-  EXPECT_THROW(g.set_weight(0, 9, 0.5), Error);
-  g.set_weight(0, 1, 0.7);
+  EXPECT_THROW(PreferenceGraph(3, Edges{{0, 0, 0.5}}), Error);
+  EXPECT_THROW(PreferenceGraph(3, Edges{{0, 1, -0.1}}), Error);
+  EXPECT_THROW(PreferenceGraph(3, Edges{{0, 1, 1.1}}), Error);
+  EXPECT_THROW(PreferenceGraph(3, Edges{{0, 9, 0.5}}), Error);
+  EXPECT_THROW(PreferenceGraph(3, Edges{{9, 0, 0.5}}), Error);
+  const PreferenceGraph g(3, Edges{{0, 1, 0.7}});
   EXPECT_DOUBLE_EQ(g.weight(0, 1), 0.7);
-  g.set_weight(0, 1, 0.0);  // removal
-  EXPECT_FALSE(g.has_edge(0, 1));
+  const PreferenceGraph absent(3, Edges{{0, 1, 0.0}});  // weight 0: no edge
+  EXPECT_FALSE(absent.has_edge(0, 1));
+  EXPECT_EQ(absent.edge_count(), 0u);
+}
+
+TEST(PreferenceGraph, RejectsRepeatedEdge) {
+  EXPECT_THROW(PreferenceGraph(3, Edges{{0, 1, 0.7}, {0, 1, 0.7}}), Error);
+  // A repeat is a repeat even when one copy carries weight 0.
+  EXPECT_THROW(PreferenceGraph(3, Edges{{0, 1, 0.0}, {2, 1, 0.5}, {0, 1, 0.4}}),
+               Error);
+  // Both orientations of one pair are two distinct edges.
+  EXPECT_NO_THROW(PreferenceGraph(3, Edges{{0, 1, 0.7}, {1, 0, 0.3}}));
+}
+
+TEST(PreferenceGraph, CsrRowsAscendWhateverTheInputOrder) {
+  const PreferenceGraph g(
+      4, Edges{{2, 0, 0.5}, {0, 3, 0.4}, {0, 1, 0.9}, {2, 1, 0.0},
+               {3, 2, 1.0}, {0, 2, 0.6}});
+  const CsrAdjacency& csr = g.out_csr();
+  EXPECT_EQ(csr.row_ptr, (std::vector<std::size_t>{0, 3, 3, 4, 5}));
+  EXPECT_EQ(csr.neighbors, (std::vector<VertexId>{1, 2, 3, 0, 2}));
+  EXPECT_EQ(csr.weights, (std::vector<double>{0.9, 0.6, 0.4, 0.5, 1.0}));
+  EXPECT_DOUBLE_EQ(g.weight(0, 2), 0.6);
+  EXPECT_DOUBLE_EQ(g.weight(2, 1), 0.0);
+  EXPECT_DOUBLE_EQ(g.weight(1, 0), 0.0);
 }
 
 TEST(PreferenceGraph, DirectedSemantics) {
-  PreferenceGraph g(3);
-  g.set_weight(0, 1, 0.9);
+  const PreferenceGraph g(3, Edges{{0, 1, 0.9}});
   EXPECT_TRUE(g.has_edge(0, 1));
   EXPECT_FALSE(g.has_edge(1, 0));
   EXPECT_EQ(g.out_degree(0), 1u);
@@ -40,11 +69,8 @@ TEST(PreferenceGraph, DirectedSemantics) {
 
 TEST(PreferenceGraph, InAndOutNodes) {
   // Figure 1(b) shape: v2 has only incoming edges -> in-node.
-  PreferenceGraph g(4);
-  g.set_weight(0, 2, 1.0);
-  g.set_weight(1, 2, 1.0);
-  g.set_weight(3, 0, 1.0);
-  g.set_weight(3, 1, 1.0);
+  const PreferenceGraph g(
+      4, Edges{{0, 2, 1.0}, {1, 2, 1.0}, {3, 0, 1.0}, {3, 1, 1.0}});
   EXPECT_TRUE(g.is_in_node(2));
   EXPECT_TRUE(g.is_out_node(3));
   EXPECT_FALSE(g.is_in_node(0));
@@ -54,17 +80,13 @@ TEST(PreferenceGraph, InAndOutNodes) {
 }
 
 TEST(PreferenceGraph, IsolatedVertexIsNeither) {
-  PreferenceGraph g(3);
-  g.set_weight(0, 1, 0.6);
+  const PreferenceGraph g(3, Edges{{0, 1, 0.6}});
   EXPECT_FALSE(g.is_in_node(2));
   EXPECT_FALSE(g.is_out_node(2));
 }
 
 TEST(PreferenceGraph, OneEdgesDetected) {
-  PreferenceGraph g(3);
-  g.set_weight(0, 1, 1.0);
-  g.set_weight(1, 2, 0.8);
-  g.set_weight(2, 1, 0.2);
+  const PreferenceGraph g(3, Edges{{0, 1, 1.0}, {1, 2, 0.8}, {2, 1, 0.2}});
   const auto ones = g.one_edges();
   ASSERT_EQ(ones.size(), 1u);
   EXPECT_EQ(ones[0].first, 0u);
@@ -72,133 +94,117 @@ TEST(PreferenceGraph, OneEdgesDetected) {
 }
 
 TEST(PreferenceGraph, CompletenessCheck) {
-  PreferenceGraph g(3);
-  EXPECT_FALSE(g.is_complete());
+  EXPECT_FALSE(PreferenceGraph(3, Edges{}).is_complete());
+  Edges all_pairs;
   for (VertexId i = 0; i < 3; ++i) {
     for (VertexId j = 0; j < 3; ++j) {
-      if (i != j) g.set_weight(i, j, 0.5);
+      if (i != j) all_pairs.push_back({i, j, 0.5});
     }
   }
-  EXPECT_TRUE(g.is_complete());
+  EXPECT_TRUE(PreferenceGraph(3, all_pairs).is_complete());
 }
 
 TEST(PreferenceGraph, StrongConnectivity) {
-  PreferenceGraph cycle(3);
-  cycle.set_weight(0, 1, 0.9);
-  cycle.set_weight(1, 2, 0.9);
-  cycle.set_weight(2, 0, 0.9);
+  const PreferenceGraph cycle(3,
+                              Edges{{0, 1, 0.9}, {1, 2, 0.9}, {2, 0, 0.9}});
   EXPECT_TRUE(cycle.is_strongly_connected());
 
-  PreferenceGraph chain(3);
-  chain.set_weight(0, 1, 0.9);
-  chain.set_weight(1, 2, 0.9);
+  const PreferenceGraph chain(3, Edges{{0, 1, 0.9}, {1, 2, 0.9}});
   EXPECT_FALSE(chain.is_strongly_connected());
 
   // Bidirectional chain (what smoothing produces) is strongly connected.
-  chain.set_weight(1, 0, 0.1);
-  chain.set_weight(2, 1, 0.1);
-  EXPECT_TRUE(chain.is_strongly_connected());
+  const PreferenceGraph both_ways(
+      3, Edges{{0, 1, 0.9}, {1, 2, 0.9}, {1, 0, 0.1}, {2, 1, 0.1}});
+  EXPECT_TRUE(both_ways.is_strongly_connected());
 }
 
 TEST(PreferenceGraph, EdgeCountCountsDirectedEdges) {
-  PreferenceGraph g(3);
-  g.set_weight(0, 1, 0.6);
-  g.set_weight(1, 0, 0.4);
-  g.set_weight(1, 2, 1.0);
+  const PreferenceGraph g(3, Edges{{0, 1, 0.6}, {1, 0, 0.4}, {1, 2, 1.0}});
   EXPECT_EQ(g.edge_count(), 3u);
 }
 
-TEST(PreferenceGraph, FromMatrixRoundTrip) {
-  Matrix m(3, 3, 0.0);
-  m(0, 1) = 0.8;
-  m(1, 0) = 0.2;
-  m(2, 0) = 1.0;
-  const PreferenceGraph g = PreferenceGraph::from_matrix(m);
-  EXPECT_DOUBLE_EQ(g.weight(0, 1), 0.8);
-  EXPECT_DOUBLE_EQ(g.weight(2, 0), 1.0);
-  EXPECT_LT(Matrix::max_abs_diff(g.weights(), m), 1e-15);
-}
-
-TEST(PreferenceGraph, FromMatrixValidates) {
-  Matrix rect(2, 3);
-  EXPECT_THROW(PreferenceGraph::from_matrix(rect), Error);
-  Matrix diag(3, 3, 0.0);
-  diag(1, 1) = 0.5;
-  EXPECT_THROW(PreferenceGraph::from_matrix(diag), Error);
-  Matrix bad(3, 3, 0.0);
-  bad(0, 1) = 1.5;
-  EXPECT_THROW(PreferenceGraph::from_matrix(bad), Error);
-}
-
 TEST(PreferenceGraph, RejectsTinyGraphs) {
-  EXPECT_THROW(PreferenceGraph(1), Error);
+  EXPECT_THROW(PreferenceGraph(1, Edges{}), Error);
 }
 
-/// Reference CSR build: the plain row-major dense scan the amortized
-/// dirty-row rebuild must always agree with.
-CsrAdjacency full_scan_csr(const PreferenceGraph& g) {
-  const std::size_t n = g.vertex_count();
-  CsrAdjacency csr;
-  csr.row_ptr.assign(n + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    csr.row_ptr[i] = csr.neighbors.size();
-    for (std::size_t j = 0; j < n; ++j) {
-      if (g.weight(i, j) > 0.0) {
-        csr.neighbors.push_back(j);
-        csr.weights.push_back(g.weight(i, j));
+// Steps 1-2 at a scale no dense n x n store reaches (n^2 doubles would be
+// 80 GB): a circulant 4-regular task graph (i <-> i+1, i <-> i+2 mod n).
+// Every vertex v with v % 10 == 0 wins all four of its tasks unanimously
+// (an out-node of the direct graph), every v with v % 10 == 5 loses all
+// four (an in-node); special vertices are >= 5 apart, so no task joins two
+// of them, and every other task is contested.
+TEST(PreferenceGraph, SmoothsACirculantGraphWithOneHundredThousandObjects) {
+  constexpr std::size_t n = 100'000;
+  TruthDiscoveryResult step1;
+  step1.worker_quality = {0.8, 0.9, 0.7};
+  for (VertexId i = 0; i < n; ++i) {
+    for (const VertexId hop : {VertexId{1}, VertexId{2}}) {
+      const Edge task = Edge::canonical(i, (i + hop) % n);
+      // x = P(first preferred to second).
+      double x = 0.6;
+      for (const VertexId v : {task.first, task.second}) {
+        if (v % 10 == 0) x = v == task.first ? 1.0 : 0.0;
+        if (v % 10 == 5) x = v == task.first ? 0.0 : 1.0;
       }
+      step1.truths.push_back(TaskTruth{task, x, 3});
     }
   }
-  csr.row_ptr[n] = csr.neighbors.size();
-  return csr;
+  const std::vector<std::vector<WorkerId>> task_workers(step1.truths.size(),
+                                                        {0, 1, 2});
+  constexpr std::size_t kSpecial = n / 10;  // of each kind
+
+  const PreferenceGraph direct = step1.to_preference_graph(n);
+  EXPECT_EQ(direct.edge_count(), 2 * 2 * n - 4 * 2 * kSpecial);
+  EXPECT_EQ(direct.out_nodes().size(), kSpecial);
+  EXPECT_EQ(direct.in_nodes().size(), kSpecial);
+  EXPECT_EQ(direct.one_edges().size(), 4 * 2 * kSpecial);
+  EXPECT_FALSE(direct.is_strongly_connected());
+
+  SmoothingStats stats;
+  const PreferenceGraph smoothed = smooth_preferences(
+      direct, step1, task_workers, SmoothingConfig{}, nullptr, &stats);
+  EXPECT_EQ(stats.one_edges_smoothed, 4 * 2 * kSpecial);
+  EXPECT_EQ(stats.in_nodes_before, kSpecial);
+  EXPECT_EQ(stats.out_nodes_before, kSpecial);
+  EXPECT_TRUE(stats.strongly_connected_after);
+  EXPECT_EQ(smoothed.edge_count(), 2 * 2 * n);
+  EXPECT_TRUE(smoothed.in_nodes().empty());
+  EXPECT_TRUE(smoothed.out_nodes().empty());
+  EXPECT_TRUE(smoothed.one_edges().empty());
+  EXPECT_TRUE(smoothed.is_strongly_connected());
+  EXPECT_EQ(strongly_connected_components(smoothed).count(), 1u);
 }
 
-void expect_csr_eq(const CsrAdjacency& actual, const CsrAdjacency& expected) {
-  EXPECT_EQ(actual.row_ptr, expected.row_ptr);
-  EXPECT_EQ(actual.neighbors, expected.neighbors);
-  EXPECT_EQ(actual.weights, expected.weights);
-}
-
-TEST(PreferenceGraphCsr, DirtyRowRebuildMatchesFullScan) {
-  PreferenceGraph g(10);
-  for (VertexId i = 0; i + 1 < 10; ++i) {
-    g.set_weight(i, i + 1, 0.8);
-    g.set_weight(i + 1, i, 0.2);
+// The graph is immutable, so concurrent readers need no synchronization:
+// under the tsan preset this pins that no query writes shared state.
+TEST(PreferenceGraph, ConcurrentReadersAgree) {
+  Edges edges;
+  for (VertexId i = 0; i + 1 < 200; ++i) {
+    edges.push_back({i, i + 1, 0.8});
+    if (i % 3 != 0) edges.push_back({i + 1, i, 0.2});
   }
-  expect_csr_eq(g.out_csr(), full_scan_csr(g));  // first (full) build
+  const PreferenceGraph g(200, edges);
+  const std::vector<VertexId> expected_in = g.in_nodes();
+  const bool expected_connected = g.is_strongly_connected();
 
-  // Touch a few rows between reads: add, update, and remove edges.
-  g.set_weight(3, 7, 0.5);   // new edge in a clean row
-  g.set_weight(4, 5, 0.65);  // update an existing edge's weight
-  g.set_weight(6, 5, 0.0);   // remove an edge
-  expect_csr_eq(g.out_csr(), full_scan_csr(g));
-
-  // A second batch after the refresh, including a re-dirtied row.
-  g.set_weight(3, 7, 0.0);
-  g.set_weight(0, 9, 1.0);
-  expect_csr_eq(g.out_csr(), full_scan_csr(g));
-}
-
-TEST(PreferenceGraphCsr, RepeatedReadsAfterMutationStayFresh) {
-  // The smoothing workload: a handful of single-row writes between every
-  // read. Each out_csr() must reflect all mutations so far.
-  PreferenceGraph g(6);
-  g.set_weight(0, 1, 1.0);
-  for (int round = 0; round < 5; ++round) {
-    const auto v = static_cast<VertexId>(round + 1);
-    if (v + 1 < 6) {
-      g.set_weight(v, v + 1, 0.5 + 0.05 * round);
-    }
-    g.set_weight(0, 1, 1.0 - 0.1 * round);  // same row re-dirtied each round
-    expect_csr_eq(g.out_csr(), full_scan_csr(g));
+  const PreferenceGraph fresh(200, edges);
+  std::vector<std::size_t> csr_edges(4, 0);
+  std::vector<std::vector<VertexId>> in_nodes(4);
+  std::vector<char> connected(4, 0);
+  std::vector<std::thread> readers;
+  for (std::size_t t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      csr_edges[t] = fresh.out_csr().edge_count();
+      in_nodes[t] = fresh.in_nodes();
+      connected[t] = fresh.is_strongly_connected() ? 1 : 0;
+    });
   }
-}
-
-TEST(PreferenceGraphCsr, MutationBeforeFirstBuildTakesFullScanPath) {
-  PreferenceGraph g(4);
-  g.set_weight(0, 1, 0.9);  // no CSR exists yet: nothing to mark dirty
-  g.set_weight(2, 3, 0.4);
-  expect_csr_eq(g.out_csr(), full_scan_csr(g));
+  for (std::thread& reader : readers) reader.join();
+  for (std::size_t t = 0; t < 4; ++t) {
+    EXPECT_EQ(csr_edges[t], g.edge_count());
+    EXPECT_EQ(in_nodes[t], expected_in);
+    EXPECT_EQ(connected[t] == 1, expected_connected);
+  }
 }
 
 }  // namespace

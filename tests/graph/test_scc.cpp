@@ -11,12 +11,14 @@
 namespace crowdrank {
 namespace {
 
+using Edges = std::vector<WeightedEdge>;
+
 PreferenceGraph cycle_graph(std::size_t n) {
-  PreferenceGraph g(n);
+  Edges edges;
   for (VertexId v = 0; v < n; ++v) {
-    g.set_weight(v, (v + 1) % n, 0.9);
+    edges.push_back({v, (v + 1) % n, 0.9});
   }
-  return g;
+  return PreferenceGraph(n, edges);
 }
 
 TEST(Scc, SingleCycleIsOneComponent) {
@@ -27,10 +29,7 @@ TEST(Scc, SingleCycleIsOneComponent) {
 }
 
 TEST(Scc, ChainIsAllSingletons) {
-  PreferenceGraph g(4);
-  g.set_weight(0, 1, 0.9);
-  g.set_weight(1, 2, 0.9);
-  g.set_weight(2, 3, 0.9);
+  const PreferenceGraph g(4, Edges{{0, 1, 0.9}, {1, 2, 0.9}, {2, 3, 0.9}});
   const auto scc = strongly_connected_components(g);
   EXPECT_EQ(scc.count(), 4u);
   EXPECT_EQ(scc.largest(), 1u);
@@ -38,20 +37,19 @@ TEST(Scc, ChainIsAllSingletons) {
 }
 
 TEST(Scc, EdgelessGraphIsSingletons) {
-  PreferenceGraph g(3);
+  const PreferenceGraph g(3, Edges{});
   const auto scc = strongly_connected_components(g);
   EXPECT_EQ(scc.count(), 3u);
 }
 
 TEST(Scc, TwoCyclesJoinedByOneWayEdge) {
   // Cycle {0,1,2} -> cycle {3,4}: two components.
-  PreferenceGraph g(5);
-  g.set_weight(0, 1, 0.9);
-  g.set_weight(1, 2, 0.9);
-  g.set_weight(2, 0, 0.9);
-  g.set_weight(3, 4, 0.9);
-  g.set_weight(4, 3, 0.9);
-  g.set_weight(2, 3, 0.9);
+  const PreferenceGraph g(5, Edges{{0, 1, 0.9},
+                                   {1, 2, 0.9},
+                                   {2, 0, 0.9},
+                                   {3, 4, 0.9},
+                                   {4, 3, 0.9},
+                                   {2, 3, 0.9}});
   const auto scc = strongly_connected_components(g);
   EXPECT_EQ(scc.count(), 2u);
   EXPECT_EQ(scc.component_of[0], scc.component_of[1]);
@@ -68,13 +66,12 @@ TEST(Scc, TwoCyclesJoinedByOneWayEdge) {
 }
 
 TEST(Scc, CondensationEdgesCrossComponents) {
-  PreferenceGraph g(5);
-  g.set_weight(0, 1, 0.9);
-  g.set_weight(1, 0, 0.9);
-  g.set_weight(2, 3, 0.9);
-  g.set_weight(3, 2, 0.9);
-  g.set_weight(1, 2, 0.9);  // crossing edge
-  g.set_weight(4, 0, 0.9);  // singleton -> first cycle
+  const PreferenceGraph g(5, Edges{{0, 1, 0.9},
+                                   {1, 0, 0.9},
+                                   {2, 3, 0.9},
+                                   {3, 2, 0.9},
+                                   {1, 2, 0.9},    // crossing edge
+                                   {4, 0, 0.9}});  // singleton -> 1st cycle
   const auto scc = strongly_connected_components(g);
   const auto edges = condensation_edges(g, scc);
   EXPECT_EQ(scc.count(), 3u);
@@ -89,14 +86,15 @@ TEST(Scc, CondensationIsAcyclic) {
   // Tarjan ordering, every edge goes from higher id to lower id).
   Rng rng(11);
   for (int trial = 0; trial < 20; ++trial) {
-    PreferenceGraph g(10);
+    Edges random_edges;
     for (VertexId i = 0; i < 10; ++i) {
       for (VertexId j = 0; j < 10; ++j) {
         if (i != j && rng.bernoulli(0.2)) {
-          g.set_weight(i, j, 0.5);
+          random_edges.push_back({i, j, 0.5});
         }
       }
     }
+    const PreferenceGraph g(10, random_edges);
     const auto scc = strongly_connected_components(g);
     const auto edges = condensation_edges(g, scc);
     std::set<std::pair<std::size_t, std::size_t>> edge_set(edges.begin(),
@@ -112,14 +110,15 @@ TEST(Scc, CondensationIsAcyclic) {
 TEST(Scc, AgreesWithStrongConnectivityCheck) {
   Rng rng(13);
   for (int trial = 0; trial < 30; ++trial) {
-    PreferenceGraph g(8);
+    Edges edges;
     for (VertexId i = 0; i < 8; ++i) {
       for (VertexId j = 0; j < 8; ++j) {
         if (i != j && rng.bernoulli(0.3)) {
-          g.set_weight(i, j, 0.5);
+          edges.push_back({i, j, 0.5});
         }
       }
     }
+    const PreferenceGraph g(8, edges);
     EXPECT_EQ(strongly_connected_components(g).single_component(),
               g.is_strongly_connected())
         << "trial " << trial;
@@ -127,13 +126,13 @@ TEST(Scc, AgreesWithStrongConnectivityCheck) {
 }
 
 TEST(Scc, LargeGraphNoStackOverflow) {
-  // A 2000-vertex directed path stresses the iterative frame stack (the
-  // dense weight matrix caps how large this test can sensibly go).
+  // A 2000-vertex directed path stresses the iterative frame stack.
   const std::size_t n = 2000;
-  PreferenceGraph g(n);
+  Edges edges;
   for (VertexId v = 0; v + 1 < n; ++v) {
-    g.set_weight(v, v + 1, 0.9);
+    edges.push_back({v, v + 1, 0.9});
   }
+  const PreferenceGraph g(n, edges);
   const auto scc = strongly_connected_components(g);
   EXPECT_EQ(scc.count(), n);
 }

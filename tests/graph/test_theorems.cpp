@@ -16,6 +16,8 @@
 namespace crowdrank {
 namespace {
 
+using Edges = std::vector<WeightedEdge>;
+
 /// Random orientation instance of a task graph: each edge becomes ->, <-,
 /// or (when allow_bidirectional) <-> with equal probability — the 3^l
 /// instance model of Eq. 1. Theorem 4.2's implication only holds for the
@@ -24,35 +26,35 @@ namespace {
 /// never had (see Theorem42Boundary below).
 PreferenceGraph random_instance(const TaskGraph& task_graph,
                                 bool allow_bidirectional, Rng& rng) {
-  PreferenceGraph g(task_graph.vertex_count());
+  Edges edges;
   for (const Edge& e : task_graph.edges()) {
     switch (rng.uniform_index(allow_bidirectional ? 3 : 2)) {
       case 0:
-        g.set_weight(e.first, e.second, 1.0);
+        edges.push_back({e.first, e.second, 1.0});
         break;
       case 1:
-        g.set_weight(e.second, e.first, 1.0);
+        edges.push_back({e.second, e.first, 1.0});
         break;
       default:
-        g.set_weight(e.first, e.second, 0.5);
-        g.set_weight(e.second, e.first, 0.5);
+        edges.push_back({e.first, e.second, 0.5});
+        edges.push_back({e.second, e.first, 0.5});
     }
   }
-  return g;
+  return PreferenceGraph(task_graph.vertex_count(), edges);
 }
 
 /// Boolean transitive closure of a preference graph as a PreferenceGraph.
 PreferenceGraph closure_of(const PreferenceGraph& g) {
   const auto reach = reachability_closure(g);
-  PreferenceGraph closure(g.vertex_count());
+  Edges edges;
   for (VertexId i = 0; i < g.vertex_count(); ++i) {
     for (VertexId j = 0; j < g.vertex_count(); ++j) {
       if (i != j && reach[i][j]) {
-        closure.set_weight(i, j, 1.0);
+        edges.push_back({i, j, 1.0});
       }
     }
   }
-  return closure;
+  return PreferenceGraph(g.vertex_count(), edges);
 }
 
 TEST(Theorem42, NoTaskHpMeansNoClosureHp) {
@@ -79,11 +81,8 @@ TEST(Theorem42Boundary, BidirectionalEdgesCanRestoreAnHp) {
   // conflicting votes (a 2-cycle), the closure can chain through it.
   // Star center 0; 1 -> 0, 0 -> 2, 3 <-> 0. Closure contains 1 -> 3
   // (via 0) and 3 -> 0, so 1, 3, 0, 2 is a Hamiltonian path.
-  PreferenceGraph g(4);
-  g.set_weight(1, 0, 1.0);
-  g.set_weight(0, 2, 1.0);
-  g.set_weight(3, 0, 0.5);
-  g.set_weight(0, 3, 0.5);
+  const PreferenceGraph g(
+      4, Edges{{1, 0, 1.0}, {0, 2, 1.0}, {3, 0, 0.5}, {0, 3, 0.5}});
   EXPECT_TRUE(has_hamiltonian_path(closure_of(g)));
 }
 
@@ -107,19 +106,13 @@ TEST(Theorem42, RandomGraphsRespectTheImplication) {
 
 TEST(Theorem43, TwoInNodesForbidHp) {
   // Two in-nodes (2 and 3): both must rank last — impossible.
-  PreferenceGraph g(4);
-  g.set_weight(0, 2, 1.0);
-  g.set_weight(1, 3, 1.0);
-  g.set_weight(0, 1, 1.0);
+  const PreferenceGraph g(4, Edges{{0, 2, 1.0}, {1, 3, 1.0}, {0, 1, 1.0}});
   ASSERT_EQ(closure_of(g).in_nodes().size(), 2u);
   EXPECT_FALSE(has_hamiltonian_path(closure_of(g)));
 }
 
 TEST(Theorem43, TwoOutNodesForbidHp) {
-  PreferenceGraph g(4);
-  g.set_weight(2, 0, 1.0);
-  g.set_weight(3, 1, 1.0);
-  g.set_weight(1, 0, 1.0);
+  const PreferenceGraph g(4, Edges{{2, 0, 1.0}, {3, 1, 1.0}, {1, 0, 1.0}});
   ASSERT_GE(closure_of(g).out_nodes().size(), 2u);
   EXPECT_FALSE(has_hamiltonian_path(closure_of(g)));
 }

@@ -3,17 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include "dense_reference.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace crowdrank {
 namespace {
 
+using Edges = std::vector<WeightedEdge>;
+
 TEST(Reachability, ChainClosure) {
-  PreferenceGraph g(4);
-  g.set_weight(0, 1, 0.9);
-  g.set_weight(1, 2, 0.9);
-  g.set_weight(2, 3, 0.9);
+  const PreferenceGraph g(4, Edges{{0, 1, 0.9}, {1, 2, 0.9}, {2, 3, 0.9}});
   const auto closure = reachability_closure(g);
   EXPECT_TRUE(closure[0][1]);
   EXPECT_TRUE(closure[0][2]);
@@ -24,14 +24,11 @@ TEST(Reachability, ChainClosure) {
 }
 
 TEST(Reachability, SelfReachOnlyThroughCycles) {
-  PreferenceGraph acyclic(3);
-  acyclic.set_weight(0, 1, 0.5);
+  const PreferenceGraph acyclic(3, Edges{{0, 1, 0.5}});
   const auto c1 = reachability_closure(acyclic);
   EXPECT_FALSE(c1[0][0]);
 
-  PreferenceGraph cyclic(3);
-  cyclic.set_weight(0, 1, 0.5);
-  cyclic.set_weight(1, 0, 0.5);
+  const PreferenceGraph cyclic(3, Edges{{0, 1, 0.5}, {1, 0, 0.5}});
   const auto c2 = reachability_closure(cyclic);
   EXPECT_TRUE(c2[0][0]);
   EXPECT_TRUE(c2[1][1]);
@@ -39,9 +36,7 @@ TEST(Reachability, SelfReachOnlyThroughCycles) {
 }
 
 TEST(ExactIndirect, SingleTwoHopPath) {
-  PreferenceGraph g(3);
-  g.set_weight(0, 1, 0.8);
-  g.set_weight(1, 2, 0.5);
+  const PreferenceGraph g(3, Edges{{0, 1, 0.8}, {1, 2, 0.5}});
   const Matrix ind = exact_indirect_preferences(g, 2);
   EXPECT_DOUBLE_EQ(ind(0, 2), 0.4);  // 0.8 * 0.5
   EXPECT_DOUBLE_EQ(ind(0, 1), 0.0);  // direct edges excluded
@@ -50,20 +45,14 @@ TEST(ExactIndirect, SingleTwoHopPath) {
 
 TEST(ExactIndirect, MultiplePathsSumEqually) {
   // Two disjoint 2-hop paths from 0 to 3: via 1 and via 2.
-  PreferenceGraph g(4);
-  g.set_weight(0, 1, 0.5);
-  g.set_weight(1, 3, 0.5);
-  g.set_weight(0, 2, 0.4);
-  g.set_weight(2, 3, 0.4);
+  const PreferenceGraph g(
+      4, Edges{{0, 1, 0.5}, {1, 3, 0.5}, {0, 2, 0.4}, {2, 3, 0.4}});
   const Matrix ind = exact_indirect_preferences(g, 3);
   EXPECT_NEAR(ind(0, 3), 0.5 * 0.5 + 0.4 * 0.4, 1e-12);
 }
 
 TEST(ExactIndirect, RespectsMaxLength) {
-  PreferenceGraph g(4);
-  g.set_weight(0, 1, 0.9);
-  g.set_weight(1, 2, 0.9);
-  g.set_weight(2, 3, 0.9);
+  const PreferenceGraph g(4, Edges{{0, 1, 0.9}, {1, 2, 0.9}, {2, 3, 0.9}});
   const Matrix two = exact_indirect_preferences(g, 2);
   EXPECT_DOUBLE_EQ(two(0, 3), 0.0);  // needs 3 hops
   const Matrix three = exact_indirect_preferences(g, 3);
@@ -72,10 +61,7 @@ TEST(ExactIndirect, RespectsMaxLength) {
 
 TEST(ExactIndirect, SimplePathsOnlyNoRevisits) {
   // 0 <-> 1 cycle plus 1 -> 2: the walk 0->1->0->1->2 must NOT count.
-  PreferenceGraph g(3);
-  g.set_weight(0, 1, 0.5);
-  g.set_weight(1, 0, 0.5);
-  g.set_weight(1, 2, 0.5);
+  const PreferenceGraph g(3, Edges{{0, 1, 0.5}, {1, 0, 0.5}, {1, 2, 0.5}});
   const Matrix ind = exact_indirect_preferences(g, 2);
   EXPECT_DOUBLE_EQ(ind(0, 2), 0.25);  // only 0->1->2
   const Matrix longer = exact_indirect_preferences(g, 3);
@@ -83,7 +69,7 @@ TEST(ExactIndirect, SimplePathsOnlyNoRevisits) {
 }
 
 TEST(ExactIndirect, ValidatesMaxLength) {
-  PreferenceGraph g(3);
+  const PreferenceGraph g(3, Edges{});
   EXPECT_THROW(exact_indirect_preferences(g, 1), Error);
 }
 
@@ -92,17 +78,18 @@ TEST(WalkIndirect, MatchesExactOnAcyclicGraphs) {
   Rng rng(99);
   for (int trial = 0; trial < 20; ++trial) {
     const std::size_t n = 6;
-    PreferenceGraph g(n);
+    Matrix w(n, n, 0.0);
     // DAG edges only from lower to higher id.
     for (VertexId i = 0; i < n; ++i) {
       for (VertexId j = i + 1; j < n; ++j) {
         if (rng.bernoulli(0.6)) {
-          g.set_weight(i, j, rng.uniform(0.1, 0.9));
+          w(i, j) = rng.uniform(0.1, 0.9);
         }
       }
     }
-    const Matrix exact = exact_indirect_preferences(g, n - 1);
-    const Matrix walk = walk_indirect_preferences(g.weights(), n - 1);
+    const Matrix exact =
+        exact_indirect_preferences(graph_from_matrix(w), n - 1);
+    const Matrix walk = walk_indirect_preferences(w, n - 1);
     EXPECT_LT(Matrix::max_abs_diff(exact, walk), 1e-10) << "trial " << trial;
   }
 }
@@ -110,12 +97,12 @@ TEST(WalkIndirect, MatchesExactOnAcyclicGraphs) {
 TEST(WalkIndirect, OverestimatesOnCyclicGraphsButStaysClose) {
   // With cycles, walks revisit vertices: walk >= exact entrywise, and the
   // surplus decays with the product of sub-1 weights.
-  PreferenceGraph g(3);
-  g.set_weight(0, 1, 0.6);
-  g.set_weight(1, 0, 0.4);
-  g.set_weight(1, 2, 0.7);
-  const Matrix exact = exact_indirect_preferences(g, 2);
-  const Matrix walk = walk_indirect_preferences(g.weights(), 2);
+  Matrix w(3, 3, 0.0);
+  w(0, 1) = 0.6;
+  w(1, 0) = 0.4;
+  w(1, 2) = 0.7;
+  const Matrix exact = exact_indirect_preferences(graph_from_matrix(w), 2);
+  const Matrix walk = walk_indirect_preferences(w, 2);
   for (std::size_t i = 0; i < 3; ++i) {
     for (std::size_t j = 0; j < 3; ++j) {
       EXPECT_GE(walk(i, j) + 1e-15, exact(i, j));
@@ -138,32 +125,19 @@ TEST(Reachability, CsrMatchesDenseOnRandomGraphs) {
   for (int trial = 0; trial < 20; ++trial) {
     const std::size_t n = 2 + rng.uniform_index(40);
     const double density = 0.02 + 0.3 * rng.uniform();
-    PreferenceGraph g(n);
+    Edges edges;
     for (VertexId i = 0; i < n; ++i) {
       for (VertexId j = 0; j < n; ++j) {
         if (i != j && rng.bernoulli(density)) {
-          g.set_weight(i, j, 0.1 + 0.9 * rng.uniform());
+          edges.push_back({i, j, 0.1 + 0.9 * rng.uniform()});
         }
       }
     }
+    const PreferenceGraph g(n, edges);
     const auto sparse = reachability_closure(g);
     const auto dense = reachability_closure_dense(g);
     ASSERT_EQ(sparse, dense) << "trial " << trial << ", n = " << n;
   }
-}
-
-TEST(Reachability, CsrViewIsInvalidatedByMutation) {
-  PreferenceGraph g(3);
-  g.set_weight(0, 1, 0.5);
-  EXPECT_EQ(g.out_csr().edge_count(), 1u);
-  g.set_weight(1, 2, 0.5);
-  const CsrAdjacency& csr = g.out_csr();
-  EXPECT_EQ(csr.edge_count(), 2u);
-  ASSERT_EQ(csr.row_ptr.size(), 4u);
-  EXPECT_EQ(csr.neighbors[csr.row_ptr[1]], 2u);
-  // Removing an edge (weight 0) must drop it from the rebuilt view.
-  g.set_weight(0, 1, 0.0);
-  EXPECT_EQ(g.out_csr().edge_count(), 1u);
 }
 
 }  // namespace
