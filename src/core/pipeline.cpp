@@ -1,7 +1,6 @@
 #include "core/pipeline.hpp"
 
 #include <algorithm>
-#include <map>
 #include <utility>
 
 #include "analysis/invariants.hpp"
@@ -141,6 +140,51 @@ std::vector<ConfigError> ExperimentConfig::validate() const {
   return errors;
 }
 
+namespace {
+
+/// Workers of each indexed task in the assignment's order. A task the
+/// assignment lists twice takes its first listing.
+std::vector<std::vector<WorkerId>> assigned_workers(
+    const VoteIndex& index, const HitAssignment& assignment) {
+  // Listings sorted by (canonical task, position): a task's first listing
+  // is the first match of a binary search.
+  std::vector<std::pair<Edge, std::size_t>> listings;
+  listings.reserve(assignment.tasks().size());
+  for (std::size_t t = 0; t < assignment.tasks().size(); ++t) {
+    const Edge& e = assignment.tasks()[t];
+    listings.emplace_back(Edge::canonical(e.first, e.second), t);
+  }
+  std::sort(listings.begin(), listings.end());
+  std::vector<std::vector<WorkerId>> workers;
+  workers.reserve(index.tasks.size());
+  for (const Edge& task : index.tasks) {
+    const auto it = std::lower_bound(listings.begin(), listings.end(),
+                                     std::pair{task, std::size_t{0}});
+    CR_EXPECTS(it != listings.end() && it->first == task,
+               "votes reference a task outside the assignment");
+    workers.push_back(assignment.workers_for_task(it->second));
+  }
+  return workers;
+}
+
+/// Distinct voters of each indexed task in first-seen order.
+std::vector<std::vector<WorkerId>> voting_workers(const VoteIndex& index) {
+  std::vector<std::vector<WorkerId>> workers(index.tasks.size());
+  for (std::size_t t = 0; t < index.tasks.size(); ++t) {
+    const auto votes = index.votes_of_task(t);
+    workers[t].reserve(votes.size());
+    for (const VoteIndex::TaskVote& v : votes) {
+      if (std::find(workers[t].begin(), workers[t].end(), v.worker) ==
+          workers[t].end()) {
+        workers[t].push_back(v.worker);
+      }
+    }
+  }
+  return workers;
+}
+
+}  // namespace
+
 InferenceEngine::InferenceEngine(InferenceConfig config)
     : config_(std::move(config)) {}
 
@@ -149,36 +193,21 @@ InferenceResult InferenceEngine::infer(const VoteBatch& votes,
                                        std::size_t worker_count,
                                        const HitAssignment& assignment,
                                        Rng& rng) const {
-  std::map<Edge, std::vector<WorkerId>> task_workers;
-  for (std::size_t t = 0; t < assignment.tasks().size(); ++t) {
-    const Edge& e = assignment.tasks()[t];
-    task_workers.emplace(Edge::canonical(e.first, e.second),
-                         assignment.workers_for_task(t));
-  }
-  return infer_impl(votes, object_count, worker_count, task_workers, rng);
+  return infer_impl(votes, object_count, worker_count, &assignment, rng);
 }
 
 InferenceResult InferenceEngine::infer(const VoteBatch& votes,
                                        std::size_t object_count,
                                        std::size_t worker_count,
                                        Rng& rng) const {
-  // Derive each task's worker list from the batch itself.
-  std::map<Edge, std::vector<WorkerId>> task_workers;
-  for (const Vote& v : votes) {
-    auto& workers = task_workers[Edge::canonical(v.i, v.j)];
-    if (std::find(workers.begin(), workers.end(), v.worker) ==
-        workers.end()) {
-      workers.push_back(v.worker);
-    }
-  }
-  return infer_impl(votes, object_count, worker_count, task_workers, rng);
+  return infer_impl(votes, object_count, worker_count, nullptr, rng);
 }
 
-InferenceResult InferenceEngine::infer_impl(
-    const VoteBatch& votes, std::size_t object_count,
-    std::size_t worker_count,
-    const std::map<Edge, std::vector<WorkerId>>& assignment_workers,
-    Rng& rng) const {
+InferenceResult InferenceEngine::infer_impl(const VoteBatch& votes,
+                                            std::size_t object_count,
+                                            std::size_t worker_count,
+                                            const HitAssignment* assignment,
+                                            Rng& rng) const {
   InferenceResult result{Ranking::identity(object_count), 0.0, {}, {}, {},
                          {}, 0, {}};
 
@@ -218,10 +247,11 @@ InferenceResult InferenceEngine::infer_impl(
   // Step 1: truth discovery of the direct pairwise preferences.
   checkpoint(PipelineStage::TruthDiscovery);
   TruthDiscoveryResult step1;
+  VoteIndex index;
   {
     trace::StepScope phase(result.timings, "step1_truth_discovery");
     step1 = discover_truth(votes, object_count, worker_count,
-                           config_.truth_discovery);
+                           config_.truth_discovery, &index);
     if (phase.span().active()) {
       phase.span().set_attr("iterations", step1.iterations);
       phase.span().set_attr("converged", step1.converged);
@@ -236,14 +266,9 @@ InferenceResult InferenceEngine::infer_impl(
 
   // Wire each discovered task to its workers, in truths[] order (smoothing
   // consults those workers' qualities).
-  std::vector<std::vector<WorkerId>> task_workers;
-  task_workers.reserve(step1.truths.size());
-  for (const TaskTruth& t : step1.truths) {
-    const auto it = assignment_workers.find(t.task);
-    CR_EXPECTS(it != assignment_workers.end(),
-               "votes reference a task outside the assignment");
-    task_workers.push_back(it->second);
-  }
+  const std::vector<std::vector<WorkerId>> task_workers =
+      assignment != nullptr ? assigned_workers(index, *assignment)
+                            : voting_workers(index);
 
   // Step 2: preference smoothing of the 1-edges. `direct` outlives the
   // timed scope so the validators can diff it against the smoothed graph.

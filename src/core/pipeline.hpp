@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstddef>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -111,8 +110,9 @@ struct InferenceResult {
 
 /// Runs Steps 1-4 over a vote batch.
 ///  * `object_count` is n; `worker_count` sizes the quality vector.
-///  * `task_workers(t)` must list the workers assigned to truths[t]'s task;
-///    run_experiment wires this from the HitAssignment automatically.
+///  * Smoothing consults each task's workers: the HitAssignment's list for
+///    that task, or, without an assignment, its voters in first-seen
+///    order. Both come from one flat index of the batch (`VoteIndex`).
 /// `rng` drives SAPS and (if configured) sampled smoothing.
 class InferenceEngine {
  public:
@@ -136,11 +136,10 @@ class InferenceEngine {
                         std::size_t worker_count, Rng& rng) const;
 
  private:
-  InferenceResult infer_impl(
-      const VoteBatch& votes, std::size_t object_count,
-      std::size_t worker_count,
-      const std::map<Edge, std::vector<WorkerId>>& task_workers,
-      Rng& rng) const;
+  /// `assignment` null: each task's workers are its voters.
+  InferenceResult infer_impl(const VoteBatch& votes, std::size_t object_count,
+                             std::size_t worker_count,
+                             const HitAssignment* assignment, Rng& rng) const;
 
   InferenceConfig config_;
 };

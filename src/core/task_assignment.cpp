@@ -115,25 +115,33 @@ TaskAssignment generate_task_assignment(std::size_t n, std::size_t num_edges,
 
   // Lines 5-8: top every vertex up to its target by pairing deficient
   // vertices at random. PS (the set of saturated vertices) is implicit:
-  // a vertex leaves the candidate pool once deg == target.
+  // a vertex leaves the candidate pool, in place and keeping the order of
+  // the rest, as soon as an added edge brings it to deg == target.
   std::vector<VertexId> deficient;
   for (VertexId v = 0; v < n; ++v) {
     if (graph.degree(v) < targets[v]) deficient.push_back(v);
   }
-
-  const auto refresh_deficient = [&]() {
-    deficient.erase(std::remove_if(deficient.begin(), deficient.end(),
-                                   [&](VertexId v) {
-                                     return graph.degree(v) >= targets[v];
-                                   }),
-                    deficient.end());
+  const auto retire_if_saturated = [&](VertexId x) {
+    if (graph.degree(x) >= targets[x]) {
+      deficient.erase(std::find(deficient.begin(), deficient.end(), x));
+    }
   };
+  const auto add_task = [&](VertexId a, VertexId b) {
+    graph.add_edge(a, b);
+    retire_if_saturated(a);
+    retire_if_saturated(b);
+  };
+
+  // Seed-HP membership in O(1): on_path_after[hp[i]] = hp[i + 1].
+  std::vector<VertexId> on_path_after(n, n);
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    on_path_after[hp[i]] = hp[i + 1];
+  }
 
   std::size_t guard = 0;
   const std::size_t guard_limit = 20 * num_edges + 1000;
   while (graph.edge_count() < num_edges) {
     CR_ENSURES(++guard < guard_limit, "task generation failed to converge");
-    refresh_deficient();
 
     // Try a uniformly random deficient pair that is not yet adjacent.
     bool added = false;
@@ -145,7 +153,7 @@ TaskAssignment generate_task_assignment(std::size_t n, std::size_t num_edges,
         const VertexId a = deficient[a_idx];
         const VertexId b = deficient[b_idx];
         if (!graph.has_edge(a, b)) {
-          graph.add_edge(a, b);
+          add_task(a, b);
           added = true;
         }
       }
@@ -154,7 +162,7 @@ TaskAssignment generate_task_assignment(std::size_t n, std::size_t num_edges,
         for (std::size_t ai = 0; ai < deficient.size() && !added; ++ai) {
           for (std::size_t bi = ai + 1; bi < deficient.size(); ++bi) {
             if (!graph.has_edge(deficient[ai], deficient[bi])) {
-              graph.add_edge(deficient[ai], deficient[bi]);
+              add_task(deficient[ai], deficient[bi]);
               added = true;
               break;
             }
@@ -168,7 +176,6 @@ TaskAssignment generate_task_assignment(std::size_t n, std::size_t num_edges,
     // single vertex with deficit 2). Swap repair: remove an existing edge
     // (a, b) disjoint from two deficient endpoints u, v and add (a, u),
     // (b, v) — degrees of a and b unchanged, u and v each gain one.
-    refresh_deficient();
     CR_ENSURES(!deficient.empty(), "edge deficit without deficient vertices");
     const VertexId u = deficient[0];
     // Pair the two first deficient vertices; when only one vertex remains
@@ -176,36 +183,24 @@ TaskAssignment generate_task_assignment(std::size_t n, std::size_t num_edges,
     // the repair gives it both new endpoints.
     const VertexId v = deficient.size() >= 2 ? deficient[1] : deficient[0];
     bool repaired = false;
-    const auto edges_snapshot =
-        std::vector<Edge>(graph.edges().begin(), graph.edges().end());
     // Random starting offset so repairs do not always cannibalize the same
     // (earliest) edges.
-    const std::size_t offset = rng.uniform_index(edges_snapshot.size());
-    for (std::size_t step = 0; step < edges_snapshot.size() && !repaired;
-         ++step) {
-      const Edge& e = edges_snapshot[(offset + step) % edges_snapshot.size()];
+    const std::size_t edge_total = graph.edge_count();
+    const std::size_t offset = rng.uniform_index(edge_total);
+    for (std::size_t step = 0; step < edge_total && !repaired; ++step) {
+      const Edge e = graph.edges()[(offset + step) % edge_total];
       const VertexId a = e.first;
       const VertexId b = e.second;
       if (a == u || a == v || b == u || b == v) continue;
       if (graph.has_edge(a, u) || graph.has_edge(b, v)) continue;
       // Never remove a seed-HP edge: connectivity must survive.
-      bool is_hp_edge = false;
-      for (std::size_t i = 0; i + 1 < n; ++i) {
-        if (Edge::canonical(hp[i], hp[i + 1]) == e) {
-          is_hp_edge = true;
-          break;
-        }
-      }
-      if (is_hp_edge) continue;
-      // TaskGraph has no remove; rebuild is O(l) but repairs are rare.
-      TaskGraph rebuilt(n);
-      for (const Edge& keep : edges_snapshot) {
-        if (keep == e) continue;
-        rebuilt.add_edge(keep.first, keep.second);
-      }
-      rebuilt.add_edge(a, u);
-      rebuilt.add_edge(b, v);
-      graph = std::move(rebuilt);
+      if (on_path_after[a] == b || on_path_after[b] == a) continue;
+      // a and b keep their degree, so only u and v can saturate.
+      graph.remove_edge(a, b);
+      graph.add_edge(a, u);
+      graph.add_edge(b, v);
+      retire_if_saturated(u);
+      if (v != u) retire_if_saturated(v);
       repaired = true;
       ++repairs;
     }

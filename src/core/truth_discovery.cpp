@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <numeric>
 
 #include "util/error.hpp"
 #include "util/math.hpp"
@@ -13,51 +13,6 @@ namespace crowdrank {
 
 namespace {
 
-/// Canonicalized vote: x^k in {0,1} w.r.t. the canonical (first < second)
-/// orientation of its task.
-struct FlatVote {
-  std::size_t task_index;
-  WorkerId worker;
-  double x;  // 1.0 if the worker prefers task.first, else 0.0
-};
-
-struct GroupedVotes {
-  std::vector<Edge> tasks;          // canonical, in first-seen order
-  std::vector<FlatVote> votes;      // all votes, canonicalized
-  std::vector<std::vector<std::size_t>> votes_by_task;
-  std::vector<std::vector<std::size_t>> votes_by_worker;
-};
-
-GroupedVotes group_votes(const VoteBatch& votes, std::size_t object_count,
-                         std::size_t worker_count) {
-  CR_EXPECTS(!votes.empty(), "truth discovery needs at least one vote");
-  GroupedVotes g;
-  std::map<Edge, std::size_t> task_index;
-  g.votes_by_worker.resize(worker_count);
-  for (const Vote& v : votes) {
-    CR_EXPECTS(v.i < object_count && v.j < object_count,
-               "vote references an out-of-range object");
-    CR_EXPECTS(v.i != v.j, "vote compares an object with itself");
-    CR_EXPECTS(v.worker < worker_count,
-               "vote references an out-of-range worker");
-    const Edge task = Edge::canonical(v.i, v.j);
-    auto [it, inserted] = task_index.try_emplace(task, g.tasks.size());
-    if (inserted) {
-      g.tasks.push_back(task);
-      g.votes_by_task.emplace_back();
-    }
-    const std::size_t t = it->second;
-    // prefers_i refers to v.i; flip when canonicalization swapped the pair.
-    const bool prefers_first = (v.i == task.first) ? v.prefers_i
-                                                   : !v.prefers_i;
-    const std::size_t vote_id = g.votes.size();
-    g.votes.push_back(FlatVote{t, v.worker, prefers_first ? 1.0 : 0.0});
-    g.votes_by_task[t].push_back(vote_id);
-    g.votes_by_worker[v.worker].push_back(vote_id);
-  }
-  return g;
-}
-
 /// Chunk sizes for the per-task / per-worker parallel loops. Fixed (thread
 /// count independent) so reduction chunk boundaries never move; each x[t] /
 /// q[k] is written by exactly one chunk and the only reductions are exact
@@ -65,17 +20,110 @@ GroupedVotes group_votes(const VoteBatch& votes, std::size_t object_count,
 constexpr std::size_t kTaskGrain = 512;
 constexpr std::size_t kWorkerGrain = 16;
 
+/// Stable counting sort of items 0..count-1 into CSR rows: row r lists
+/// entry_of(k), in item order, for every item k with row_of(k) == r.
+template <class Entry, class RowOf, class EntryOf>
+void fill_rows(std::size_t rows, std::size_t count, RowOf row_of,
+               EntryOf entry_of, std::vector<std::size_t>& offsets,
+               std::vector<Entry>& entries) {
+  offsets.assign(rows + 1, 0);
+  for (std::size_t k = 0; k < count; ++k) {
+    ++offsets[row_of(k) + 1];
+  }
+  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+  std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
+  entries.resize(count);
+  for (std::size_t k = 0; k < count; ++k) {
+    entries[cursor[row_of(k)]++] = entry_of(k);
+  }
+}
+
+/// Checks every vote in batch order and groups the batch. Throws when
+/// `votes` is empty or a vote names an out-of-range object or worker or
+/// compares an object with itself.
+VoteIndex index_votes(const VoteBatch& votes, std::size_t object_count,
+                      std::size_t worker_count) {
+  CR_EXPECTS(!votes.empty(), "truth discovery needs at least one vote");
+  for (const Vote& v : votes) {
+    CR_EXPECTS(v.i < object_count && v.j < object_count,
+               "vote references an out-of-range object");
+    CR_EXPECTS(v.i != v.j, "vote compares an object with itself");
+    CR_EXPECTS(v.worker < worker_count,
+               "vote references an out-of-range worker");
+  }
+  const std::size_t vote_count = votes.size();
+  const auto first_of = [&](std::size_t vid) {
+    return std::min(votes[vid].i, votes[vid].j);
+  };
+  const auto second_of = [&](std::size_t vid) {
+    return std::max(votes[vid].i, votes[vid].j);
+  };
+
+  // First vote of every vote's task. Votes are bucketed by their task's
+  // first object; walking the buckets in order, a scratch row indexed by
+  // the second object holds the first vote seen on each task of the
+  // current bucket (an entry from an earlier bucket is stale).
+  std::vector<std::size_t> bucket_offsets;
+  std::vector<std::size_t> by_bucket;
+  fill_rows(object_count, vote_count, first_of,
+            [](std::size_t vid) { return vid; }, bucket_offsets, by_bucket);
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> first_vote(object_count, kNone);
+  std::vector<std::size_t> vote_task(vote_count);
+  for (const std::size_t vid : by_bucket) {
+    std::size_t& first = first_vote[second_of(vid)];
+    if (first == kNone || first_of(first) != first_of(vid)) {
+      first = vid;
+    }
+    vote_task[vid] = first;
+  }
+
+  // Number the tasks in first-seen order: a vote that is its task's first
+  // opens the next id, and every later vote copies its first vote's id.
+  VoteIndex index;
+  for (std::size_t vid = 0; vid < vote_count; ++vid) {
+    if (vote_task[vid] == vid) {
+      vote_task[vid] = index.tasks.size();
+      index.tasks.push_back({first_of(vid), second_of(vid)});
+    } else {
+      vote_task[vid] = vote_task[vote_task[vid]];
+    }
+  }
+
+  // Rows by task and by worker, in batch order. x^k is 1 when the worker
+  // prefers the task's first (smaller) object.
+  const auto x_of = [&](std::size_t vid) {
+    return votes[vid].prefers_i == (votes[vid].i < votes[vid].j) ? 1.0 : 0.0;
+  };
+  const auto task_of = [&](std::size_t vid) { return vote_task[vid]; };
+  const auto worker_of = [&](std::size_t vid) { return votes[vid].worker; };
+  const auto seen_from_task = [&](std::size_t vid) {
+    return VoteIndex::TaskVote{votes[vid].worker, x_of(vid)};
+  };
+  const auto seen_from_worker = [&](std::size_t vid) {
+    return VoteIndex::WorkerVote{vote_task[vid], x_of(vid)};
+  };
+  fill_rows(index.tasks.size(), vote_count, task_of, seen_from_task,
+            index.task_offsets, index.task_votes);
+  fill_rows(worker_count, vote_count, worker_of, seen_from_worker,
+            index.worker_offsets, index.worker_votes);
+  return index;
+}
+
 }  // namespace
 
 TruthDiscoveryResult discover_truth(const VoteBatch& votes,
                                     std::size_t object_count,
                                     std::size_t worker_count,
-                                    const TruthDiscoveryConfig& config) {
+                                    const TruthDiscoveryConfig& config,
+                                    VoteIndex* index) {
   CR_EXPECTS(config.max_iterations >= 1, "need at least one iteration");
   CR_EXPECTS(config.tolerance > 0.0, "tolerance must be positive");
   CR_EXPECTS(config.alpha > 0.0 && config.alpha < 1.0,
              "alpha must be in (0, 1)");
-  const GroupedVotes g = group_votes(votes, object_count, worker_count);
+  VoteIndex own_index;
+  VoteIndex& g = index != nullptr ? *index : own_index;
+  g = index_votes(votes, object_count, worker_count);
   const std::size_t num_tasks = g.tasks.size();
 
   std::vector<double> x(num_tasks, 0.5);
@@ -85,7 +133,7 @@ TruthDiscoveryResult discover_truth(const VoteBatch& votes,
   // precompute once.
   std::vector<double> chi2_scale(worker_count, 0.0);
   for (WorkerId k = 0; k < worker_count; ++k) {
-    const std::size_t dof = g.votes_by_worker[k].size();
+    const std::size_t dof = g.votes_of_worker(k).size();
     if (dof > 0) {
       chi2_scale[k] = math::chi_squared_quantile(config.alpha / 2.0,
                                                  static_cast<double>(dof));
@@ -104,7 +152,7 @@ TruthDiscoveryResult discover_truth(const VoteBatch& votes,
   metrics::Series* trace_spread =
       trace::series("truth_discovery.quality_spread");
   // Each handle is guarded on its own (see trace::counter).
-  if (trace_votes != nullptr) trace_votes->add(g.votes.size());
+  if (trace_votes != nullptr) trace_votes->add(votes.size());
   if (trace_tasks != nullptr) trace_tasks->add(num_tasks);
 
   const std::size_t iteration_cap =
@@ -125,8 +173,7 @@ TruthDiscoveryResult discover_truth(const VoteBatch& votes,
           for (std::size_t t = t0; t < t1; ++t) {
             double num = 0.0;
             double den = 0.0;
-            for (const std::size_t vid : g.votes_by_task[t]) {
-              const FlatVote& v = g.votes[vid];
+            for (const VoteIndex::TaskVote& v : g.votes_of_task(t)) {
               num += v.x * q[v.worker];
               den += q[v.worker];
             }
@@ -158,12 +205,12 @@ TruthDiscoveryResult discover_truth(const VoteBatch& votes,
         [&](std::size_t k0, std::size_t k1) {
           double local = 0.0;
           for (std::size_t k = k0; k < k1; ++k) {
-            if (g.votes_by_worker[k].empty()) continue;
-            double dev = config.deviation_floor *
-                         static_cast<double>(g.votes_by_worker[k].size());
-            for (const std::size_t vid : g.votes_by_worker[k]) {
-              const FlatVote& v = g.votes[vid];
-              const double d = v.x - x[v.task_index];
+            const auto row = g.votes_of_worker(k);
+            if (row.empty()) continue;
+            double dev =
+                config.deviation_floor * static_cast<double>(row.size());
+            for (const VoteIndex::WorkerVote& v : row) {
+              const double d = v.x - x[v.task];
               dev += d * d;
             }
             raw[k] = chi2_scale[k] / dev;
@@ -180,7 +227,7 @@ TruthDiscoveryResult discover_truth(const VoteBatch& votes,
         [&](std::size_t k0, std::size_t k1) {
           double local = 0.0;
           for (std::size_t k = k0; k < k1; ++k) {
-            const double next = g.votes_by_worker[k].empty()
+            const double next = g.votes_of_worker(k).empty()
                                     ? 1.0
                                     : (max_raw > 0.0 ? raw[k] / max_raw : 1.0);
             local = std::max(local, std::abs(next - q[k]));
@@ -206,7 +253,7 @@ TruthDiscoveryResult discover_truth(const VoteBatch& votes,
   result.truths.reserve(num_tasks);
   for (std::size_t t = 0; t < num_tasks; ++t) {
     result.truths.push_back(
-        TaskTruth{g.tasks[t], math::clamp01(x[t]), g.votes_by_task[t].size()});
+        TaskTruth{g.tasks[t], math::clamp01(x[t]), g.votes_of_task(t).size()});
   }
   // Calibrated quality for Step 2: sigma_hat_k is the empirical RMS
   // deviation of the worker's votes from the final truths; q = exp(-sigma)
@@ -215,15 +262,14 @@ TruthDiscoveryResult discover_truth(const VoteBatch& votes,
   parallel_for(0, worker_count, kWorkerGrain,
                [&](std::size_t k0, std::size_t k1) {
                  for (std::size_t k = k0; k < k1; ++k) {
-                   if (g.votes_by_worker[k].empty()) continue;
+                   const auto row = g.votes_of_worker(k);
+                   if (row.empty()) continue;
                    double dev = 0.0;
-                   for (const std::size_t vid : g.votes_by_worker[k]) {
-                     const FlatVote& v = g.votes[vid];
-                     const double d = v.x - x[v.task_index];
+                   for (const VoteIndex::WorkerVote& v : row) {
+                     const double d = v.x - x[v.task];
                      dev += d * d;
                    }
-                   const double msd =
-                       dev / static_cast<double>(g.votes_by_worker[k].size());
+                   const double msd = dev / static_cast<double>(row.size());
                    result.worker_quality[k] = std::exp(-std::sqrt(msd));
                  }
                });
@@ -248,24 +294,25 @@ PreferenceGraph TruthDiscoveryResult::to_preference_graph(
 
 std::vector<TaskTruth> majority_vote_truth(const VoteBatch& votes,
                                            std::size_t object_count) {
-  const GroupedVotes g = group_votes(votes, object_count,
-                                     [&] {
-                                       WorkerId max_worker = 0;
-                                       for (const Vote& v : votes) {
-                                         max_worker =
-                                             std::max(max_worker, v.worker);
-                                       }
-                                       return max_worker + 1;
-                                     }());
+  const VoteIndex g = index_votes(votes, object_count,
+                                  [&] {
+                                    WorkerId max_worker = 0;
+                                    for (const Vote& v : votes) {
+                                      max_worker =
+                                          std::max(max_worker, v.worker);
+                                    }
+                                    return max_worker + 1;
+                                  }());
   std::vector<TaskTruth> out;
   out.reserve(g.tasks.size());
   for (std::size_t t = 0; t < g.tasks.size(); ++t) {
+    const auto row = g.votes_of_task(t);
     double sum = 0.0;
-    for (const std::size_t vid : g.votes_by_task[t]) {
-      sum += g.votes[vid].x;
+    for (const VoteIndex::TaskVote& v : row) {
+      sum += v.x;
     }
-    const double x = sum / static_cast<double>(g.votes_by_task[t].size());
-    out.push_back(TaskTruth{g.tasks[t], x, g.votes_by_task[t].size()});
+    const double x = sum / static_cast<double>(row.size());
+    out.push_back(TaskTruth{g.tasks[t], x, row.size()});
   }
   return out;
 }

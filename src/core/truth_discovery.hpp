@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "crowd/vote.hpp"
@@ -42,6 +43,41 @@ struct TruthDiscoveryConfig {
   double deviation_floor = 1e-4;
 };
 
+/// A vote batch grouped by task and by worker in flat rows (CSR: row r
+/// spans [offsets[r], offsets[r + 1]) of its vote array). Tasks are
+/// numbered in first-seen vote order, and every row lists its votes in
+/// batch order, so a sum over a row adds in batch order. `discover_truth`
+/// builds it in O(votes + object_count + worker_count) and iterates over
+/// it; the engine reads each task's voters from the same index.
+struct VoteIndex {
+  /// A vote seen from its task: its worker and x^k in {0, 1}, 1 when the
+  /// worker prefers the task's first (smaller) object.
+  struct TaskVote {
+    WorkerId worker;
+    double x;
+  };
+  /// A vote seen from its worker: its task and x^k.
+  struct WorkerVote {
+    std::size_t task;
+    double x;
+  };
+
+  std::vector<Edge> tasks;  ///< canonical (first < second)
+  std::vector<std::size_t> task_offsets;
+  std::vector<TaskVote> task_votes;
+  std::vector<std::size_t> worker_offsets;  ///< one row per worker id
+  std::vector<WorkerVote> worker_votes;
+
+  std::span<const TaskVote> votes_of_task(std::size_t t) const {
+    const std::size_t begin = task_offsets[t];
+    return {task_votes.data() + begin, task_offsets[t + 1] - begin};
+  }
+  std::span<const WorkerVote> votes_of_worker(WorkerId k) const {
+    const std::size_t begin = worker_offsets[k];
+    return {worker_votes.data() + begin, worker_offsets[k + 1] - begin};
+  }
+};
+
 /// Estimated truth of one crowdsourced comparison task.
 struct TaskTruth {
   Edge task;       ///< canonical pair (first < second)
@@ -51,7 +87,8 @@ struct TaskTruth {
 
 /// Output of Step 1.
 struct TruthDiscoveryResult {
-  std::vector<TaskTruth> truths;  ///< one entry per unique task
+  /// One entry per unique task, in first-seen vote order.
+  std::vector<TaskTruth> truths;
   /// Calibrated worker quality q_k in [0,1]: q_k = exp(-sigma_hat_k), where
   /// sigma_hat_k is the worker's empirical root-mean-square deviation from
   /// the discovered truths. This inverts the paper's own sigma_k =
@@ -75,11 +112,13 @@ struct TruthDiscoveryResult {
 
 /// Runs Step 1. `worker_count` sizes the quality vector (workers with no
 /// votes keep the neutral prior quality 1 but influence nothing).
-/// Throws when `votes` is empty or references out-of-range ids.
+/// Throws when `votes` is empty or references out-of-range ids. `index`
+/// (optional) receives the grouping of `votes` that step 1 ran on.
 TruthDiscoveryResult discover_truth(const VoteBatch& votes,
                                     std::size_t object_count,
                                     std::size_t worker_count,
-                                    const TruthDiscoveryConfig& config = {});
+                                    const TruthDiscoveryConfig& config = {},
+                                    VoteIndex* index = nullptr);
 
 /// Plain majority voting over the same vote batch (every worker weight 1,
 /// single pass). The paper's §I strawman; used by baselines and ablations.

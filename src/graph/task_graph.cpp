@@ -2,12 +2,24 @@
 
 #include <algorithm>
 #include <queue>
+#include <utility>
 
 #include "util/error.hpp"
 
 namespace crowdrank {
 
-TaskGraph::TaskGraph(std::size_t n) : adjacency_(n) {
+namespace {
+
+/// Erases the one occurrence of `value` from `row`, keeping the order of
+/// the rest.
+template <class T>
+void erase_value(std::vector<T>& row, const T& value) {
+  row.erase(std::find(row.begin(), row.end(), value));
+}
+
+}  // namespace
+
+TaskGraph::TaskGraph(std::size_t n) : adjacency_(n), sorted_(n) {
   CR_EXPECTS(n >= 2, "a task graph needs at least two objects");
 }
 
@@ -19,13 +31,29 @@ bool TaskGraph::add_edge(VertexId a, VertexId b) {
   check_vertex(a);
   check_vertex(b);
   CR_EXPECTS(a != b, "self-comparisons are not valid tasks");
-  const Edge e = Edge::canonical(a, b);
-  if (!edge_set_.insert(e).second) {
+  std::vector<VertexId>& row_a = sorted_[a];
+  const auto at_a = std::lower_bound(row_a.begin(), row_a.end(), b);
+  if (at_a != row_a.end() && *at_a == b) {
     return false;
   }
+  row_a.insert(at_a, b);
+  std::vector<VertexId>& row_b = sorted_[b];
+  row_b.insert(std::lower_bound(row_b.begin(), row_b.end(), a), a);
   adjacency_[a].push_back(b);
   adjacency_[b].push_back(a);
-  edges_.push_back(e);
+  edges_.push_back(Edge::canonical(a, b));
+  return true;
+}
+
+bool TaskGraph::remove_edge(VertexId a, VertexId b) {
+  if (!has_edge(a, b)) {
+    return false;
+  }
+  erase_value(sorted_[a], b);
+  erase_value(sorted_[b], a);
+  erase_value(adjacency_[a], b);
+  erase_value(adjacency_[b], a);
+  erase_value(edges_, Edge::canonical(a, b));
   return true;
 }
 
@@ -33,7 +61,10 @@ bool TaskGraph::has_edge(VertexId a, VertexId b) const {
   check_vertex(a);
   check_vertex(b);
   if (a == b) return false;
-  return edge_set_.contains(Edge::canonical(a, b));
+  if (sorted_[a].size() > sorted_[b].size()) {
+    std::swap(a, b);  // search the shorter row
+  }
+  return std::binary_search(sorted_[a].begin(), sorted_[a].end(), b);
 }
 
 std::size_t TaskGraph::degree(VertexId v) const {

@@ -4,10 +4,16 @@
 // HP-likelihood (Thm 4.4) are both functions of this graph's degree
 // sequence, so the class exposes degree statistics alongside standard
 // adjacency queries.
+//
+// Layout: the edge list and each vertex's neighbor row keep insertion
+// order (task order is what HIT packing and every later stage sees), and
+// a second, ascending row per vertex answers `has_edge` and the duplicate
+// check of `add_edge` by binary search. `remove_edge` erases in place and
+// keeps both orders of everything that remains, so a graph edited by
+// removals and additions equals one built from its final edge list.
 #pragma once
 
 #include <cstddef>
-#include <set>
 #include <span>
 #include <vector>
 
@@ -27,6 +33,11 @@ class TaskGraph {
   /// Adds the undirected edge {a, b}. Returns false (and does nothing) if
   /// the edge already exists. Throws on a == b or out-of-range vertices.
   bool add_edge(VertexId a, VertexId b);
+
+  /// Removes the undirected edge {a, b}. Returns false (and does nothing)
+  /// if there is no such edge. Throws on out-of-range vertices. The
+  /// remaining edges and neighbors keep their insertion order.
+  bool remove_edge(VertexId a, VertexId b);
 
   bool has_edge(VertexId a, VertexId b) const;
 
@@ -55,8 +66,8 @@ class TaskGraph {
  private:
   void check_vertex(VertexId v) const;
 
-  std::vector<std::vector<VertexId>> adjacency_;
-  std::set<Edge> edge_set_;
+  std::vector<std::vector<VertexId>> adjacency_;  ///< insertion order
+  std::vector<std::vector<VertexId>> sorted_;     ///< ascending
   std::vector<Edge> edges_;
 };
 

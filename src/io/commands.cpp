@@ -553,9 +553,10 @@ int cmd_serve(const std::vector<std::string>& argv, std::ostream& out) {
 
   // Warm-path result cache (--cache-dir / --cache-capacity), shared by
   // all executors; repeat jobs in the batch settle from it without the
-  // infer stage. With --cache-dir the disk tier is the same bundle format
-  // `crowdrank index` writes, so it persists across serve runs. The cache
-  // keeps its own stats; per-job hit/miss counters land on telemetry.
+  // infer stage. With --cache-dir the disk tier holds the same
+  // <key>.crart files `crowdrank index` writes, so it persists across
+  // serve runs. The cache keeps its own stats; per-job hit/miss counters
+  // land on telemetry.
   std::optional<service::ResultCache> cache;
   if (args.has("cache-dir") || args.has("cache-capacity")) {
     service::ResultCacheConfig cache_config;
@@ -863,9 +864,8 @@ std::string cli_usage() {
       << "            [--propagation-fill-threshold T] "
          "[--propagation-horizon H]\n"
       << "            [--seed S]\n"
-      << "            (ranks and persists the artifact bundle: the framed\n"
-      << "             result under its content key plus votes / task graph\n"
-      << "             / preference graph / closure artifacts)\n"
+      << "            (ranks and persists the result as one framed file,\n"
+      << "             DIR/<key>.crart, named by its content key)\n"
       << "  query     --votes F --artifacts DIR [--object-count N]\n"
       << "            [--worker-count M] [--search ...] "
          "[--saps-iterations I]\n"
@@ -873,7 +873,7 @@ std::string cli_usage() {
          "[--propagation-horizon H]\n"
       << "            [--seed S] [--ranking-out F]\n"
       << "            (serves the stored result without running inference;\n"
-      << "             exit 2 when the bundle has no entry for this work)\n"
+      << "             exit 2 when DIR holds no result for this work)\n"
       << "  serve     --jobs F.jsonl [--results F.jsonl]\n"
       << "            [--service-workers N] [--queue-capacity C]\n"
       << "            [--queue-policy reject|shed-oldest] [--deadline-ms D]\n"

@@ -1,7 +1,7 @@
 #include "service/hardening.hpp"
 
 #include <algorithm>
-#include <map>
+#include <cstdint>
 #include <utility>
 
 namespace crowdrank::service {
@@ -81,65 +81,91 @@ HardenedBatch harden_votes(const VoteBatch& votes, std::size_t object_count,
   // Pass 2 — per-(worker, task) repairs. A worker answering the same task
   // in both directions contradicts themselves: all their votes on that
   // task are dropped. Repeated same-direction answers keep only the
-  // first occurrence. The direction mask is relative to the canonical
-  // edge so (i,j,prefers_i) and (j,i,!prefers_i) count as one direction.
+  // first occurrence. The direction is relative to the canonical edge so
+  // (i,j,prefers_i) and (j,i,!prefers_i) count as one direction. One sort
+  // of (worker, task, batch index) records lays each group out in batch
+  // order.
   if (policy.drop_duplicates || policy.drop_conflicting) {
-    std::map<std::pair<WorkerId, Edge>, unsigned> direction_mask;
-    for (const Vote& v : kept) {
+    struct Answer {
+      WorkerId worker;
+      Edge task;
+      std::size_t index;   ///< position in `kept`; unique, so it breaks ties
+      unsigned direction;  ///< 1: task.first preferred, 2: task.second
+
+      auto operator<=>(const Answer&) const = default;
+    };
+    std::vector<Answer> answers;
+    answers.reserve(kept.size());
+    for (std::size_t k = 0; k < kept.size(); ++k) {
+      const Vote& v = kept[k];
       const Edge task = Edge::canonical(v.i, v.j);
       const bool first_preferred = v.prefers_i == (v.i == task.first);
-      direction_mask[{v.worker, task}] |= first_preferred ? 1u : 2u;
+      answers.push_back({v.worker, task, k, first_preferred ? 1u : 2u});
     }
-    std::map<std::pair<WorkerId, Edge>, bool> seen;
-    VoteBatch deduped;
-    deduped.reserve(kept.size());
-    for (const Vote& v : kept) {
-      const Edge task = Edge::canonical(v.i, v.j);
-      const auto key = std::make_pair(v.worker, task);
-      if (policy.drop_conflicting && direction_mask[key] == 3u) {
-        ++r.dropped_conflicting;
-        continue;
+    std::sort(answers.begin(), answers.end());
+
+    const auto same_group = [](const Answer& a, const Answer& b) {
+      return a.worker == b.worker && a.task == b.task;
+    };
+    enum Verdict : std::uint8_t { kKeep, kDuplicate, kConflicting };
+    std::vector<Verdict> verdict(kept.size(), kKeep);
+    for (std::size_t lo = 0; lo < answers.size();) {
+      std::size_t hi = lo;
+      unsigned mask = 0;
+      while (hi < answers.size() && same_group(answers[hi], answers[lo])) {
+        mask |= answers[hi++].direction;
       }
-      if (policy.drop_duplicates) {
-        bool& already = seen[key];
-        if (already) {
-          ++r.dropped_duplicate;
-          continue;
+      for (std::size_t k = lo; k < hi; ++k) {
+        if (policy.drop_conflicting && mask == 3u) {
+          verdict[answers[k].index] = kConflicting;
+        } else if (policy.drop_duplicates && k > lo) {
+          verdict[answers[k].index] = kDuplicate;
         }
-        already = true;
       }
-      deduped.push_back(v);
+      lo = hi;
     }
-    kept = std::move(deduped);
+    std::size_t next = 0;
+    for (std::size_t k = 0; k < kept.size(); ++k) {
+      r.dropped_conflicting += verdict[k] == kConflicting ? 1 : 0;
+      r.dropped_duplicate += verdict[k] == kDuplicate ? 1 : 0;
+      if (verdict[k] == kKeep) {
+        kept[next++] = kept[k];
+      }
+    }
+    kept.resize(next);
   }
 
   // Pass 3 — connectivity: a ranking can only relate objects connected by
   // evidence (smoothing makes every retained edge bidirectional, so
   // undirected connectivity is the right reachability notion). Restrict
   // to the largest component; ties break toward the component containing
-  // the smallest object id.
+  // the smallest object id. Votes naming an object >= n (kept only with
+  // drop_out_of_range off) join no component.
+  const auto in_range = [n](const Vote& v) { return v.i < n && v.j < n; };
   std::vector<bool> retained_object(n, false);
   if (n > 0 && !kept.empty()) {
     DisjointSets sets(n);
     std::vector<bool> touched(n, false);
     for (const Vote& v : kept) {
-      sets.unite(v.i, v.j);
-      touched[v.i] = true;
-      touched[v.j] = true;
+      if (in_range(v)) {
+        sets.unite(v.i, v.j);
+        touched[v.i] = true;
+        touched[v.j] = true;
+      }
     }
-    std::map<std::size_t, std::size_t> component_size;
+    std::vector<std::size_t> component_size(n, 0);  // by root
     for (std::size_t v = 0; v < n; ++v) {
       if (touched[v]) {
         ++component_size[sets.find(v)];
       }
     }
-    r.component_count = component_size.size();
     std::size_t best_root = n;
     std::size_t best_size = 0;
-    for (const auto& [root, size] : component_size) {
-      if (size > best_size) {  // first max in ascending root order wins
+    for (std::size_t root = 0; root < n; ++root) {
+      r.component_count += component_size[root] > 0 ? 1 : 0;
+      if (component_size[root] > best_size) {  // first max in root order
         best_root = root;
-        best_size = size;
+        best_size = component_size[root];
       }
     }
     for (std::size_t v = 0; v < n; ++v) {
@@ -152,7 +178,7 @@ HardenedBatch harden_votes(const VoteBatch& votes, std::size_t object_count,
       VoteBatch connected;
       connected.reserve(kept.size());
       for (const Vote& v : kept) {
-        if (retained_object[v.i] && retained_object[v.j]) {
+        if (in_range(v) && retained_object[v.i] && retained_object[v.j]) {
           connected.push_back(v);
         } else {
           ++r.dropped_disconnected;
@@ -165,6 +191,8 @@ HardenedBatch harden_votes(const VoteBatch& votes, std::size_t object_count,
   // Compaction: rewrite object and worker ids onto dense ascending
   // ranges. Worker identity does not survive into the ranking, so the
   // remap is invisible to callers; the report keeps the original ids.
+  // Worker ids are arbitrary u64s, so they are ranked by sort, unique and
+  // binary search, never used as an index. Object ids >= n pass through.
   HardenedBatch batch;
   std::vector<VertexId> object_map(n, n);
   for (std::size_t v = 0; v < n; ++v) {
@@ -175,18 +203,25 @@ HardenedBatch harden_votes(const VoteBatch& votes, std::size_t object_count,
       r.excluded_objects.push_back(v);
     }
   }
-  std::map<WorkerId, WorkerId> worker_map;
+  const auto compact_object = [&](VertexId id) {
+    return id < n ? object_map[id] : id;
+  };
+  batch.workers.reserve(kept.size());
   for (const Vote& v : kept) {
-    worker_map.emplace(v.worker, 0);
+    batch.workers.push_back(v.worker);
   }
-  for (auto& [original, compact] : worker_map) {
-    compact = batch.workers.size();
-    batch.workers.push_back(original);
-  }
+  std::sort(batch.workers.begin(), batch.workers.end());
+  batch.workers.erase(std::unique(batch.workers.begin(), batch.workers.end()),
+                      batch.workers.end());
+  batch.workers.shrink_to_fit();
+  const std::vector<WorkerId>& workers = batch.workers;
   batch.votes.reserve(kept.size());
   for (const Vote& v : kept) {
-    batch.votes.push_back(Vote{worker_map.at(v.worker), object_map[v.i],
-                               object_map[v.j], v.prefers_i});
+    const auto rank =
+        std::lower_bound(workers.begin(), workers.end(), v.worker);
+    const auto worker = static_cast<WorkerId>(rank - workers.begin());
+    batch.votes.push_back(
+        Vote{worker, compact_object(v.i), compact_object(v.j), v.prefers_i});
   }
   r.retained_votes = batch.votes.size();
   return batch;

@@ -13,7 +13,11 @@
 //
 // The pass is deterministic: drops depend only on batch order and ids,
 // the component tie-break is the smallest member id, and compaction maps
-// ids in ascending order.
+// ids in ascending order. It runs on flat arrays: one sort groups the
+// votes by (worker, task), component sizes are counted per union-find
+// root, and worker ids are compacted by sort, unique and binary search.
+// tests/service/hardening_reference.* keeps the original map-keyed pass
+// as the oracle it is checked against.
 #pragma once
 
 #include <cstddef>
@@ -28,7 +32,10 @@ namespace crowdrank::service {
 /// corresponding defect flow through to the engine (which may throw —
 /// callers opting out take back the crash risk hardening removes).
 struct HardeningPolicy {
-  bool drop_out_of_range = true;   ///< votes naming objects >= n
+  /// Votes naming objects >= n. When off, such votes join no component
+  /// (so the component restriction drops them as disconnected) and any
+  /// that remain keep their out-of-range ids through compaction.
+  bool drop_out_of_range = true;
   bool drop_self_votes = true;     ///< votes with i == j
   bool drop_duplicates = true;     ///< repeated same-direction answers
   bool drop_conflicting = true;    ///< one worker voting both directions

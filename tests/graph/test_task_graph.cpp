@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace crowdrank {
 namespace {
@@ -88,6 +92,73 @@ TEST(TaskGraph, HamiltonianPathCheck) {
   EXPECT_FALSE(g.is_hamiltonian_path({0, 1, 2}));     // too short
   EXPECT_FALSE(g.is_hamiltonian_path({0, 1, 2, 2}));  // duplicate
   EXPECT_FALSE(g.is_hamiltonian_path({0, 1, 2, 9}));  // out of range
+}
+
+TEST(TaskGraph, RemoveEdgeKeepsTheOrderOfWhatRemains) {
+  TaskGraph g(5);
+  g.add_edge(0, 1);
+  g.add_edge(2, 0);
+  g.add_edge(0, 3);
+  g.add_edge(3, 4);
+  g.add_edge(1, 2);
+  EXPECT_TRUE(g.remove_edge(0, 2));  // stored as {0, 2}, added as (2, 0)
+  EXPECT_FALSE(g.has_edge(2, 0));
+  EXPECT_FALSE(g.remove_edge(2, 0));  // already gone
+  EXPECT_EQ(g.edge_count(), 4u);
+  EXPECT_EQ(std::vector<Edge>(g.edges().begin(), g.edges().end()),
+            (std::vector<Edge>{{0, 1}, {0, 3}, {3, 4}, {1, 2}}));
+  const auto row = [&](VertexId v) {
+    return std::vector<VertexId>(g.neighbors(v).begin(),
+                                 g.neighbors(v).end());
+  };
+  EXPECT_EQ(row(0), (std::vector<VertexId>{1, 3}));
+  EXPECT_EQ(row(2), (std::vector<VertexId>{1}));
+  // Adding it back appends, like any new edge.
+  EXPECT_TRUE(g.add_edge(0, 2));
+  EXPECT_EQ(g.edges().back(), (Edge{0, 2}));
+  EXPECT_EQ(row(0), (std::vector<VertexId>{1, 3, 2}));
+  EXPECT_EQ(row(2), (std::vector<VertexId>{1, 0}));
+}
+
+TEST(TaskGraph, RemoveEdgeChecksVertices) {
+  TaskGraph g(3);
+  g.add_edge(0, 1);
+  EXPECT_THROW(g.remove_edge(0, 3), Error);
+  EXPECT_FALSE(g.remove_edge(1, 1));
+  EXPECT_FALSE(g.remove_edge(1, 2));
+  EXPECT_EQ(g.edge_count(), 1u);
+}
+
+TEST(TaskGraph, EditedGraphEqualsOneBuiltFromItsFinalEdges) {
+  constexpr std::size_t kN = 12;
+  Rng rng(5);
+  TaskGraph edited(kN);
+  for (int step = 0; step < 400; ++step) {
+    const VertexId a = rng.uniform_index(kN);
+    const VertexId b = rng.uniform_index(kN);
+    if (a == b) continue;
+    const bool had = edited.has_edge(a, b);
+    if (rng.bernoulli(0.6)) {
+      EXPECT_EQ(edited.add_edge(a, b), !had);
+      EXPECT_TRUE(edited.has_edge(b, a));
+    } else {
+      EXPECT_EQ(edited.remove_edge(a, b), had);
+      EXPECT_FALSE(edited.has_edge(b, a));
+    }
+  }
+  TaskGraph built(kN);
+  for (const Edge& e : edited.edges()) {
+    built.add_edge(e.first, e.second);
+  }
+  for (VertexId v = 0; v < kN; ++v) {
+    EXPECT_TRUE(std::equal(edited.neighbors(v).begin(),
+                           edited.neighbors(v).end(),
+                           built.neighbors(v).begin(),
+                           built.neighbors(v).end()));
+    for (VertexId u = 0; u < kN; ++u) {
+      EXPECT_EQ(edited.has_edge(v, u), built.has_edge(v, u));
+    }
+  }
 }
 
 TEST(EdgeType, CanonicalOrdering) {

@@ -1,10 +1,17 @@
 // Unit tests for the input-hardening pass (service/hardening.hpp):
-// every repair is applied, counted, and deterministic.
+// every repair is applied, counted, and deterministic, and the pass agrees
+// field for field with the map-keyed reference under every policy.
 #include "service/hardening.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+
 #include "crowd/vote.hpp"
+#include "hardening_reference.hpp"
+#include "util/rng.hpp"
 
 namespace crowdrank::service {
 namespace {
@@ -156,6 +163,146 @@ TEST(HardeningTest, DeterministicAcrossRepeatedRuns) {
   EXPECT_EQ(first.objects, second.objects);
   EXPECT_EQ(first.workers, second.workers);
   EXPECT_EQ(first_report.excluded_objects, second_report.excluded_objects);
+}
+
+TEST(HardeningTest, OutOfRangeVotesKeptByPolicyJoinNoComponent) {
+  HardeningPolicy policy;
+  policy.drop_out_of_range = false;
+  const VoteBatch votes{Vote{0, 0, 1, true}, Vote{1, 1, 9, true},
+                        Vote{0, 2, 9, false}};
+  HardeningReport report;
+  HardenedBatch batch = harden_votes(votes, 3, policy, &report);
+  EXPECT_EQ(report.dropped_disconnected, 2u);
+  EXPECT_EQ(batch.votes, (VoteBatch{Vote{0, 0, 1, true}}));
+  EXPECT_EQ(report.excluded_objects, (std::vector<VertexId>{2}));
+
+  // Without the component restriction they survive with their ids intact;
+  // object 2 has no compact image and maps to the universe size.
+  policy.restrict_to_largest_component = false;
+  batch = harden_votes(votes, 3, policy, &report);
+  EXPECT_EQ(batch.votes, (VoteBatch{Vote{0, 0, 1, true}, Vote{1, 1, 9, true},
+                                    Vote{0, 3, 9, false}}));
+  EXPECT_EQ(batch.objects, (std::vector<VertexId>{0, 1}));
+}
+
+constexpr WorkerId kTopWorker = std::numeric_limits<WorkerId>::max();
+constexpr VertexId kTopVertex = std::numeric_limits<VertexId>::max();
+
+/// A seeded adversarial batch: worker ids from a pool that reaches
+/// UINT64_MAX, votes inside equal-size blocks of objects (so components
+/// tie on size) with the odd cross-block vote, self votes, out-of-range
+/// ids up to SIZE_MAX, and repeats of earlier answers in the same or the
+/// flipped spelling, agreeing or conflicting.
+VoteBatch adversarial_batch(Rng& rng, std::size_t n) {
+  const WorkerId pool[] = {0, 7, WorkerId{1} << 40, kTopWorker - 1, kTopWorker};
+  const std::size_t block = 1 + rng.uniform_index(std::min<std::size_t>(n, 6));
+  const std::size_t count =
+      rng.bernoulli(0.05) ? 0 : rng.uniform_index(120);
+  VoteBatch votes;
+  for (std::size_t k = 0; k < count; ++k) {
+    if (!votes.empty() && rng.bernoulli(0.25)) {
+      Vote again = votes[rng.uniform_index(votes.size())];
+      if (rng.bernoulli(0.5)) {
+        std::swap(again.i, again.j);
+        again.prefers_i = !again.prefers_i;
+      }
+      if (rng.bernoulli(0.3)) {
+        again.prefers_i = !again.prefers_i;
+      }
+      votes.push_back(again);
+      continue;
+    }
+    const VertexId base = rng.uniform_index(n) / block * block;
+    Vote v{pool[rng.uniform_index(std::size(pool))],
+           std::min(n - 1, base + rng.uniform_index(block)),
+           std::min(n - 1, base + rng.uniform_index(block)),
+           rng.bernoulli(0.5)};
+    if (rng.bernoulli(0.05)) {
+      v.j = rng.uniform_index(n);  // may bridge two blocks
+    }
+    if (rng.bernoulli(0.05)) {
+      v.i = rng.bernoulli(0.5) ? n + rng.uniform_index(3) : kTopVertex;
+    }
+    votes.push_back(v);
+  }
+  return votes;
+}
+
+void expect_same_as_reference(const VoteBatch& votes,
+                              std::size_t object_count,
+                              const HardeningPolicy& policy) {
+  HardeningReport report;
+  const HardenedBatch batch =
+      harden_votes(votes, object_count, policy, &report);
+  HardeningReport want_report;
+  const HardenedBatch want =
+      harden_votes_reference(votes, object_count, policy, &want_report);
+  EXPECT_EQ(batch.votes, want.votes);
+  EXPECT_EQ(batch.objects, want.objects);
+  EXPECT_EQ(batch.workers, want.workers);
+  EXPECT_EQ(report.input_votes, want_report.input_votes);
+  EXPECT_EQ(report.retained_votes, want_report.retained_votes);
+  EXPECT_EQ(report.dropped_out_of_range, want_report.dropped_out_of_range);
+  EXPECT_EQ(report.dropped_self, want_report.dropped_self);
+  EXPECT_EQ(report.dropped_duplicate, want_report.dropped_duplicate);
+  EXPECT_EQ(report.dropped_conflicting, want_report.dropped_conflicting);
+  EXPECT_EQ(report.dropped_disconnected, want_report.dropped_disconnected);
+  EXPECT_EQ(report.requested_objects, want_report.requested_objects);
+  EXPECT_EQ(report.component_count, want_report.component_count);
+  EXPECT_EQ(report.excluded_objects, want_report.excluded_objects);
+}
+
+HardeningPolicy policy_from_bits(unsigned bits) {
+  HardeningPolicy policy;
+  policy.drop_out_of_range = (bits & 1u) != 0;
+  policy.drop_self_votes = (bits & 2u) != 0;
+  policy.drop_duplicates = (bits & 4u) != 0;
+  policy.drop_conflicting = (bits & 8u) != 0;
+  policy.restrict_to_largest_component = (bits & 16u) != 0;
+  return policy;
+}
+
+TEST(HardeningTest, MatchesTheReferenceUnderEveryPolicy) {
+  // Batches showing each defect under the default policy.
+  std::size_t empty = 0;
+  std::size_t duplicates = 0;
+  std::size_t conflicts = 0;
+  std::size_t selfs = 0;
+  std::size_t out_of_range = 0;
+  std::size_t split = 0;
+  std::size_t top_workers = 0;
+  for (std::uint64_t seed = 0; seed < 150; ++seed) {
+    Rng rng(seed);
+    const std::size_t n = 1 + rng.uniform_index(40);
+    const VoteBatch votes = adversarial_batch(rng, n);
+    HardeningReport report;
+    const HardenedBatch batch = harden_votes(votes, n, {}, &report);
+    empty += votes.empty() ? 1 : 0;
+    duplicates += report.dropped_duplicate > 0 ? 1 : 0;
+    conflicts += report.dropped_conflicting > 0 ? 1 : 0;
+    selfs += report.dropped_self > 0 ? 1 : 0;
+    out_of_range += report.dropped_out_of_range > 0 ? 1 : 0;
+    split += report.component_count > 1 ? 1 : 0;
+    if (!batch.workers.empty() && batch.workers.back() == kTopWorker) {
+      ++top_workers;
+    }
+    for (unsigned bits = 0; bits < 32; ++bits) {
+      SCOPED_TRACE(std::to_string(seed) + "/" + std::to_string(bits));
+      expect_same_as_reference(votes, 0, policy_from_bits(bits));
+      expect_same_as_reference(votes, n, policy_from_bits(bits));
+    }
+  }
+  EXPECT_GE(empty, 2u);
+  EXPECT_GE(duplicates, 2u);
+  EXPECT_GE(conflicts, 2u);
+  EXPECT_GE(selfs, 2u);
+  EXPECT_GE(out_of_range, 2u);
+  EXPECT_GE(split, 2u);
+  EXPECT_GE(top_workers, 2u);
+  for (unsigned bits = 0; bits < 32; ++bits) {
+    expect_same_as_reference({}, 0, policy_from_bits(bits));
+    expect_same_as_reference({}, 5, policy_from_bits(bits));
+  }
 }
 
 }  // namespace

@@ -101,6 +101,48 @@ TEST(CacheKey, EveryOutputAffectingInputPerturbsTheKey) {
             base);
 }
 
+TEST(CacheKey, KnownAnswers) {
+  // Keys name artifacts on disk, so their values are a format: a faster
+  // hasher or serializer must reproduce these exactly. Batches of 0, 1, 3
+  // and 1,485 votes cover every tail length of a 16-byte block, and ids
+  // use all eight bytes.
+  const auto batch = [](std::size_t size) {
+    VoteBatch votes;
+    for (std::uint64_t k = 0; k < size; ++k) {
+      votes.push_back({k % 7 == 0 ? ~k : k * 0x9E3779B97F4A7C15ULL % 31,
+                       k % 100, (k * 37 + 1) % 100, k % 3 != 0});
+    }
+    return votes;
+  };
+  HardeningPolicy lenient;
+  lenient.drop_conflicting = false;
+  lenient.restrict_to_largest_component = false;
+  struct Pin {
+    std::size_t votes;
+    bool repair;
+    const HardeningPolicy* policy;
+    const char* key;
+  };
+  const Pin pins[] = {
+      {0, false, nullptr, "b948838ef933cdcf66c2e09869c73cac"},
+      {1, false, nullptr, "9a8438213080b63d69e2ba3b0e9e6608"},
+      {3, false, nullptr, "34fd6b3711fbced002c896617b63ee0d"},
+      {1485, false, nullptr, "e17a2f882ae7b79038114bab6e9fe4e2"},
+      {0, true, &kPolicy, "475f8603b55fa42261693a42ce8951d3"},
+      {1, true, &kPolicy, "ebe395a21de05db45c487263bdeaf2a2"},
+      {3, true, &kPolicy, "58027ffc5248c9558285296f46e54d75"},
+      {1485, true, &kPolicy, "50101f66319c19a5e88efe9a3cd02bfd"},
+      {1485, true, &lenient, "918572d202843291f2f883e762e2502f"},
+  };
+  for (const Pin& pin : pins) {
+    EXPECT_EQ(compute_cache_key(batch(pin.votes), 100, 31, 7,
+                                InferenceConfig{}, pin.repair, pin.policy)
+                  .hex(),
+              pin.key)
+        << pin.votes << " votes, repair " << pin.repair;
+  }
+}
+
 TEST(CacheKey, StrictPathIgnoresTheHardeningPolicy) {
   // Hardening never runs when repair is false, so the policy is not
   // content there: any policy — or none at all, which is all RankParams
