@@ -18,8 +18,9 @@
 //    lets a traced run share cache entries with an untraced one.
 //
 // `kInferenceConfigHashSchema` versions the *derivation*: bump it whenever
-// a field is added to (or removed from) the hashed set, so every key
-// derived under the old rules misses instead of colliding.
+// a field is added to (or removed from) the hashed set, or a default's
+// output bits change, so every key derived under the old rules misses
+// instead of serving a result a recomputation no longer reproduces.
 #pragma once
 
 #include "core/pipeline.hpp"
@@ -27,8 +28,10 @@
 
 namespace crowdrank {
 
-/// Bump on any change to the set or order of hashed fields.
-inline constexpr std::uint64_t kInferenceConfigHashSchema = 1;
+/// Bump on any change to the set or order of hashed fields, or to the
+/// output bits of a default. 2: step 3's auto horizon takes the Perron
+/// limit, whose closure differs from the doubling's in its last bits.
+inline constexpr std::uint64_t kInferenceConfigHashSchema = 2;
 
 void hash_append(StableHash& hash, const TruthDiscoveryConfig& config);
 void hash_append(StableHash& hash, const SmoothingConfig& config);

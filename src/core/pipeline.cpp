@@ -312,6 +312,11 @@ InferenceResult InferenceEngine::infer_impl(const VoteBatch& votes,
         phase.span().set_attr("doubling_steps",
                               result.step3.doubling_steps);
         phase.span().set_attr("sparse_flops", result.step3.sparse_flops);
+        phase.span().set_attr("perron_iterations",
+                              result.step3.perron_iterations);
+        phase.span().set_attr("perron_ratio", result.step3.perron_ratio);
+        phase.span().set_attr("perron_fallback",
+                              result.step3.perron_fallback);
       }
     }
   }

@@ -54,9 +54,10 @@ enum class RankSearchMethod {
 struct InferenceConfig {
   TruthDiscoveryConfig truth_discovery;
   SmoothingConfig smoothing;
-  /// The engine defaults to SpectralLimit propagation: same O(n^3 log n)
-  /// cost class as the bounded-walk default but covers pairs up to graph
-  /// distance ~n, which matters on sparse (near-spanning-tree) budgets.
+  /// The engine defaults to SpectralLimit propagation: it covers pairs up
+  /// to graph distance ~n, which matters on sparse (near-spanning-tree)
+  /// budgets, and costs O(m) per power-iteration step wherever the walk
+  /// mixes within L steps (the O(n^3 log n) doubling runs elsewhere).
   /// Set mode = PropagationMode::BoundedWalks for the paper-literal sum.
   PropagationConfig propagation{.mode = PropagationMode::SpectralLimit};
   RankSearchMethod search = RankSearchMethod::Saps;

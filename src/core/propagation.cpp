@@ -1,7 +1,10 @@
 #include "core/propagation.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "analysis/invariants.hpp"
 #include "graph/transitive_closure.hpp"
@@ -19,6 +22,17 @@ namespace {
 /// closure(j, i), so any row partition yields identical results; the
 /// evidence counter is an exact integer-sum reduction.
 constexpr std::size_t kRowGrain = 16;
+
+/// The power iteration has converged once no entry of u or v changes by
+/// more than this, relative to its new value, in one step.
+constexpr double kPerronTolerance = 1e-14;
+
+/// Edge count from which a power-iteration pass runs on the pool: below
+/// ~2^15 edges a pool round trip costs more than the pass itself.
+constexpr std::size_t kPerronPoolEdges = std::size_t{1} << 15;
+
+/// Rows per pool task in a power-iteration pass.
+constexpr std::size_t kPerronRowGrain = 64;
 
 /// The dense n x n weight matrix of a CSR graph, for the BoundedWalks and
 /// ExactPaths engines, which are dense by nature: the one place this file
@@ -218,6 +232,142 @@ Matrix spectral_walk_sum(const PreferenceGraph& smoothed,
   return s_dense;
 }
 
+struct PowerStep {
+  double top = 0.0;     ///< max(A x): the eigenvalue estimate once converged
+  double change = 0.0;  ///< max_i |y_i - x_i| / y_i; +inf on a zero entry
+};
+
+/// One power-iteration step y = A x / max(A x) over the rows of `a` (W's
+/// CSR for u, its transpose for v). Each row sums in CSR order and the
+/// max-reduce is exact, so the bits do not depend on the thread count.
+PowerStep power_step(const CsrAdjacency& a, const std::vector<double>& x,
+                     std::vector<double>& y) {
+  const std::size_t n = a.vertex_count();
+  const auto rows = [&](std::size_t r0, std::size_t r1) {
+    double top = 0.0;
+    for (std::size_t i = r0; i < r1; ++i) {
+      double sum = 0.0;
+      for (std::size_t e = a.row_ptr[i]; e < a.row_ptr[i + 1]; ++e) {
+        sum += a.weights[e] * x[a.neighbors[e]];
+      }
+      y[i] = sum;
+      top = std::max(top, sum);
+    }
+    return top;
+  };
+  PowerStep step;
+  step.top = a.edge_count() >= kPerronPoolEdges
+                 ? parallel_reduce(std::size_t{0}, n, kPerronRowGrain, 0.0,
+                                   rows,
+                                   [](double p, double q) {
+                                     return std::max(p, q);
+                                   })
+                 : rows(0, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    y[i] = step.top > 0.0 ? y[i] / step.top : 0.0;
+    if (y[i] == 0.0) {
+      step.change = std::numeric_limits<double>::infinity();
+      return step;
+    }
+    step.change = std::max(step.change, std::abs(y[i] - x[i]) / y[i]);
+  }
+  return step;
+}
+
+/// W's right (W u = lambda u) and left (v^T W = lambda v^T) Perron vectors,
+/// max-normalized, by power iteration in lockstep. Once W^k dominates, the
+/// doubling's sum_{k<=L} W^k is rank one, proportional to u v^T, so its
+/// pair-normalized closure is u_i v_j / (u_i v_j + u_j v_i). Returns
+/// false, and the caller runs the doubling instead, unless that holds to
+/// the tolerance:
+///  * W is strongly connected. Otherwise u and v may have zero entries,
+///    or, with equal roots in two components, a converged iteration stands
+///    for a sum that is not rank one.
+///  * Both vectors converge within L = `length` steps, so the walk mixes
+///    within the doubling's own length. A periodic W never converges. The
+///    start vector is pseudo-random, not all-ones: on a graph whose row
+///    and column sums are all equal, all-ones is already the Perron vector
+///    and would converge at once whether or not the walk mixes.
+///  * lambda^L outweighs the sum's other terms, at most ~n L walks' worth
+///    against lambda^L min(u) min(v) for the Perron term, by
+///    1 / kPerronTolerance. A light W (lambda < 1, say) sums to its short
+///    walks instead.
+bool perron_vectors(const PreferenceGraph& smoothed, std::size_t length,
+                    std::vector<double>& u, std::vector<double>& v,
+                    PropagationStats& stats) {
+  if (!smoothed.is_strongly_connected()) {
+    return false;
+  }
+  const CsrAdjacency& out = smoothed.out_csr();
+  const CsrAdjacency in = smoothed.in_csr();
+  const std::size_t n = out.vertex_count();
+  u.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    u[i] = 1.0 + static_cast<double>(task_stream_seed(0, i) >> 11) * 0x1p-53;
+  }
+  v = u;
+  std::vector<double> next(n);
+  double previous = 0.0;
+  while (stats.perron_iterations < length) {
+    ++stats.perron_iterations;
+    const PowerStep right = power_step(out, u, next);
+    u.swap(next);
+    const PowerStep left = power_step(in, v, next);
+    v.swap(next);
+    const double change = std::max(right.change, left.change);
+    if (!std::isfinite(change)) {
+      return false;  // an entry underflowed to zero
+    }
+    if (previous > 0.0) {
+      stats.perron_ratio = change / previous;
+    }
+    previous = change;
+    if (change <= kPerronTolerance) {
+      const double len = static_cast<double>(length);
+      return len * std::log(right.top) +
+                 std::log(*std::ranges::min_element(u)) +
+                 std::log(*std::ranges::min_element(v)) >=
+             std::log(static_cast<double>(n) * len / kPerronTolerance);
+    }
+  }
+  return false;
+}
+
+/// The closure from ordered pair weights: w_ij / (w_ij + w_ji) clamped into
+/// [floor, 1 - floor], or the uninformative 0.5 / 0.5 where a pair has no
+/// evidence (Thm 5.1 needs every pair), counted into `missing`. Every
+/// engine's closure is filled here.
+template <typename PairWeight>
+Matrix pair_normalize(std::size_t n, double floor, const PairWeight& weight,
+                      std::size_t& missing) {
+  Matrix closure(n, n, 0.0);  // lint:allow(dense-in-propagation)
+  missing = parallel_reduce(
+      std::size_t{0}, n, kRowGrain, std::size_t{0},
+      [&](std::size_t r0, std::size_t r1) {
+        std::size_t holes = 0;
+        for (std::size_t i = r0; i < r1; ++i) {
+          for (std::size_t j = i + 1; j < n; ++j) {
+            double wij = weight(i, j);
+            double wji = weight(j, i);
+            const double total = wij + wji;
+            if (total <= 0.0) {
+              wij = 0.5;
+              wji = 0.5;
+              ++holes;
+            } else {
+              wij = std::clamp(wij / total, floor, 1.0 - floor);
+              wji = std::clamp(wji / total, floor, 1.0 - floor);
+            }
+            closure(i, j) = wij;
+            closure(j, i) = wji;
+          }
+        }
+        return holes;
+      },
+      [](std::size_t a, std::size_t b) { return a + b; });
+  return closure;
+}
+
 }  // namespace
 
 Matrix propagate_preferences(const PreferenceGraph& smoothed,
@@ -236,44 +386,42 @@ Matrix propagate_preferences(const PreferenceGraph& smoothed,
                "fill threshold must be in [0, 1]");
     CR_EXPECTS(config.spectral_horizon == 0 || config.spectral_horizon >= 2,
                "spectral horizon must be 0 (auto) or >= 2");
-    // The doubling sum already contains the direct (k = 1) term and its
+    // Both engines sum walks from the direct (k = 1) term on, and the
     // global scale is normalized away, so the closure is simply the
-    // pair-normalized sum (alpha is documented as ignored).
+    // pair-normalized sum (alpha is documented as ignored). With the auto
+    // horizon the sum is taken from its rank-one Perron limit wherever
+    // that limit holds at the doubling's own length L.
     PropagationStats local;
-    const Matrix sum = spectral_walk_sum(smoothed, config, local);
-    // One sink snapshot for both (see trace::counter).
-    if (trace::TraceSink* sink = trace::sink()) {
-      sink->metrics().counter("propagation.densify_step").add(
-          local.densify_step);
-      sink->metrics().counter("propagation.sparse_flops").add(
-          local.sparse_flops);
+    const double floor = config.completeness_floor;
+    const std::size_t length = std::bit_ceil(std::max(config.max_length, n));
+    std::vector<double> u;
+    std::vector<double> v;
+    Matrix closure;
+    if (config.spectral_horizon == 0 &&
+        perron_vectors(smoothed, length, u, v, local)) {
+      closure = pair_normalize(
+          n, floor,
+          [&](std::size_t i, std::size_t j) { return u[i] * v[j]; },
+          local.pairs_without_evidence);
+    } else {
+      local.perron_fallback = config.spectral_horizon == 0;
+      const Matrix sum = spectral_walk_sum(smoothed, config, local);
+      closure = pair_normalize(
+          n, floor,
+          [&](std::size_t i, std::size_t j) { return sum(i, j); },
+          local.pairs_without_evidence);
     }
-    Matrix closure(n, n, 0.0);  // lint:allow(dense-in-propagation)
-    local.pairs_without_evidence = parallel_reduce(
-        std::size_t{0}, n, kRowGrain, std::size_t{0},
-        [&](std::size_t r0, std::size_t r1) {
-          std::size_t missing = 0;
-          for (std::size_t i = r0; i < r1; ++i) {
-            for (std::size_t j = i + 1; j < n; ++j) {
-              double wij = sum(i, j);
-              double wji = sum(j, i);
-              const double total = wij + wji;
-              if (total <= 0.0) {
-                wij = 0.5;
-                wji = 0.5;
-                ++missing;
-              } else {
-                const double floor = config.completeness_floor;
-                wij = std::clamp(wij / total, floor, 1.0 - floor);
-                wji = std::clamp(wji / total, floor, 1.0 - floor);
-              }
-              closure(i, j) = wij;
-              closure(j, i) = wji;
-            }
-          }
-          return missing;
-        },
-        [](std::size_t a, std::size_t b) { return a + b; });
+    // One sink snapshot for all (see trace::counter).
+    if (trace::TraceSink* sink = trace::sink()) {
+      metrics::Registry& registry = sink->metrics();
+      registry.counter("propagation.densify_step").add(local.densify_step);
+      registry.counter("propagation.sparse_flops").add(local.sparse_flops);
+      registry.counter("propagation.perron_iterations")
+          .add(local.perron_iterations);
+      registry.counter("propagation.perron_fallback")
+          .add(local.perron_fallback ? 1 : 0);
+      registry.gauge("propagation.perron_ratio").set(local.perron_ratio);
+    }
     local.complete = true;
     if (metrics::Counter* c =
             trace::counter("propagation.pairs_without_evidence")) {
@@ -324,39 +472,16 @@ Matrix propagate_preferences(const PreferenceGraph& smoothed,
     });
   }
 
+  // No direct vote and no transitive evidence within max_length leaves a
+  // pair at the uninformative prior, keeping the closure complete.
   PropagationStats local;
-  Matrix closure(n, n, 0.0);  // lint:allow(dense-in-propagation)
-  local.pairs_without_evidence = parallel_reduce(
-      std::size_t{0}, n, kRowGrain, std::size_t{0},
-      [&](std::size_t r0, std::size_t r1) {
-        std::size_t missing = 0;
-        for (std::size_t i = r0; i < r1; ++i) {
-          for (std::size_t j = i + 1; j < n; ++j) {
-            double wij = config.alpha * direct(i, j) +
-                         (1.0 - config.alpha) * indirect(i, j);
-            double wji = config.alpha * direct(j, i) +
-                         (1.0 - config.alpha) * indirect(j, i);
-            const double total = wij + wji;
-            if (total <= 0.0) {
-              // No direct vote and no transitive evidence within max_length:
-              // uninformative prior keeps the closure complete (Thm 5.1).
-              wij = 0.5;
-              wji = 0.5;
-              ++missing;
-            } else {
-              wij /= total;
-              wji /= total;
-              const double floor = config.completeness_floor;
-              wij = std::clamp(wij, floor, 1.0 - floor);
-              wji = std::clamp(wji, floor, 1.0 - floor);
-            }
-            closure(i, j) = wij;
-            closure(j, i) = wji;
-          }
-        }
-        return missing;
+  const Matrix closure = pair_normalize(
+      n, config.completeness_floor,
+      [&](std::size_t i, std::size_t j) {
+        return config.alpha * direct(i, j) +
+               (1.0 - config.alpha) * indirect(i, j);
       },
-      [](std::size_t a, std::size_t b) { return a + b; });
+      local.pairs_without_evidence);
 
   // Completeness scan as an AND-reduction over row chunks. Each chunk
   // keeps the serial loop's early exit (it stops at its first hole), and

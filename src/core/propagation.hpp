@@ -9,9 +9,10 @@
 // Ailon et al.). The result is a complete digraph — hence always
 // Hamiltonian (Thm 5.1) — handed to Step 4.
 //
-// The production propagator sums bounded-length *walks* via matrix powers
-// rather than enumerating simple paths (see DESIGN.md substitution #3);
-// PropagationMode::ExactPaths provides the literal definition for small n.
+// The production propagator sums *walks* rather than enumerating simple
+// paths, and takes that sum from its rank-one Perron limit wherever the
+// limit holds (see DESIGN.md substitution #3); PropagationMode::ExactPaths
+// provides the literal definition for small n.
 #pragma once
 
 #include <cstddef>
@@ -28,18 +29,28 @@ enum class PropagationMode {
   /// Exhaustive simple-path enumeration — exponential, n <= ~12 only.
   ExactPaths,
   /// sum_{k=1..L} W^k with L the smallest power of two >= max(n,
-  /// max_length) (or >= spectral_horizon when set), computed by doubling
-  /// (S(2m) = S(m) + W^m S(m)) with per-step max-renormalization so
-  /// nothing overflows. Covers pairs up to graph distance ~n (a bounded
-  /// horizon leaves far pairs evidence-free on sparse, path-like task
-  /// graphs). The doubling runs sparse-first on CSR kernels while the
-  /// state's fill stays under fill_threshold, then densifies once and
-  /// finishes on the blocked dense kernels — O(flops performed) in the
-  /// sparse regime, O(log L * n^3) once dense; both phases are
-  /// bitwise-identical to the all-dense formulation (DESIGN.md §7c). The
-  /// global scale of the sum is lost to the renormalization, so `alpha`
-  /// is ignored: direct edges participate through the k = 1 term and the
-  /// closure is the pair-normalized sum itself.
+  /// max_length) (or >= spectral_horizon when set). Covers pairs up to
+  /// graph distance ~n (a bounded horizon leaves far pairs evidence-free
+  /// on sparse, path-like task graphs). The global scale of the sum is
+  /// normalized away, so `alpha` is ignored: direct edges participate
+  /// through the k = 1 term and the closure is the pair-normalized sum
+  /// itself. Two engines compute it (DESIGN.md §7c):
+  ///  * Perron limit (spectral_horizon == 0): once W^k dominates, the sum
+  ///    is rank one, proportional to u v^T for W's right and left Perron
+  ///    vectors, so w_ij = u_i v_j / (u_i v_j + u_j v_i). Two power
+  ///    iterations over the CSR, O(m) per step. Taken when W is strongly
+  ///    connected, both vectors converge within L steps (a periodic W
+  ///    never does), and lambda^L outweighs the sum's other terms;
+  ///    elsewhere the doubling runs and PropagationStats::perron_fallback
+  ///    is set.
+  ///  * Doubling (S(2m) = S(m) + W^m S(m)) with per-step
+  ///    max-renormalization so nothing overflows: the fallback, and the
+  ///    only engine for an explicit horizon. It runs sparse-first on CSR
+  ///    kernels while the state's fill stays under fill_threshold, then
+  ///    densifies once and finishes on the blocked dense kernels —
+  ///    O(flops performed) in the sparse regime, O(log L * n^3) once
+  ///    dense; both phases are bitwise-identical to the all-dense
+  ///    formulation.
   SpectralLimit,
 };
 
@@ -72,12 +83,17 @@ struct PropagationConfig {
   /// dense kernels are bitwise-identical on the same operands, so any
   /// threshold yields the same closure (DESIGN.md §7c).
   double fill_threshold = 0.20;
-  /// SpectralLimit only: walk-length horizon the doubling sums to. 0 (the
-  /// default) keeps the true spectral limit, max(max_length, n). A small
-  /// explicit horizon (e.g. 4 with a degree-16 budget) truncates the sum
-  /// after covering every pair within that graph distance — the
-  /// truncated-path-length regime that keeps very large n (10k+) inside
-  /// the sparse phase end to end. Must be 0 or >= 2.
+  /// SpectralLimit only: walk-length horizon of the sum. 0 (the default)
+  /// sums to L, the power of two >= max(max_length, n), and takes the sum
+  /// from its Perron limit, falling back to the doubling where the limit
+  /// does not hold at L (a reducible or periodic W, e.g. a path-shaped
+  /// l = n - 1 budget, or a walk that does not mix within L steps). An
+  /// explicit horizon always runs the doubling: setting it to L
+  /// reproduces the doubling's closure for the auto horizon bit for bit,
+  /// the oracle the Perron limit is tested against. A small horizon
+  /// (e.g. 4 with a degree-16 budget) truncates the sum after covering
+  /// every pair within that graph distance, keeping very large n inside
+  /// the doubling's sparse phase. Must be 0 or >= 2.
   std::size_t spectral_horizon = 0;
   /// Maximum transitive path/walk length considered (paper: up to n-1).
   /// Longer horizons push W^k toward its dominant-eigenvector structure, so
@@ -106,6 +122,12 @@ struct PropagationStats {
   std::size_t densify_step = 0;  ///< 1-based step run dense first; 0 = all-sparse
   std::size_t doubling_steps = 0;  ///< doubling steps executed
   std::uint64_t sparse_flops = 0;  ///< flops spent in the CSR kernels
+  // Perron-limit diagnostics (SpectralLimit with the auto horizon; zero
+  // otherwise): how fast the batch's walk mixes, i.e. how rankable it is.
+  std::size_t perron_iterations = 0;  ///< power-iteration steps run
+  /// Last ratio of successive residuals: estimates |lambda_2 / lambda_1|.
+  double perron_ratio = 0.0;
+  bool perron_fallback = false;  ///< the limit did not hold; doubling ran
 };
 
 /// Runs Step 3 on the smoothed graph G~_P and returns the normalized

@@ -155,19 +155,29 @@ bool PreferenceGraph::is_strongly_connected() const {
     return visited == n;
   };
   if (!reaches_all(csr_.row_ptr, csr_.neighbors)) return false;
-  // The reversed adjacency (each vertex's in-edge sources), scattered from
-  // the out-rows in O(n + m).
-  std::vector<std::size_t> in_ptr(n + 1, 0);
-  const std::vector<std::size_t> in = in_degrees();
-  std::partial_sum(in.begin(), in.end(), in_ptr.begin() + 1);
-  std::vector<VertexId> in_sources(edge_count());
-  std::vector<std::size_t> cursor(in_ptr.begin(), in_ptr.end() - 1);
+  const CsrAdjacency in = in_csr();
+  return reaches_all(in.row_ptr, in.neighbors);
+}
+
+CsrAdjacency PreferenceGraph::in_csr() const {
+  // Each vertex's in-edge sources, scattered from the out-rows: visiting
+  // sources in ascending order keeps every row sorted.
+  const std::size_t n = vertex_count();
+  CsrAdjacency in;
+  in.row_ptr.assign(n + 1, 0);
+  const std::vector<std::size_t> degrees = in_degrees();
+  std::partial_sum(degrees.begin(), degrees.end(), in.row_ptr.begin() + 1);
+  in.neighbors.resize(edge_count());
+  in.weights.resize(edge_count());
+  std::vector<std::size_t> cursor(in.row_ptr.begin(), in.row_ptr.end() - 1);
   for (VertexId v = 0; v < n; ++v) {
     for (std::size_t e = csr_.row_ptr[v]; e < csr_.row_ptr[v + 1]; ++e) {
-      in_sources[cursor[csr_.neighbors[e]]++] = v;
+      const std::size_t slot = cursor[csr_.neighbors[e]]++;
+      in.neighbors[slot] = v;
+      in.weights[slot] = csr_.weights[e];
     }
   }
-  return reaches_all(in_ptr, in_sources);
+  return in;
 }
 
 }  // namespace crowdrank

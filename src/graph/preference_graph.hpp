@@ -91,6 +91,10 @@ class PreferenceGraph {
   /// The out-edge CSR itself: the graph's only representation.
   const CsrAdjacency& out_csr() const { return csr_; }
 
+  /// The transposed CSR, built on each call in O(n + m): row v lists the
+  /// sources u of the edges u -> v in ascending order, with their weights.
+  CsrAdjacency in_csr() const;
+
  private:
   /// In-degree of every vertex in one pass over the CSR.
   std::vector<std::size_t> in_degrees() const;

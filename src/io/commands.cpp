@@ -295,6 +295,18 @@ int cmd_infer(const std::vector<std::string>& argv, std::ostream& out) {
   out << "truth discovery: " << result.step1.iterations << " iterations, "
       << result.one_edge_count << " 1-edges smoothed\n";
   out << "log preference probability: " << result.log_probability << "\n";
+  // How rankable the batch is: how fast its walk mixes, and whether step 3
+  // fell back from the Perron limit to the doubling.
+  if (config.propagation.spectral_horizon > 0) {
+    out << "propagation: walk sum to horizon "
+        << config.propagation.spectral_horizon << "\n";
+  } else {
+    out << "propagation: " << result.step3.perron_iterations
+        << " Perron iterations, residual ratio " << result.step3.perron_ratio
+        << (result.step3.perron_fallback ? ", fell back to the doubling"
+                                         : "")
+        << "\n";
+  }
   const RankingConfidence confidence =
       ranking_confidence(result.closure, result.ranking);
   const auto tied =
@@ -335,6 +347,10 @@ int cmd_infer(const std::vector<std::string>& argv, std::ostream& out) {
     run.note("one_edges", static_cast<std::int64_t>(result.one_edge_count));
     run.note("truth_discovery_iterations",
              static_cast<std::int64_t>(result.step1.iterations));
+    run.note("perron_iterations",
+             static_cast<std::int64_t>(result.step3.perron_iterations));
+    run.note("perron_ratio", result.step3.perron_ratio);
+    run.note("perron_fallback", result.step3.perron_fallback);
     run.capture(*sink);
     run.capture(result.timings);
     CR_EXPECTS(report.write_file(metrics_path),

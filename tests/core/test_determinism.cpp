@@ -92,6 +92,9 @@ TEST_F(DeterminismTest,
   const PreferenceGraph g(60, edges);
   PropagationConfig config;
   config.mode = PropagationMode::SpectralLimit;
+  // The doubling's own length for n = 60: keeps the run on the doubling
+  // whether or not the auto horizon's Perron limit would hold here.
+  config.spectral_horizon = 64;
   for (const double threshold : {0.15, 1.0}) {
     config.fill_threshold = threshold;
     set_thread_count(1);
@@ -105,6 +108,52 @@ TEST_F(DeterminismTest,
           << "threads = " << threads << ", threshold = " << threshold;
       EXPECT_EQ(stats.densify_step, serial_stats.densify_step);
       EXPECT_EQ(stats.sparse_flops, serial_stats.sparse_flops);
+    }
+  }
+}
+
+TEST_F(DeterminismTest, PerronLimitIsBitwiseIdenticalAcrossThreadsAndSimd) {
+  // The auto horizon's power iteration runs its CSR passes row-parallel
+  // from 2^15 edges on; row sums in CSR order and exact max-reduces keep
+  // the closure independent of thread count and SIMD backend.
+  Rng rng(31);
+  const std::size_t n = 200;
+  const std::vector<std::size_t> latent = rng.permutation(n);
+  std::vector<WeightedEdge> edges;
+  for (VertexId i = 0; i < n; ++i) {
+    for (VertexId j = i + 1; j < n; ++j) {
+      if (!rng.bernoulli(0.9)) {
+        continue;
+      }
+      const double w = rng.uniform(0.55, 0.95);
+      const bool forward = latent[i] < latent[j];
+      edges.push_back({i, j, forward ? w : 1.0 - w});
+      edges.push_back({j, i, forward ? 1.0 - w : w});
+    }
+  }
+  const PreferenceGraph g(n, edges);
+  ASSERT_GE(g.edge_count(), std::size_t{1} << 15);
+  PropagationConfig config;
+  config.mode = PropagationMode::SpectralLimit;
+
+  set_thread_count(1);
+  PropagationStats serial_stats;
+  const Matrix serial = propagate_preferences(g, config, &serial_stats);
+  ASSERT_FALSE(serial_stats.perron_fallback);
+  ASSERT_GT(serial_stats.perron_iterations, 0u);
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+    set_thread_count(threads);
+    PropagationStats stats;
+    EXPECT_EQ(propagate_preferences(g, config, &stats), serial)
+        << "threads = " << threads;
+    EXPECT_EQ(stats.perron_iterations, serial_stats.perron_iterations);
+    EXPECT_EQ(stats.perron_ratio, serial_stats.perron_ratio);
+  }
+  if (simd::avx2_supported()) {
+    for (const simd::Backend backend :
+         {simd::Backend::Scalar, simd::Backend::Avx2}) {
+      ASSERT_TRUE(simd::set_backend(backend));
+      EXPECT_EQ(propagate_preferences(g, config, nullptr), serial);
     }
   }
 }

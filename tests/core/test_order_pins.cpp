@@ -174,7 +174,7 @@ TEST(OrderPins, InferenceThroughBothOverloads) {
   const InferenceResult voters =
       engine.infer(round.votes, kObjects, kWorkers, voters_rng);
   expect_pinned(voters, "0a44e89eb90edba5", "baf7d731ae5ec218", 2665,
-                "c14ec6f0ce0cd6a4", "62003f5083378365");
+                "ce40f831d3abf063", "62003f5083378365");
 }
 
 }  // namespace

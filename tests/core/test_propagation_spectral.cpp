@@ -1,8 +1,13 @@
 // Unit tests for the SpectralLimit propagation mode.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <string>
 
 #include "../graph/dense_reference.hpp"
+#include "core/pipeline.hpp"
 #include "core/propagation.hpp"
 #include "graph/hamiltonian.hpp"
 #include "util/rng.hpp"
@@ -19,10 +24,46 @@ PreferenceGraph smoothed_chain(std::size_t n, double forward = 0.9) {
   return PreferenceGraph(n, edges);
 }
 
+/// The complete digraph on n vertices: `forward` on i -> j and `backward`
+/// on j -> i for every i < j.
+PreferenceGraph tournament(std::size_t n, double forward, double backward) {
+  std::vector<WeightedEdge> edges;
+  for (VertexId i = 0; i < n; ++i) {
+    for (VertexId j = 0; j < n; ++j) {
+      if (i != j) edges.push_back({i, j, i < j ? forward : backward});
+    }
+  }
+  return PreferenceGraph(n, edges);
+}
+
 PropagationConfig spectral() {
   PropagationConfig config;
   config.mode = PropagationMode::SpectralLimit;
   return config;
+}
+
+/// The doubling's own walk length L for n vertices: the power of two
+/// >= max(max_length, n) that the auto horizon sums to.
+std::size_t walk_length(std::size_t n) {
+  return std::bit_ceil(std::max(PropagationConfig{}.max_length, n));
+}
+
+/// SpectralLimit pinned to the doubling: an explicit horizon of L sums
+/// exactly what the auto horizon's doubling sums, bit for bit.
+PropagationConfig doubling(std::size_t n) {
+  PropagationConfig config = spectral();
+  config.spectral_horizon = walk_length(n);
+  return config;
+}
+
+/// Runs the auto horizon and the doubling at horizon L on `g`; the auto
+/// horizon must have fallen back, so both closures are the same bits.
+void expect_fallback_to_doubling(const PreferenceGraph& g) {
+  PropagationStats stats;
+  const Matrix closure = propagate_preferences(g, spectral(), &stats);
+  EXPECT_TRUE(stats.perron_fallback);
+  EXPECT_EQ(closure,
+            propagate_preferences(g, doubling(g.vertex_count()), nullptr));
 }
 
 TEST(SpectralPropagation, ClosureCompleteAndNormalized) {
@@ -93,6 +134,7 @@ TEST(SpectralPropagation, EdgelessGraphFallsBackEverywhere) {
   const Matrix closure = propagate_preferences(g, spectral(), &stats);
   EXPECT_EQ(stats.pairs_without_evidence, 10u);
   EXPECT_DOUBLE_EQ(closure(0, 4), 0.5);
+  expect_fallback_to_doubling(g);
 }
 
 TEST(SpectralPropagation, ClosureHamiltonianAlways) {
@@ -112,7 +154,7 @@ TEST(SpectralPropagation, SparseHybridMatchesDenseOracleBitwise) {
   // (0.0, the pinned oracle), the hybrid default, and all-sparse (1.0)
   // closures must agree bit for bit on the same graph.
   const auto g = smoothed_chain(33, 0.85);
-  PropagationConfig dense_oracle = spectral();
+  PropagationConfig dense_oracle = doubling(33);
   dense_oracle.fill_threshold = 0.0;
   PropagationStats dense_stats;
   const Matrix expected =
@@ -122,7 +164,7 @@ TEST(SpectralPropagation, SparseHybridMatchesDenseOracleBitwise) {
   EXPECT_DOUBLE_EQ(dense_stats.fill_ratio, 1.0);
 
   for (const double threshold : {0.10, 0.20, 1.0}) {
-    PropagationConfig hybrid = spectral();
+    PropagationConfig hybrid = doubling(33);
     hybrid.fill_threshold = threshold;
     PropagationStats stats;
     const Matrix closure = propagate_preferences(g, hybrid, &stats);
@@ -133,7 +175,7 @@ TEST(SpectralPropagation, SparseHybridMatchesDenseOracleBitwise) {
 
   // All-sparse never densifies; the chain's closure fills up, so a small
   // threshold must densify at some step after the first.
-  PropagationConfig all_sparse = spectral();
+  PropagationConfig all_sparse = doubling(33);
   all_sparse.fill_threshold = 1.0;
   PropagationStats sparse_stats;
   propagate_preferences(g, all_sparse, &sparse_stats);
@@ -143,7 +185,7 @@ TEST(SpectralPropagation, SparseHybridMatchesDenseOracleBitwise) {
   // The 33-chain starts at fill 64/1089 ~ 0.06, and one doubling puts the
   // state past 0.10 — so this threshold runs step 1 sparse and densifies
   // at a later step, exercising the mid-loop handoff.
-  PropagationConfig tight = spectral();
+  PropagationConfig tight = doubling(33);
   tight.fill_threshold = 0.10;
   PropagationStats tight_stats;
   propagate_preferences(g, tight, &tight_stats);
@@ -165,11 +207,16 @@ TEST(SpectralPropagation, HorizonTruncatesTheWalkSum) {
   EXPECT_GT(closure(0, 3), 0.5);
   EXPECT_NEAR(closure(2, 3) + closure(3, 2), 1.0, 1e-12);
 
-  // Horizon >= n is the same sum the auto limit computes (n rounds up to
-  // the same power of two), so the closures agree exactly.
+  // Horizon >= n is the same sum the auto limit's doubling computes (n
+  // rounds up to the same power of two). A chain is bipartite, so W is
+  // periodic and the auto horizon must run the doubling too: the closures
+  // agree exactly.
   PropagationConfig wide = spectral();
   wide.spectral_horizon = 64;
-  const Matrix full = propagate_preferences(g, spectral(), nullptr);
+  PropagationStats auto_stats;
+  const Matrix full = propagate_preferences(g, spectral(), &auto_stats);
+  EXPECT_TRUE(auto_stats.perron_fallback);
+  EXPECT_GT(auto_stats.doubling_steps, 0u);
   EXPECT_EQ(propagate_preferences(g, wide, nullptr), full);
 }
 
@@ -185,19 +232,130 @@ TEST(SpectralPropagation, RejectsInvalidHybridKnobs) {
 
 TEST(SpectralPropagation, NoOverflowOnHeavyGraphs) {
   // Dense near-1 weights: unnormalized W^n would overflow by astronomical
-  // margins; the renormalized doubling must stay finite.
-  std::vector<WeightedEdge> edges;
-  for (VertexId i = 0; i < 64; ++i) {
-    for (VertexId j = 0; j < 64; ++j) {
-      if (i != j) edges.push_back({i, j, i < j ? 0.99 : 0.01});
+  // margins; the renormalized doubling and the max-normalized power
+  // iteration must both stay finite.
+  const PreferenceGraph g = tournament(64, 0.99, 0.01);
+  PropagationStats doubling_stats;
+  const Matrix summed = propagate_preferences(g, doubling(64), &doubling_stats);
+  EXPECT_EQ(doubling_stats.doubling_steps, 6u);
+  PropagationStats perron_stats;
+  const Matrix limit = propagate_preferences(g, spectral(), &perron_stats);
+  EXPECT_FALSE(perron_stats.perron_fallback);
+  EXPECT_EQ(perron_stats.doubling_steps, 0u);
+  for (const Matrix* closure : {&summed, &limit}) {
+    for (const double v : closure->data()) {
+      EXPECT_TRUE(std::isfinite(v));
+    }
+    EXPECT_GT((*closure)(0, 63), 0.5);
+  }
+  EXPECT_LE(Matrix::max_abs_diff(limit, summed), 1e-12);
+}
+
+TEST(SpectralPropagation, PerronLimitMatchesTheDoublingAcrossCells) {
+  // Where the walk mixes within L the doubling's sum is rank one, so the
+  // auto horizon's Perron closure must be the doubling's (horizon = L)
+  // up to rounding and SAPS must rank both the same. Cells: three quality
+  // sweeps (all six settings) and three seeds at sparser budgets, n <= 300.
+  struct Cell {
+    std::size_t n;
+    double ratio;
+    QualityDistribution distribution;
+    QualityLevel level;
+    std::uint64_t seed;
+  };
+  std::vector<Cell> cells;
+  for (const auto distribution :
+       {QualityDistribution::Gaussian, QualityDistribution::Uniform}) {
+    for (const auto level :
+         {QualityLevel::High, QualityLevel::Medium, QualityLevel::Low}) {
+      cells.push_back({100, 0.1, distribution, level, 1});
+      cells.push_back({100, 0.3, distribution, level, 2});
+      cells.push_back({60, 0.5, distribution, level, 3});
     }
   }
-  const PreferenceGraph g(64, edges);
-  const Matrix closure = propagate_preferences(g, spectral(), nullptr);
-  for (const double v : closure.data()) {
-    EXPECT_TRUE(std::isfinite(v));
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    cells.push_back({200, 0.05, QualityDistribution::Gaussian,
+                     QualityLevel::Medium, seed});
+    cells.push_back({300, 0.03, QualityDistribution::Uniform,
+                     QualityLevel::Medium, seed});
   }
-  EXPECT_GT(closure(0, 63), 0.5);
+  for (const Cell& cell : cells) {
+    ExperimentConfig config;
+    config.object_count = cell.n;
+    config.selection_ratio = cell.ratio;
+    config.worker_quality = {cell.distribution, cell.level};
+    config.seed = cell.seed;
+    const ExperimentResult limit = run_experiment(config);
+    config.inference.propagation.spectral_horizon = walk_length(cell.n);
+    const ExperimentResult summed = run_experiment(config);
+    const std::string where = "n = " + std::to_string(cell.n) +
+                              ", r = " + std::to_string(cell.ratio) +
+                              ", seed = " + std::to_string(cell.seed);
+    EXPECT_FALSE(limit.inference.step3.perron_fallback) << where;
+    EXPECT_GT(limit.inference.step3.perron_iterations, 0u) << where;
+    EXPECT_EQ(limit.inference.step3.doubling_steps, 0u) << where;
+    EXPECT_GT(summed.inference.step3.doubling_steps, 0u) << where;
+    EXPECT_LE(Matrix::max_abs_diff(limit.inference.closure,
+                                   summed.inference.closure),
+              1e-12)
+        << where;
+    EXPECT_EQ(limit.inference.ranking, summed.inference.ranking) << where;
+  }
+}
+
+TEST(SpectralPropagation, PeriodicWalkFallsBackToTheDoubling) {
+  // r = 0.02 at n = 100 buys l = n - 1 tasks: the task graph is a path,
+  // so the smoothed graph is bipartite and W is periodic.
+  ExperimentConfig config;
+  config.object_count = 100;
+  config.selection_ratio = 0.02;
+  const ExperimentResult limit = run_experiment(config);
+  ASSERT_EQ(limit.unique_tasks, 99u);
+  EXPECT_TRUE(limit.inference.step3.perron_fallback);
+  EXPECT_GT(limit.inference.step3.doubling_steps, 0u);
+  config.inference.propagation.spectral_horizon = walk_length(100);
+  const ExperimentResult summed = run_experiment(config);
+  EXPECT_EQ(limit.inference.closure, summed.inference.closure);
+  EXPECT_EQ(limit.inference.ranking, summed.inference.ranking);
+  EXPECT_EQ(limit.inference.log_probability,
+            summed.inference.log_probability);
+}
+
+TEST(SpectralPropagation, TwoComponentsFallBackToTheDoubling) {
+  // Two identical dense blocks: each has the same Perron root, so the
+  // power iteration converges, yet the doubling's sum is rank two and
+  // leaves the cross-block pairs at 0.5. Reducibility alone must send the
+  // auto horizon to the doubling.
+  std::vector<WeightedEdge> edges;
+  for (VertexId block : {0, 6}) {
+    for (VertexId i = 0; i < 6; ++i) {
+      for (VertexId j = i + 1; j < 6; ++j) {
+        edges.push_back({block + i, block + j, 0.8});
+        edges.push_back({block + j, block + i, 0.2});
+      }
+    }
+  }
+  const PreferenceGraph g(12, edges);
+  expect_fallback_to_doubling(g);
+  PropagationStats stats;
+  const Matrix closure = propagate_preferences(g, spectral(), &stats);
+  EXPECT_EQ(stats.perron_iterations, 0u);
+  EXPECT_EQ(stats.pairs_without_evidence, 36u);
+  EXPECT_DOUBLE_EQ(closure(0, 6), 0.5);
+}
+
+TEST(SpectralPropagation, LightWalkFallsBackToTheDoubling) {
+  // NoOverflowOnHeavyGraphs' tournament scaled by 1/100, so lambda_1 < 1:
+  // the walk sum tends to the resolvent (I - W)^-1 - I, dominated by its
+  // short walks rather than by lambda^L u v^T. The power iteration
+  // converges as fast as on the heavy graph, so only the dominance test
+  // keeps the auto horizon on the doubling.
+  const PreferenceGraph g = tournament(64, 0.0099, 0.0001);
+  expect_fallback_to_doubling(g);
+  PropagationStats stats;
+  propagate_preferences(g, spectral(), &stats);
+  EXPECT_GT(stats.perron_iterations, 0u);
+  EXPECT_LT(stats.perron_iterations, walk_length(64));
 }
 
 }  // namespace

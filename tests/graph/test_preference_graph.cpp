@@ -53,6 +53,11 @@ TEST(PreferenceGraph, CsrRowsAscendWhateverTheInputOrder) {
   EXPECT_EQ(csr.row_ptr, (std::vector<std::size_t>{0, 3, 3, 4, 5}));
   EXPECT_EQ(csr.neighbors, (std::vector<VertexId>{1, 2, 3, 0, 2}));
   EXPECT_EQ(csr.weights, (std::vector<double>{0.9, 0.6, 0.4, 0.5, 1.0}));
+  // The transpose lists each vertex's sources, ascending, with weights.
+  const CsrAdjacency in = g.in_csr();
+  EXPECT_EQ(in.row_ptr, (std::vector<std::size_t>{0, 1, 2, 4, 5}));
+  EXPECT_EQ(in.neighbors, (std::vector<VertexId>{2, 0, 0, 3, 0}));
+  EXPECT_EQ(in.weights, (std::vector<double>{0.5, 0.9, 0.6, 1.0, 0.4}));
   EXPECT_DOUBLE_EQ(g.weight(0, 2), 0.6);
   EXPECT_DOUBLE_EQ(g.weight(2, 1), 0.0);
   EXPECT_DOUBLE_EQ(g.weight(1, 0), 0.0);

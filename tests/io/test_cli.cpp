@@ -257,9 +257,12 @@ TEST(Cli, InferWritesTraceAndMetricsFiles) {
   EXPECT_NE(out.find("wrote " + dir.file("trace.json")), std::string::npos);
   EXPECT_NE(out.find("wrote " + dir.file("report.json")),
             std::string::npos);
+  EXPECT_NE(out.find(" Perron iterations, residual ratio "),
+            std::string::npos);
 
-  // Spot-check content: the Chrome trace names the pipeline steps, the
-  // report carries build info and per-stage timings.
+  // Spot-check content: the Chrome trace names the pipeline steps and
+  // carries step 3's rankability figures, the report carries build info,
+  // per-stage timings and the same figures as run notes and metrics.
   std::ifstream trace_in(dir.file("trace.json"));
   std::stringstream trace_text;
   trace_text << trace_in.rdbuf();
@@ -268,6 +271,7 @@ TEST(Cli, InferWritesTraceAndMetricsFiles) {
             std::string::npos);
   EXPECT_NE(trace_text.str().find("step4_find_best_ranking"),
             std::string::npos);
+  EXPECT_NE(trace_text.str().find("\"perron_fallback\""), std::string::npos);
 
   std::ifstream report_in(dir.file("report.json"));
   std::stringstream report_text;
@@ -276,6 +280,12 @@ TEST(Cli, InferWritesTraceAndMetricsFiles) {
   EXPECT_NE(report_text.str().find("\"phases_ms\""), std::string::npos);
   EXPECT_NE(report_text.str().find("truth_discovery.delta"),
             std::string::npos);
+  for (const char* key :
+       {"\"perron_iterations\"", "\"perron_ratio\"", "\"perron_fallback\"",
+        "\"propagation.perron_iterations\"", "\"propagation.perron_ratio\"",
+        "\"propagation.perron_fallback\""}) {
+    EXPECT_NE(report_text.str().find(key), std::string::npos) << key;
+  }
 }
 
 TEST(Cli, TracingDoesNotChangeTheInferredRanking) {

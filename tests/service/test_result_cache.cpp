@@ -124,15 +124,15 @@ TEST(CacheKey, KnownAnswers) {
     const char* key;
   };
   const Pin pins[] = {
-      {0, false, nullptr, "b948838ef933cdcf66c2e09869c73cac"},
-      {1, false, nullptr, "9a8438213080b63d69e2ba3b0e9e6608"},
-      {3, false, nullptr, "34fd6b3711fbced002c896617b63ee0d"},
-      {1485, false, nullptr, "e17a2f882ae7b79038114bab6e9fe4e2"},
-      {0, true, &kPolicy, "475f8603b55fa42261693a42ce8951d3"},
-      {1, true, &kPolicy, "ebe395a21de05db45c487263bdeaf2a2"},
-      {3, true, &kPolicy, "58027ffc5248c9558285296f46e54d75"},
-      {1485, true, &kPolicy, "50101f66319c19a5e88efe9a3cd02bfd"},
-      {1485, true, &lenient, "918572d202843291f2f883e762e2502f"},
+      {0, false, nullptr, "ff3b9571c0c2b67f45268c3e5d2d256e"},
+      {1, false, nullptr, "99b6f74b4bdf390b140f81d9caf01fd9"},
+      {3, false, nullptr, "138fc3ea3a4849182a5934cb301d518e"},
+      {1485, false, nullptr, "79736d42119a053b7cc19cad1432765c"},
+      {0, true, &kPolicy, "346273fe5dadc44c0be1abe9050b5344"},
+      {1, true, &kPolicy, "075ea94a85b0074f999c5e0a131f7a51"},
+      {3, true, &kPolicy, "4e6bb44b8d762a580abc3071f3d72d58"},
+      {1485, true, &kPolicy, "b6eb8e8e84bdd9b7025cc2e12b418a72"},
+      {1485, true, &lenient, "c56d21bf514276f43f5591e7d2306885"},
   };
   for (const Pin& pin : pins) {
     EXPECT_EQ(compute_cache_key(batch(pin.votes), 100, 31, 7,

@@ -55,9 +55,14 @@ Two rules are scoped to a subtree rather than all of src/:
   dense-in-propagation   constructing a dense Matrix (or materializing one
                          via .to_dense()) inside src/core/propagation.cpp.
                          Propagation is sparse-first (DESIGN.md §7c): the
-                         spectral loop must run on SparseMatrix kernels and
-                         cross to dense only at the one sanctioned densify
-                         point, which carries lint:allow annotations. The
+                         Perron limit runs on the graph's CSR, the doubling
+                         on SparseMatrix kernels, and both cross to dense
+                         only at sanctioned sites, which carry lint:allow
+                         annotations: the doubling's densify and output
+                         points, the closure fill (pair_normalize, which
+                         every engine's closure goes through, the Perron
+                         limit's included), and dense_weights for the
+                         dense-by-nature BoundedWalks/ExactPaths engines. The
                          rule flags `Matrix(...)`, `Matrix name(...)`,
                          `Matrix::zero/identity`, and `.to_dense(` — but
                          not bare `Matrix m;` declarations, `Matrix x =
