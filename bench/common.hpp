@@ -7,6 +7,9 @@
 // paper-scale axes.
 #pragma once
 
+#include <array>
+#include <chrono>
+#include <cstddef>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -53,6 +56,43 @@ auto parallel_cells(std::size_t count, Fn&& fn)
   });
   return out;
 }
+
+/// Times the engine's four steps at its stage checkpoints, without a trace
+/// sink: set one as `InferenceConfig::control` for a run, then read the
+/// step intervals. The engine checkpoints before each step and once at
+/// Done, so step k runs between stamps k and k + 1.
+class StepClock final : public StageControl {
+ public:
+  static constexpr std::size_t kSteps = 4;
+  /// The step span names, which are also the report's phase names.
+  static constexpr std::array<const char*, kSteps> kStepNames = {
+      "step1_truth_discovery", "step2_smoothing", "step3_propagation",
+      "step4_find_best_ranking"};
+
+  void checkpoint(const StageSnapshot& snapshot) override {
+    stamps_[static_cast<std::size_t>(snapshot.next) -
+            static_cast<std::size_t>(PipelineStage::TruthDiscovery)] =
+        Clock::now();
+  }
+
+  /// Milliseconds of step `k` (0-based) of the last run.
+  double step_ms(std::size_t k) const {
+    return std::chrono::duration<double, std::milli>(stamps_[k + 1] -
+                                                     stamps_[k])
+        .count();
+  }
+
+  /// Milliseconds of all four steps of the last run.
+  double total_ms() const {
+    return std::chrono::duration<double, std::milli>(stamps_[kSteps] -
+                                                     stamps_[0])
+        .count();
+  }
+
+ private:
+  using Clock = std::chrono::steady_clock;
+  std::array<Clock::time_point, kSteps + 1> stamps_{};
+};
 
 /// Prints the table both aligned and as CSV.
 inline void emit(const TableWriter& table) {

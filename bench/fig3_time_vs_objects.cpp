@@ -46,10 +46,12 @@ void run() {
         config.workers_per_task = 3;
         config.worker_quality = {cell.dist, QualityLevel::Medium};
         config.seed = 42 + cell.n;
+        bench::StepClock clock;
+        config.inference.control = &clock;
         const ExperimentResult r = run_experiment(config);
         return std::vector<std::string>{
             std::to_string(cell.n), to_string(cell.dist),
-            TableWriter::fmt(r.inference.timings.total_seconds()),
+            TableWriter::fmt(clock.total_ms() * 1e-3),
             TableWriter::fmt(r.accuracy)};
       });
 

@@ -45,15 +45,16 @@ void run() {
         config.workers_per_task = 3;
         config.worker_quality = {cell.dist, QualityLevel::Medium};
         config.seed = 7 + static_cast<std::uint64_t>(cell.r * 100);
+        bench::StepClock clock;
+        config.inference.control = &clock;
         const ExperimentResult result = run_experiment(config);
-        const auto& t = result.inference.timings;
         return std::vector<std::string>{
             to_string(cell.dist), TableWriter::fmt(cell.r, 1),
-            TableWriter::fmt(t.total_seconds()),
-            TableWriter::fmt(t.seconds("step1_truth_discovery")),
-            TableWriter::fmt(t.seconds("step2_smoothing")),
-            TableWriter::fmt(t.seconds("step3_propagation")),
-            TableWriter::fmt(t.seconds("step4_find_best_ranking")),
+            TableWriter::fmt(clock.total_ms() * 1e-3),
+            TableWriter::fmt(clock.step_ms(0) * 1e-3),
+            TableWriter::fmt(clock.step_ms(1) * 1e-3),
+            TableWriter::fmt(clock.step_ms(2) * 1e-3),
+            TableWriter::fmt(clock.step_ms(3) * 1e-3),
             std::to_string(result.inference.one_edge_count),
             TableWriter::fmt(result.accuracy)};
       });

@@ -29,10 +29,13 @@
 //
 // The timed runs deliberately execute with NO trace sink attached — they
 // double as the <2% overhead regression check for the tracing layer's
-// disabled path. Set CROWDRANK_TRACE=out.json to additionally capture an
-// (untimed) traced run of the largest size. Set CROWDRANK_BENCH_SMOKE=1
-// (the CI release job does) to run only n=100 with single reps — a fast
-// regression canary that the bench binary and both kernels still work.
+// disabled path — and take their per-step times from the engine's stage
+// checkpoints (bench::StepClock). Set CROWDRANK_TRACE=out.json to
+// additionally capture an (untimed) traced run of the largest size; the
+// bench fails if that run records no `infer` span. Set
+// CROWDRANK_BENCH_SMOKE=1 (the CI release job does) to run only n=100 with
+// single reps — a fast regression canary that the bench binary and both
+// kernels still work.
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
@@ -57,8 +60,7 @@ namespace {
 
 struct StageTimes {
   double experiment_ms = 0.0;  ///< whole run_experiment wall time
-  double total_ms = 0.0;       ///< inference only (sum of the four steps)
-  PhaseTimer timings;
+  bench::StepClock steps;      ///< inference only (the four steps)
   std::vector<VertexId> ranking;
   double accuracy = 0.0;
   PropagationStats step3;
@@ -76,13 +78,12 @@ ExperimentConfig make_config(std::size_t n) {
   return config;
 }
 
-StageTimes run_config(const ExperimentConfig& config) {
+StageTimes run_config(ExperimentConfig config) {
+  StageTimes out;
+  config.inference.control = &out.steps;
   Stopwatch watch;
   const ExperimentResult r = run_experiment(config);
-  StageTimes out;
   out.experiment_ms = watch.elapsed_millis();
-  out.timings = r.inference.timings;
-  out.total_ms = out.timings.total_seconds() * 1e3;
   const auto order = r.inference.ranking.order();
   out.ranking.assign(order.begin(), order.end());
   out.accuracy = r.accuracy;
@@ -91,6 +92,13 @@ StageTimes run_config(const ExperimentConfig& config) {
 }
 
 StageTimes run_once(std::size_t n) { return run_config(make_config(n)); }
+
+/// Records the run's four step times as the row's phases.
+void capture_steps(trace::RunReport::Run& run, const StageTimes& t) {
+  for (std::size_t k = 0; k < bench::StepClock::kSteps; ++k) {
+    run.phase(bench::StepClock::kStepNames[k], t.steps.step_ms(k));
+  }
+}
 
 bool smoke_mode() {
   const char* env = std::getenv("CROWDRANK_BENCH_SMOKE");
@@ -492,7 +500,7 @@ void run_large_n(trace::RunReport& report, std::size_t parallel_threads) {
     config.selection_ratio = 16.0 / static_cast<double>(spec.n - 1);
     config.inference.propagation.spectral_horizon = spec.horizon;
     const StageTimes t = run_config(config);
-    const double step3_ms = t.timings.seconds("step3_propagation") * 1e3;
+    const double step3_ms = t.steps.step_ms(2);
     const double gflop = static_cast<double>(t.step3.sparse_flops) / 1e9;
     const bool expect_sparse = spec.horizon <= 4;
     if (expect_sparse != (t.step3.densify_step == 0)) {
@@ -518,7 +526,7 @@ void run_large_n(trace::RunReport& report, std::size_t parallel_threads) {
     run.note("horizon", static_cast<std::int64_t>(spec.horizon));
     run.note("threads", static_cast<std::int64_t>(parallel_threads));
     run.note("experiment_ms", t.experiment_ms);
-    run.note("inference_ms", t.total_ms);
+    run.note("inference_ms", t.steps.total_ms());
     run.note("step3_ms", step3_ms);
     run.note("fill_ratio", t.step3.fill_ratio);
     run.note("densify_step",
@@ -526,7 +534,7 @@ void run_large_n(trace::RunReport& report, std::size_t parallel_threads) {
     run.note("sparse_flops",
              static_cast<std::int64_t>(t.step3.sparse_flops));
     run.note("accuracy", t.accuracy);
-    run.capture(t.timings);
+    capture_steps(run, t);
   }
   std::cout << "\n-- large n (degree-16 budget, sparse-first doubling) --\n";
   bench::emit(table);
@@ -537,9 +545,9 @@ void capture_run(trace::RunReport& report, const std::string& label,
   trace::RunReport::Run& run = report.add_run(label);
   run.note("threads", static_cast<std::int64_t>(threads));
   run.note("experiment_ms", t.experiment_ms);
-  run.note("inference_ms", t.total_ms);
+  run.note("inference_ms", t.steps.total_ms());
   run.note("accuracy", t.accuracy);
-  run.capture(t.timings);
+  capture_steps(run, t);
 }
 
 void run() {
@@ -577,11 +585,12 @@ void run() {
 
     const bool match = serial.ranking == parallel.ranking;
     all_match = all_match && match;
-    const double speedup =
-        parallel.total_ms > 0.0 ? serial.total_ms / parallel.total_ms : 1.0;
+    const double serial_ms = serial.steps.total_ms();
+    const double parallel_ms = parallel.steps.total_ms();
+    const double speedup = parallel_ms > 0.0 ? serial_ms / parallel_ms : 1.0;
 
-    table.add_row({std::to_string(n), TableWriter::fmt(serial.total_ms),
-                   TableWriter::fmt(parallel.total_ms),
+    table.add_row({std::to_string(n), TableWriter::fmt(serial_ms),
+                   TableWriter::fmt(parallel_ms),
                    std::to_string(parallel_threads),
                    TableWriter::fmt(speedup), match ? "yes" : "NO"});
 
@@ -595,11 +604,11 @@ void run() {
     trace::RunReport::Run& par = report.add_run(parallel_label);
     par.note("threads", static_cast<std::int64_t>(parallel_threads));
     par.note("experiment_ms", parallel.experiment_ms);
-    par.note("inference_ms", parallel.total_ms);
+    par.note("inference_ms", parallel_ms);
     par.note("accuracy", parallel.accuracy);
     par.note("speedup", speedup);
     par.note("rankings_match", match);
-    par.capture(parallel.timings);
+    capture_steps(par, parallel);
   }
   report.note("rankings_match", all_match);
 
@@ -613,8 +622,16 @@ void run() {
   if (const char* trace_path = std::getenv("CROWDRANK_TRACE")) {
     trace::TraceSink sink;
     {
-      trace::ScopedSink scoped(&sink);
+      const trace::ScopedSink scoped(&sink);
       run_once(object_counts.back());
+    }
+    const std::vector<trace::SpanRecord> spans = sink.spans();
+    if (std::none_of(spans.begin(), spans.end(),
+                     [](const trace::SpanRecord& s) {
+                       return s.name == "infer";
+                     })) {
+      std::cerr << "ERROR: the traced rerun recorded no infer span\n";
+      std::exit(1);
     }
     std::ofstream os(trace_path);
     sink.write_chrome_trace(os);

@@ -53,8 +53,8 @@ void hash_append(StableHash& hash, const InferenceConfig& config) {
   hash.add_u32(static_cast<std::uint32_t>(config.search));
   hash_append(hash, config.saps);
   hash_append(hash, config.taps);
-  // trace, control, and check_invariants are observe-only (traced and
-  // untraced runs are pinned bitwise-identical) and never enter the key.
+  // control and check_invariants are observe-only (checked and unchecked
+  // runs are pinned bitwise-identical) and never enter the key.
 }
 
 }  // namespace crowdrank

@@ -209,15 +209,13 @@ InferenceResult InferenceEngine::infer_impl(const VoteBatch& votes,
                                             const HitAssignment* assignment,
                                             Rng& rng) const {
   InferenceResult result{Ranking::identity(object_count), 0.0, {}, {}, {},
-                         {}, 0, {}};
+                         0, {}};
 
-  // Install the configured sink (if any) for the whole run; instrumented
-  // code below and in the step implementations picks it up via
-  // trace::sink(). Restored on every exit path.
-  trace::ScopedSink scoped_sink(config_.trace);
-  // Stage validators (analysis/invariants.hpp) run between steps when asked
-  // to — one boolean test per stage otherwise. They observe, never mutate,
-  // so validated and unvalidated runs are bitwise-identical.
+  // Spans and metrics land in the calling thread's sink, if the caller
+  // installed one (trace::ScopedSink). Stage validators
+  // (analysis/invariants.hpp) run between steps when asked to — one
+  // boolean test per stage otherwise. They observe, never mutate, so
+  // validated and unvalidated runs are bitwise-identical.
   const bool validate =
       config_.check_invariants || analysis::invariant_checks_enabled();
   trace::Span root("infer");
@@ -249,13 +247,13 @@ InferenceResult InferenceEngine::infer_impl(const VoteBatch& votes,
   TruthDiscoveryResult step1;
   VoteIndex index;
   {
-    trace::StepScope phase(result.timings, "step1_truth_discovery");
+    trace::Span span("step1_truth_discovery");
     step1 = discover_truth(votes, object_count, worker_count,
                            config_.truth_discovery, &index);
-    if (phase.span().active()) {
-      phase.span().set_attr("iterations", step1.iterations);
-      phase.span().set_attr("converged", step1.converged);
-      phase.span().set_attr("tasks", step1.truths.size());
+    if (span.active()) {
+      span.set_attr("iterations", step1.iterations);
+      span.set_attr("converged", step1.converged);
+      span.set_attr("tasks", step1.truths.size());
     }
   }
   if (validate) {
@@ -271,20 +269,19 @@ InferenceResult InferenceEngine::infer_impl(const VoteBatch& votes,
                             : voting_workers(index);
 
   // Step 2: preference smoothing of the 1-edges. `direct` outlives the
-  // timed scope so the validators can diff it against the smoothed graph.
+  // step's span so the validators can diff it against the smoothed graph.
   const auto [direct, smoothed] = [&] {
-    trace::StepScope phase(result.timings, "step2_smoothing");
+    trace::Span span("step2_smoothing");
     PreferenceGraph direct_graph = step1.to_preference_graph(object_count);
     result.one_edge_count = direct_graph.one_edges().size();
     PreferenceGraph smoothed_graph =
         smooth_preferences(direct_graph, step1, task_workers,
                            config_.smoothing, &rng, &result.step2);
-    if (phase.span().active()) {
-      phase.span().set_attr("one_edges", result.one_edge_count);
-      phase.span().set_attr("one_edges_smoothed",
-                            result.step2.one_edges_smoothed);
-      phase.span().set_attr("strongly_connected_after",
-                            result.step2.strongly_connected_after);
+    if (span.active()) {
+      span.set_attr("one_edges", result.one_edge_count);
+      span.set_attr("one_edges_smoothed", result.step2.one_edges_smoothed);
+      span.set_attr("strongly_connected_after",
+                    result.step2.strongly_connected_after);
     }
     return std::pair{std::move(direct_graph), std::move(smoothed_graph)};
   }();
@@ -299,24 +296,21 @@ InferenceResult InferenceEngine::infer_impl(const VoteBatch& votes,
   // Step 3: transitive propagation into a complete, normalized closure.
   Matrix closure;
   {
-    trace::StepScope phase(result.timings, "step3_propagation");
+    trace::Span span("step3_propagation");
     closure = propagate_preferences(smoothed, config_.propagation,
                                     &result.step3);
-    if (phase.span().active()) {
-      phase.span().set_attr("pairs_without_evidence",
-                            result.step3.pairs_without_evidence);
-      phase.span().set_attr("complete", result.step3.complete);
+    if (span.active()) {
+      span.set_attr("pairs_without_evidence",
+                    result.step3.pairs_without_evidence);
+      span.set_attr("complete", result.step3.complete);
       if (config_.propagation.mode == PropagationMode::SpectralLimit) {
-        phase.span().set_attr("fill_ratio", result.step3.fill_ratio);
-        phase.span().set_attr("densify_step", result.step3.densify_step);
-        phase.span().set_attr("doubling_steps",
-                              result.step3.doubling_steps);
-        phase.span().set_attr("sparse_flops", result.step3.sparse_flops);
-        phase.span().set_attr("perron_iterations",
-                              result.step3.perron_iterations);
-        phase.span().set_attr("perron_ratio", result.step3.perron_ratio);
-        phase.span().set_attr("perron_fallback",
-                              result.step3.perron_fallback);
+        span.set_attr("fill_ratio", result.step3.fill_ratio);
+        span.set_attr("densify_step", result.step3.densify_step);
+        span.set_attr("doubling_steps", result.step3.doubling_steps);
+        span.set_attr("sparse_flops", result.step3.sparse_flops);
+        span.set_attr("perron_iterations", result.step3.perron_iterations);
+        span.set_attr("perron_ratio", result.step3.perron_ratio);
+        span.set_attr("perron_fallback", result.step3.perron_fallback);
       }
     }
   }
@@ -328,7 +322,7 @@ InferenceResult InferenceEngine::infer_impl(const VoteBatch& votes,
 
   // Step 4: find the best ranking (max-probability Hamiltonian path).
   {
-    trace::StepScope phase(result.timings, "step4_find_best_ranking");
+    trace::Span span("step4_find_best_ranking");
     switch (config_.search) {
       case RankSearchMethod::Saps: {
         const SapsResult saps = saps_search(closure, config_.saps, rng);
@@ -351,8 +345,8 @@ InferenceResult InferenceEngine::infer_impl(const VoteBatch& votes,
         break;
       }
     }
-    if (phase.span().active()) {
-      phase.span().set_attr("log_probability", result.log_probability);
+    if (span.active()) {
+      span.set_attr("log_probability", result.log_probability);
     }
   }
   if (validate) {

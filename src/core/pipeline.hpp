@@ -23,13 +23,8 @@
 #include "crowd/simulator.hpp"
 #include "crowd/vote.hpp"
 #include "metrics/ranking.hpp"
-#include "util/timer.hpp"
 
 namespace crowdrank {
-
-namespace trace {
-class TraceSink;
-}  // namespace trace
 
 /// One structured configuration problem found by a `validate()` pass:
 /// the offending field (dotted path, e.g. "saps.cooling_rate") and a
@@ -63,13 +58,6 @@ struct InferenceConfig {
   RankSearchMethod search = RankSearchMethod::Saps;
   SapsConfig saps;
   TapsConfig taps;
-  /// When non-null, the engine installs this sink (trace::ScopedSink) for
-  /// the duration of infer(): per-step spans, convergence series, and the
-  /// pool/kernel counters all land here. Null (the default) keeps the
-  /// entire tracing layer at zero overhead. The sink is observe-only —
-  /// instrumentation never touches RNG state, so traced and untraced runs
-  /// produce bitwise-identical results.
-  trace::TraceSink* trace = nullptr;
   /// Runs the analysis/invariants.hpp stage validators between pipeline
   /// steps (Step-1 truth/quality ranges, smoothing unanimity semantics,
   /// closure pair-normalization, ranking permutation). ORed with the
@@ -92,16 +80,17 @@ struct InferenceConfig {
   std::vector<ConfigError> validate() const;
 };
 
-/// Everything the pipeline learned, with per-step timings (Fig. 4's
-/// breakdown uses phases "step1_truth_discovery", "step2_smoothing",
-/// "step3_propagation", "step4_find_best_ranking").
+/// Everything the pipeline learned. Step times are not part of it: a run
+/// under a trace::ScopedSink records an `infer` span whose four children
+/// are "step1_truth_discovery", "step2_smoothing", "step3_propagation" and
+/// "step4_find_best_ranking" (Fig. 4's breakdown), and a StageControl
+/// sees the stage checkpoints between them.
 struct InferenceResult {
   Ranking ranking;                ///< the aggregated full ranking
   double log_probability = 0.0;   ///< log Pr of the chosen Hamiltonian path
   TruthDiscoveryResult step1;
   SmoothingStats step2;
   PropagationStats step3;
-  PhaseTimer timings;
   std::size_t one_edge_count = 0;  ///< 1-edges before smoothing
   /// Step 3's pair-normalized closure (n x n). Downstream consumers build
   /// on it: core/confidence.hpp annotates the ranking's boundaries,

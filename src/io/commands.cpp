@@ -279,12 +279,12 @@ int cmd_infer(const std::vector<std::string>& argv, std::ostream& out) {
   }
 
   InferenceConfig config = inference_from_args(args);
-  config.trace = sink.get();
   // Stage invariant validation: --check-invariants, or the process-wide
   // CROWDRANK_CHECK_INVARIANTS env switch (analysis/invariants.hpp).
   config.check_invariants = args.flag("check-invariants");
   const InferenceEngine engine(config);
   Rng rng(args.get_seed("seed", 1));
+  const trace::ScopedSink scoped_sink(sink.get());
   const InferenceResult result = engine.infer(votes, n, m, rng);
 
   out << "inferred full ranking of " << n << " objects from "
@@ -352,7 +352,6 @@ int cmd_infer(const std::vector<std::string>& argv, std::ostream& out) {
     run.note("perron_ratio", result.step3.perron_ratio);
     run.note("perron_fallback", result.step3.perron_fallback);
     run.capture(*sink);
-    run.capture(result.timings);
     CR_EXPECTS(report.write_file(metrics_path),
                "cannot write --metrics output file");
     out << "wrote " << metrics_path << "\n";
@@ -536,7 +535,11 @@ int cmd_serve(const std::vector<std::string>& argv, std::ostream& out) {
       load_job_records(args.require_string("jobs"));
   CR_EXPECTS(!records.empty(), "jobs file contains no jobs");
 
-  trace::TraceSink sink;
+  // Like infer, serve records a trace only when an output asks for one.
+  std::unique_ptr<trace::TraceSink> sink;
+  if (args.has("trace") || args.has("metrics")) {
+    sink = std::make_unique<trace::TraceSink>();
+  }
   service::ServiceConfig config;
   config.worker_count = args.get_size("service-workers", 1);
   config.queue_capacity = args.get_size("queue-capacity", records.size());
@@ -551,7 +554,7 @@ int cmd_serve(const std::vector<std::string>& argv, std::ostream& out) {
   config.default_deadline =
       std::chrono::milliseconds(args.get_size("deadline-ms", 0));
   config.check_invariants = args.flag("check-invariants");
-  config.trace = &sink;
+  config.trace = sink.get();
 
   // The live telemetry plane (--telemetry DIR): periodic JSONL +
   // Prometheus snapshots while the batch runs, plus per-job postmortems.
@@ -582,12 +585,6 @@ int cmd_serve(const std::vector<std::string>& argv, std::ostream& out) {
     cache.emplace(std::move(cache_config));
     config.cache = &*cache;
   }
-
-  // The service records its own per-job spans on `sink`; installing the
-  // same sink as the process-global one here additionally captures the
-  // engine's internal step spans (the sink is thread-safe and parentage
-  // is per-thread, so concurrent jobs interleave without corruption).
-  const trace::ScopedSink scoped(&sink);
 
   // Jobs whose votes file cannot be read still get a structured Failed
   // line instead of aborting the whole batch. `slots` maps each record to
@@ -680,7 +677,7 @@ int cmd_serve(const std::vector<std::string>& argv, std::ostream& out) {
   if (args.has("trace")) {
     std::ofstream os(args.value("trace"));
     CR_EXPECTS(os.good(), "cannot open --trace output file");
-    sink.write_chrome_trace(os);
+    sink->write_chrome_trace(os);
     out << "wrote " << args.value("trace") << "\n";
   }
   if (args.has("metrics")) {
@@ -694,7 +691,7 @@ int cmd_serve(const std::vector<std::string>& argv, std::ostream& out) {
     for (const auto& [name, count] : outcome_counts) {
       run.note("outcome_" + name, static_cast<std::int64_t>(count));
     }
-    run.capture(sink);
+    run.capture(*sink);
     CR_EXPECTS(report.write_file(args.value("metrics")),
                "cannot write --metrics output file");
     out << "wrote " << args.value("metrics") << "\n";

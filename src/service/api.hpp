@@ -83,7 +83,7 @@ struct Response {
   service::PartialRanking ranking;
   service::HardeningReport hardening;
   double log_probability = 0.0;
-  /// Full engine output (step diagnostics, timings) for the compact
+  /// Full engine output (step diagnostics) for the compact
   /// repaired batch; engaged only when `ok()` — and only on cold runs:
   /// a cache hit carries the deliverable, not engine internals (use
   /// CacheControl::Bypass to force a diagnostic run).

@@ -16,8 +16,8 @@
 // The callers keep their own personalities around it: the facade
 // validates the request shape first and forwards its caller-supplied
 // StageControl; the service polls its JobControl for the Hardening
-// checkpoint, applies fault-plan vote mutations, and nulls the per-job
-// trace sink before delegating. Abort semantics are preserved exactly:
+// checkpoint, applies fault-plan vote mutations, and installs its trace
+// sink around the job before delegating. Abort semantics are preserved exactly:
 // `run_ranking` maps std::exception onto a structured Failed outcome but
 // deliberately lets the service's JobInterrupt (not a std::exception)
 // propagate to the executor that threw it.

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <deque>
 #include <map>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -334,15 +335,13 @@ struct RankingService::Impl {
       telemetry->on_job_started(executor, ticket.id, r.queue_ms);
     }
 
+    // The job records into the service's sink on this executor, so the
+    // engine's spans nest under its service.job span.
     trace::TraceSink* sink = config.trace;
-    const std::size_t span =
-        sink != nullptr ? sink->open_span("service.job") : 0;
-    if (sink != nullptr) {
-      sink->span_attr(span, "id",
-                      static_cast<std::int64_t>(ticket.id));
-      sink->span_attr(span, "votes",
-                      static_cast<std::int64_t>(ticket.vote_count));
-    }
+    const trace::ScopedSink scoped_sink(sink);
+    std::optional<trace::Span> span(std::in_place, "service.job");
+    span->set_attr("id", ticket.id);
+    span->set_attr("votes", ticket.vote_count);
 
     // Which fault plans apply to this job: its own, plus the
     // service-level plan when the submission index matches.
@@ -368,12 +367,6 @@ struct RankingService::Impl {
         mutate_votes(votes, *plan, ticket.job.object_count);
       }
 
-      // Per-job engine sinks would race on the process-global active-sink
-      // pointer when jobs run concurrently; the service records per-job
-      // spans on its own sink instead.
-      InferenceConfig inference = ticket.job.inference;
-      inference.trace = nullptr;
-
       // The shared entry (rank_entry.hpp) runs cache lookup -> harden ->
       // infer -> id remap exactly as the api facade does; JobInterrupt
       // thrown by `control` at a checkpoint passes through it untouched.
@@ -382,7 +375,7 @@ struct RankingService::Impl {
       params.object_count = ticket.job.object_count;
       params.worker_count = ticket.job.worker_count;
       params.seed = ticket.job.seed;
-      params.inference = &inference;
+      params.inference = &ticket.job.inference;
       params.repair = true;
       params.hardening = &config.hardening;
       params.control = &control;
@@ -443,19 +436,20 @@ struct RankingService::Impl {
     }
     r.run_ms = run_watch.elapsed_millis();
 
+    const std::size_t span_index = span->index();
     if (sink != nullptr) {
-      sink->span_attr(span, "outcome", std::string(outcome_name(r.outcome)));
-      sink->span_attr(span, "stage", std::string(stage_name(r.stage)));
+      span->set_attr("outcome", outcome_name(r.outcome));
+      span->set_attr("stage", stage_name(r.stage));
       // Stamp the whole subtree (engine spans included) with the job
       // identity so interleaved executor timelines stay attributable.
-      sink->annotate_descendants(span, "job",
+      sink->annotate_descendants(span_index, "job",
                                  static_cast<std::int64_t>(ticket.id));
-      sink->annotate_descendants(span, "outcome",
+      sink->annotate_descendants(span_index, "outcome",
                                  std::string(outcome_name(r.outcome)));
       sink->metrics().histogram("service.job_ms").observe(r.run_ms);
       sink->metrics().histogram("service.queue_ms").observe(r.queue_ms);
-      sink->close_span(span);
     }
+    span.reset();  // closed before a postmortem snapshots it
     if (telemetry != nullptr) {
       telemetry->on_job_finished(executor, ticket.id,
                                  outcome_name(r.outcome),
@@ -465,7 +459,7 @@ struct RankingService::Impl {
           r.outcome == JobOutcome::TimedOut ||
           r.outcome == JobOutcome::Degraded) {
         telemetry->write_postmortem(
-            build_postmortem(ticket, executor, sink, span));
+            build_postmortem(ticket, executor, sink, span_index));
       }
     }
   }

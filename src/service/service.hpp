@@ -70,9 +70,9 @@ struct ServiceConfig {
   /// submission index it applies to.
   FaultPlan fault;
   /// Optional service-lifetime sink: per-job spans, queue-depth gauge,
-  /// outcome/shed counters, and latency histograms land here. The service
-  /// never installs it as the process-global sink — callers wanting the
-  /// engine's internal spans too wrap the run in a trace::ScopedSink.
+  /// outcome/shed counters, and latency histograms land here. Each
+  /// executor installs it (trace::ScopedSink) around every job it runs,
+  /// so the engine's spans nest under that job's `service.job` span.
   trace::TraceSink* trace = nullptr;
   /// Optional live telemetry plane (src/obs): flight-recorder events,
   /// stage/latency metrics, periodic snapshots, and per-job postmortems

@@ -70,6 +70,9 @@ struct ThreadPool::State {
   std::uint64_t generation CR_GUARDED_BY(mutex) = 0;
   const std::function<void(std::size_t)>* task CR_GUARDED_BY(mutex) =
       nullptr;
+  /// The region caller's trace sink; each worker lane installs it while
+  /// it drains, so tasks record where the caller's run records.
+  trace::TraceSink* sink CR_GUARDED_BY(mutex) = nullptr;
   std::size_t active_workers CR_GUARDED_BY(mutex) = 0;
   bool stopping CR_GUARDED_BY(mutex) = false;
 
@@ -260,11 +263,15 @@ void ThreadPool::worker_loop(std::size_t lane) {
       continue;
     }
     const auto* task = s.task;
+    trace::TraceSink* const sink = s.sink;
     lock.unlock();
 
-    t_in_region = true;
-    drain_timed(*task, lane);
-    t_in_region = false;
+    {
+      const trace::ScopedSink region_sink(sink);
+      t_in_region = true;
+      drain_timed(*task, lane);
+      t_in_region = false;
+    }
 
     lock.lock();
     if (--s.active_workers == 0) {
@@ -296,13 +303,14 @@ void ThreadPool::run(std::size_t count,
   CR_EXPECTS(count <= 0xffffffffu,
              "parallel region task count must fit in 32 bits");
   MutexLock region(s.region_mutex);
-  // Capture the sink once per region: lane busy times and the region
-  // summary must land in the same sink even if it is swapped mid-region.
+  // The caller's sink: every lane drains under it, and the region summary
+  // below lands in it.
   trace::TraceSink* ts = trace::sink();
   const auto region_start = std::chrono::steady_clock::now();
   {
     MutexLock lock(s.mutex);
     s.task = &task;
+    s.sink = ts;
     const std::size_t lanes_needed = s.workers.size() + 1;
     if (s.lane_count.load(std::memory_order_relaxed) != lanes_needed) {
       s.lanes =
@@ -332,6 +340,7 @@ void ThreadPool::run(std::size_t count,
     s.work_done.wait(s.mutex);
   }
   s.task = nullptr;
+  s.sink = nullptr;
   const std::size_t lanes = s.workers.size() + 1;
   if (ts != nullptr) {
     // Region summary: task throughput plus how much of the lanes' combined

@@ -20,9 +20,9 @@
 //    atomics with explicit memory_order arguments and a documented
 //    protocol comment; its runtime witness is the torn-read test.
 //  * Constructors/destructors are not analyzed, and conditional or
-//    address-ordered double locking (PhaseTimer::operator=) cannot be
-//    expressed — such functions carry CR_NO_THREAD_SAFETY_ANALYSIS with a
-//    comment explaining why the discipline holds anyway.
+//    address-ordered double locking cannot be expressed — such functions
+//    carry CR_NO_THREAD_SAFETY_ANALYSIS with a comment explaining why the
+//    discipline holds anyway (today only CondVar's wait internals).
 #pragma once
 
 #if defined(__clang__) && !defined(SWIG)

@@ -1,14 +1,8 @@
-// Wall-clock timing helpers used by the pipeline's per-step breakdown
-// (paper Fig. 4) and the bench harnesses.
+// Wall-clock stopwatch for code that times itself: the service's job and
+// stage telemetry, the examples and the bench harnesses.
 #pragma once
 
 #include <chrono>
-#include <string>
-#include <unordered_map>
-#include <vector>
-
-#include "util/mutex.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace crowdrank {
 
@@ -29,55 +23,6 @@ class Stopwatch {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Accumulates named phase durations, preserving first-seen order. The
-/// inference pipeline uses this to report Step 1-4 timings like Fig. 4.
-///
-/// add() and the readers are mutex-guarded: phase scopes can close on
-/// pooled code paths (e.g. trace::StepScope around a region that was
-/// dispatched from a worker lane), so concurrent add() calls must not
-/// corrupt the map. Reads taken while another thread is still adding see
-/// a consistent snapshot of whatever has been recorded so far.
-class PhaseTimer {
- public:
-  PhaseTimer() = default;
-  PhaseTimer(const PhaseTimer& other);
-  PhaseTimer& operator=(const PhaseTimer& other);
-
-  /// Adds `seconds` to the named phase (creating it on first use).
-  void add(const std::string& phase, double seconds);
-
-  /// Total seconds recorded for the phase (0 if never recorded).
-  double seconds(const std::string& phase) const;
-
-  /// Sum over all phases.
-  double total_seconds() const;
-
-  /// Phases in first-recorded order (copy: safe against concurrent add).
-  std::vector<std::string> phases() const;
-
-  void clear();
-
- private:
-  mutable Mutex mutex_;
-  std::unordered_map<std::string, double> totals_ CR_GUARDED_BY(mutex_);
-  std::vector<std::string> order_ CR_GUARDED_BY(mutex_);
-};
-
-/// RAII guard: adds the scope's duration to `timer[phase]` on destruction.
-class ScopedPhase {
- public:
-  ScopedPhase(PhaseTimer& timer, std::string phase)
-      : timer_(timer), phase_(std::move(phase)) {}
-  ScopedPhase(const ScopedPhase&) = delete;
-  ScopedPhase& operator=(const ScopedPhase&) = delete;
-  ~ScopedPhase() { timer_.add(phase_, watch_.elapsed_seconds()); }
-
- private:
-  PhaseTimer& timer_;
-  std::string phase_;
-  Stopwatch watch_;
 };
 
 }  // namespace crowdrank

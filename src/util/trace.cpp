@@ -1,5 +1,6 @@
 #include "util/trace.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -12,27 +13,27 @@ namespace crowdrank::trace {
 
 namespace {
 
-/// The process-wide active sink. Relaxed everywhere: installation happens
-/// before the instrumented region starts (ScopedSink / engine setup), and
-/// all sink internals are themselves synchronized.
-std::atomic<TraceSink*> g_sink{nullptr};
-
-/// Per-thread stack of open span indices, giving each thread's spans their
-/// parent. Only meaningful for spans of the currently active sink; the
-/// stack is naturally empty between runs because spans are RAII-scoped.
-thread_local std::vector<std::size_t> t_span_stack;
+/// The calling thread's active sink, and the innermost span this thread
+/// has open in it (the top of the sink's span stack on this thread).
+/// ScopedSink swaps both; each Span keeps the index it replaced, so the
+/// stack itself lives in the chain of open Span objects.
+thread_local TraceSink* t_sink = nullptr;
+thread_local std::size_t t_open_span = SpanRecord::kNoParent;
 
 }  // namespace
 
-TraceSink* sink() noexcept { return g_sink.load(std::memory_order_relaxed); }
+TraceSink* sink() noexcept { return t_sink; }
 
-void set_sink(TraceSink* s) noexcept {
-  g_sink.store(s, std::memory_order_relaxed);
+ScopedSink::ScopedSink(TraceSink* s) noexcept
+    : previous_sink_(t_sink), previous_span_(t_open_span) {
+  t_sink = s;
+  t_open_span = SpanRecord::kNoParent;
 }
 
-ScopedSink::ScopedSink(TraceSink* s) : previous_(sink()) { set_sink(s); }
-
-ScopedSink::~ScopedSink() { set_sink(previous_); }
+ScopedSink::~ScopedSink() {
+  t_sink = previous_sink_;
+  t_open_span = previous_span_;
+}
 
 TraceSink::TraceSink() : epoch_(std::chrono::steady_clock::now()) {}
 
@@ -47,19 +48,15 @@ std::vector<SpanRecord> TraceSink::spans() const {
   return spans_;
 }
 
-std::size_t TraceSink::open_span(const char* name) {
+std::size_t TraceSink::open_span(const char* name, std::size_t parent) {
   SpanRecord record;
   record.name = name;
   record.start_us = now_us();
   record.tid = metrics::thread_ordinal();
-  if (!t_span_stack.empty()) {
-    record.parent = t_span_stack.back();
-  }
+  record.parent = parent;
   MutexLock lock(mutex_);
-  const std::size_t index = spans_.size();
   spans_.push_back(std::move(record));
-  t_span_stack.push_back(index);
-  return index;
+  return spans_.size() - 1;
 }
 
 void TraceSink::close_span(std::size_t index) {
@@ -67,9 +64,6 @@ void TraceSink::close_span(std::size_t index) {
   MutexLock lock(mutex_);
   if (index < spans_.size()) {
     spans_[index].dur_us = end_us - spans_[index].start_us;
-  }
-  if (!t_span_stack.empty() && t_span_stack.back() == index) {
-    t_span_stack.pop_back();
   }
 }
 
@@ -98,15 +92,18 @@ void TraceSink::annotate_descendants(std::size_t root, const char* key,
   }
 }
 
-Span::Span(const char* name) : sink_(trace::sink()) {
+Span::Span(const char* name) : sink_(t_sink) {
   if (sink_ != nullptr) {
-    index_ = sink_->open_span(name);
+    parent_ = t_open_span;
+    index_ = sink_->open_span(name, parent_);
+    t_open_span = index_;
   }
 }
 
 Span::~Span() {
   if (sink_ != nullptr) {
     sink_->close_span(index_);
+    t_open_span = parent_;
   }
 }
 
@@ -297,12 +294,22 @@ void RunReport::Run::capture(const TraceSink& sink) {
   gauges_ = m.gauges();
   histograms_ = m.histograms();
   series_ = m.all_series();
+  for (const SpanRecord& span : spans_) {
+    if (span.parent != SpanRecord::kNoParent &&
+        spans_[span.parent].parent == SpanRecord::kNoParent) {
+      phase(span.name, span.dur_us * 1e-3);
+    }
+  }
 }
 
-void RunReport::Run::capture(const PhaseTimer& timer) {
-  phases_ms_.clear();
-  for (const std::string& phase : timer.phases()) {
-    phases_ms_.emplace_back(phase, timer.seconds(phase) * 1e3);
+void RunReport::Run::phase(const std::string& name, double ms) {
+  const auto it =
+      std::find_if(phases_ms_.begin(), phases_ms_.end(),
+                   [&](const auto& entry) { return entry.first == name; });
+  if (it == phases_ms_.end()) {
+    phases_ms_.emplace_back(name, ms);
+  } else {
+    it->second += ms;
   }
 }
 

@@ -6,12 +6,16 @@
 //    time, thread, parent, key=value attributes) plus the counters /
 //    gauges / histograms / series of its `metrics::Registry`.
 //  * Instrumented code never holds a sink directly; it consults the
-//    process-wide *active* sink (`trace::sink()`, a relaxed atomic
-//    pointer, null by default). `ScopedSink` installs one for a scope;
-//    `InferenceEngine` installs `InferenceConfig::trace` for the duration
-//    of `infer()`.
+//    calling thread's *active* sink (`trace::sink()`, a thread-local
+//    pointer, null by default). `ScopedSink` is the only installer: a
+//    caller wraps a run in one, and the run records into that sink
+//    whatever else runs concurrently on other threads. `ThreadPool::run`
+//    hands the caller's sink to its worker lanes for the region.
+//  * Each installed sink gets its own span stack, so a span's parent is
+//    always a span of the same sink: a `ScopedSink` opened inside a span
+//    starts a fresh tree.
 //  * With no active sink every primitive is a no-op that performs **no
-//    allocation and no synchronization** beyond one relaxed atomic load —
+//    allocation and no synchronization** beyond one thread-local load —
 //    tests/util/test_trace.cpp pins the zero-allocation property, and
 //    bench/perf_pipeline is the <2% overhead regression anchor.
 //  * Tracing never perturbs results: instrumentation only reads the data
@@ -24,10 +28,11 @@
 //    events, series as counter "C" tracks.
 //  * `RunReport` — a flat report JSON: build info stamp, config echo
 //    notes, and per-run spans/phases/counters/gauges/histograms/series.
+//    A run's phases are the per-name totals of its root spans' children
+//    (the four steps under `infer`), or figures a bench times itself.
 //    The CLI's `--metrics` and bench/perf_pipeline both emit this format.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -41,7 +46,6 @@
 #include "util/metrics.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
-#include "util/timer.hpp"
 
 namespace crowdrank::trace {
 
@@ -56,7 +60,7 @@ struct SpanRecord {
   double dur_us = 0.0;    ///< 0 while the span is still open
   std::uint32_t tid = 0;  ///< metrics::thread_ordinal() of the opener
   /// Index of the parent span in the sink's span list, or kNoParent for a
-  /// root. Parentage follows the opener thread's span stack.
+  /// root. Parentage follows the opener thread's span stack for the sink.
   std::size_t parent = kNoParent;
   std::vector<std::pair<std::string, AttrValue>> attrs;
 
@@ -64,8 +68,7 @@ struct SpanRecord {
 };
 
 /// Collects one run's spans and metrics. Thread-safe; create on the stack,
-/// install with `ScopedSink` (or `InferenceConfig::trace`), export after
-/// the run.
+/// install with `ScopedSink`, export after the run.
 class TraceSink {
  public:
   TraceSink();
@@ -92,12 +95,12 @@ class TraceSink {
   void annotate_descendants(std::size_t root, const char* key,
                             AttrValue value);
 
-  // -- span bookkeeping (used by Span; not for direct calls) --
-  std::size_t open_span(const char* name);
+ private:
+  friend class Span;
+  std::size_t open_span(const char* name, std::size_t parent);
   void close_span(std::size_t index);
   void span_attr(std::size_t index, const char* key, AttrValue value);
 
- private:
   std::chrono::steady_clock::time_point epoch_;
   mutable Mutex mutex_;
   std::vector<SpanRecord> spans_ CR_GUARDED_BY(mutex_);
@@ -105,29 +108,28 @@ class TraceSink {
   metrics::Registry metrics_;
 };
 
-/// The process-wide active sink (null by default). Relaxed atomic load:
-/// this is the only cost instrumentation pays when tracing is off.
+/// The calling thread's active sink (null by default). One thread-local
+/// load: this is the only cost instrumentation pays when tracing is off.
 TraceSink* sink() noexcept;
 
-/// Installs `s` as the active sink (pass nullptr to disable). Prefer
-/// ScopedSink, which restores the previous sink on scope exit.
-void set_sink(TraceSink* s) noexcept;
-
-/// RAII installer for the active sink.
+/// RAII installer of the calling thread's active sink, with an empty span
+/// stack of its own; restores the previous sink and stack on scope exit.
+/// `ScopedSink(nullptr)` turns tracing off for the scope.
 class ScopedSink {
  public:
-  explicit ScopedSink(TraceSink* s);
+  explicit ScopedSink(TraceSink* s) noexcept;
   ScopedSink(const ScopedSink&) = delete;
   ScopedSink& operator=(const ScopedSink&) = delete;
   ~ScopedSink();
 
  private:
-  TraceSink* previous_;
+  TraceSink* previous_sink_;
+  std::size_t previous_span_;
 };
 
 /// RAII span. No-op (no allocation, no locks) when no sink is active at
-/// construction. Spans nest per thread: a span opened while another span
-/// of the same thread is open becomes its child.
+/// construction. Spans nest per thread and sink: a span opened while
+/// another span of the same thread and sink is open becomes its child.
 class Span {
  public:
   /// `name` must outlive the constructor call (string literals in
@@ -139,6 +141,8 @@ class Span {
 
   /// True when this span is being recorded.
   bool active() const noexcept { return sink_ != nullptr; }
+  /// This span's index in its sink's span list (meaningful when active).
+  std::size_t index() const noexcept { return index_; }
 
   void set_attr(const char* key, std::int64_t value);
   void set_attr(const char* key, std::uint64_t value);
@@ -150,34 +154,14 @@ class Span {
  private:
   TraceSink* sink_ = nullptr;
   std::size_t index_ = 0;
-};
-
-/// Span that also feeds a PhaseTimer on destruction, preserving the
-/// pipeline's historical Fig.-4 per-step totals (same phase names, same
-/// Stopwatch measurement) while adding the span to the trace.
-class StepScope {
- public:
-  StepScope(PhaseTimer& timer, const char* phase)
-      : span_(phase), timer_(timer), phase_(phase) {}
-  StepScope(const StepScope&) = delete;
-  StepScope& operator=(const StepScope&) = delete;
-  ~StepScope() { timer_.add(phase_, watch_.elapsed_seconds()); }
-
-  Span& span() { return span_; }
-
- private:
-  Span span_;  // declared first: closes (member dtor) after the timer feed
-  PhaseTimer& timer_;
-  const char* phase_;
-  Stopwatch watch_;
+  std::size_t parent_ = SpanRecord::kNoParent;
 };
 
 /// Metric handles on the active sink, or nullptr when tracing is off.
 /// Idiom: resolve once at function/stage entry, then guard updates with
 /// `if (h) h->...`. The name-lookup cost (one mutex + map) is paid only
 /// while tracing. Guard every handle on its own, or take one `sink()`
-/// snapshot for several: concurrent engine runs swap the active sink, so
-/// one lookup can succeed and the next return null.
+/// snapshot for several updates.
 metrics::Counter* counter(const char* name);
 metrics::Gauge* gauge(const char* name);
 metrics::Histogram* histogram(const char* name);
@@ -197,7 +181,8 @@ using NoteValue = std::variant<std::int64_t, double, bool, std::string>;
 /// Builder for the run-report JSON. Stamped with build info (generated
 /// version.hpp) at construction; `note()` echoes config scalars;
 /// `add_run()` opens a labeled run section that can capture a TraceSink
-/// (spans + metrics) and a PhaseTimer (per-stage totals).
+/// (spans, metrics and the phase totals they imply) and phase times a
+/// caller measured itself.
 class RunReport {
  public:
   class Run {
@@ -205,10 +190,11 @@ class RunReport {
     explicit Run(std::string label) : label_(std::move(label)) {}
 
     void note(const std::string& key, NoteValue value);
-    /// Snapshots the sink's spans, counters, gauges, histograms, series.
+    /// Snapshots the sink's spans, counters, gauges, histograms, series,
+    /// and adds each root span's children to the phases by name.
     void capture(const TraceSink& sink);
-    /// Snapshots per-phase totals (milliseconds).
-    void capture(const PhaseTimer& timer);
+    /// Adds `ms` to the named phase, kept in first-seen order.
+    void phase(const std::string& name, double ms);
 
    private:
     friend class RunReport;

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/pipeline.hpp"
@@ -307,13 +309,13 @@ TEST_F(DeterminismTest, TracingNeverPerturbsPipelineResults) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     set_thread_count(threads);
 
-    config.inference.trace = nullptr;
     const ExperimentResult plain = run_experiment(config);
 
     trace::TraceSink sink;
-    config.inference.trace = &sink;
-    const ExperimentResult traced = run_experiment(config);
-    config.inference.trace = nullptr;
+    const ExperimentResult traced = [&] {
+      const trace::ScopedSink scoped(&sink);
+      return run_experiment(config);
+    }();
 
     EXPECT_EQ(plain.inference.closure, traced.inference.closure)
         << "threads = " << threads;
@@ -333,6 +335,114 @@ TEST_F(DeterminismTest, TracingNeverPerturbsPipelineResults) {
     EXPECT_EQ(spans[1].parent, 0u);
     EXPECT_GT(sink.metrics().counter("truth_discovery.iterations").value(),
               0u);
+  }
+}
+
+/// All pairs of `n` objects, three workers, one vote in five flipped: a
+/// batch the engine has to smooth and search, not just read off.
+VoteBatch noisy_batch(std::size_t n) {
+  VoteBatch votes;
+  for (WorkerId w = 0; w < 3; ++w) {
+    for (VertexId i = 0; i < n; ++i) {
+      for (VertexId j = i + 1; j < n; ++j) {
+        votes.push_back(Vote{w, i, j, (i * 7 + j * 3 + w) % 5 != 0});
+      }
+    }
+  }
+  return votes;
+}
+
+/// Indices of the spans whose parent is `parent`, in open order.
+std::vector<std::size_t> children_of(
+    const std::vector<trace::SpanRecord>& spans, std::size_t parent) {
+  std::vector<std::size_t> out;
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    if (spans[i].parent == parent) out.push_back(i);
+  }
+  return out;
+}
+
+/// The names of the spans at `indices`.
+std::vector<std::string> names_of(const std::vector<trace::SpanRecord>& spans,
+                                  const std::vector<std::size_t>& indices) {
+  std::vector<std::string> out;
+  for (const std::size_t i : indices) out.push_back(spans[i].name);
+  return out;
+}
+
+const std::vector<std::string> kStepNames = {
+    "step1_truth_discovery", "step2_smoothing", "step3_propagation",
+    "step4_find_best_ranking"};
+
+TEST_F(DeterminismTest, EngineRecordsIntoTheCallersSinkAndLeavesItInstalled) {
+  const std::size_t n = 12;
+  const VoteBatch votes = noisy_batch(n);
+  trace::TraceSink sink;
+  {
+    const trace::ScopedSink scoped(&sink);
+    Rng rng(3);
+    InferenceEngine{}.infer(votes, n, 3, rng);
+    EXPECT_EQ(trace::sink(), &sink);
+  }
+  const auto spans = sink.spans();
+  const std::vector<std::size_t> roots =
+      children_of(spans, trace::SpanRecord::kNoParent);
+  ASSERT_FALSE(roots.empty());
+  EXPECT_EQ(spans[roots.front()].name, "infer");
+  EXPECT_EQ(names_of(spans, children_of(spans, roots.front())), kStepNames);
+}
+
+TEST_F(DeterminismTest, ConcurrentRunsEachRecordOnlyIntoTheirOwnSink) {
+  // Two threads share the pool, each running under its own sink: every
+  // run's spans, worker lanes included, must land in its thread's sink,
+  // and tracing must not change a bit of any result.
+  constexpr std::size_t kRuns = 8;
+  const std::size_t n = 30;
+  const VoteBatch votes = noisy_batch(n);
+  set_thread_count(4);
+  const auto run_all = [&](std::vector<InferenceResult>& out) {
+    for (std::size_t k = 0; k < kRuns; ++k) {
+      Rng rng(100 + k);
+      out.push_back(InferenceEngine{}.infer(votes, n, 3, rng));
+    }
+  };
+  std::vector<InferenceResult> untraced;
+  run_all(untraced);
+
+  trace::TraceSink sinks[2];
+  std::vector<InferenceResult> traced[2];
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      const trace::ScopedSink scoped(&sinks[t]);
+      run_all(traced[t]);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (std::size_t t = 0; t < 2; ++t) {
+    SCOPED_TRACE("thread " + std::to_string(t));
+    const auto spans = sinks[t].spans();
+    std::size_t infer_spans = 0;
+    for (const trace::SpanRecord& span : spans) {
+      infer_spans += span.name == "infer" ? 1 : 0;
+    }
+    EXPECT_EQ(infer_spans, kRuns);
+    std::size_t infer_roots = 0;
+    for (const std::size_t root :
+         children_of(spans, trace::SpanRecord::kNoParent)) {
+      if (spans[root].name != "infer") continue;  // a worker lane's span
+      ++infer_roots;
+      EXPECT_EQ(names_of(spans, children_of(spans, root)), kStepNames);
+    }
+    EXPECT_EQ(infer_roots, kRuns);
+    ASSERT_EQ(traced[t].size(), kRuns);
+    for (std::size_t k = 0; k < kRuns; ++k) {
+      EXPECT_EQ(traced[t][k].ranking, untraced[k].ranking) << "run " << k;
+      EXPECT_EQ(traced[t][k].log_probability, untraced[k].log_probability)
+          << "run " << k;
+      EXPECT_EQ(traced[t][k].closure, untraced[k].closure) << "run " << k;
+    }
   }
 }
 

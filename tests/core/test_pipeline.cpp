@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "metrics/kendall.hpp"
 #include "util/error.hpp"
+#include "util/trace.hpp"
 
 namespace crowdrank {
 namespace {
@@ -63,14 +67,28 @@ TEST(Pipeline, BiggerBudgetHelps) {
 }
 
 TEST(Pipeline, PhaseTimingsCoverAllFourSteps) {
-  const ExperimentResult r = run_experiment(base_config());
-  const auto& phases = r.inference.timings.phases();
-  ASSERT_EQ(phases.size(), 4u);
-  EXPECT_EQ(phases[0], "step1_truth_discovery");
-  EXPECT_EQ(phases[1], "step2_smoothing");
-  EXPECT_EQ(phases[2], "step3_propagation");
-  EXPECT_EQ(phases[3], "step4_find_best_ranking");
-  EXPECT_GT(r.inference.timings.total_seconds(), 0.0);
+  trace::TraceSink sink;
+  {
+    const trace::ScopedSink scoped(&sink);
+    run_experiment(base_config());
+  }
+  const auto spans = sink.spans();
+  ASSERT_FALSE(spans.empty());
+  EXPECT_EQ(spans[0].name, "infer");
+  EXPECT_EQ(spans[0].parent, trace::SpanRecord::kNoParent);
+  std::vector<std::string> steps;
+  double step_us = 0.0;
+  for (const trace::SpanRecord& span : spans) {
+    if (span.parent == 0) {
+      steps.push_back(span.name);
+      step_us += span.dur_us;
+    }
+  }
+  EXPECT_EQ(steps, (std::vector<std::string>{
+                       "step1_truth_discovery", "step2_smoothing",
+                       "step3_propagation", "step4_find_best_ranking"}));
+  EXPECT_GT(step_us, 0.0);
+  EXPECT_LE(step_us, spans[0].dur_us);
 }
 
 TEST(Pipeline, DiagnosticsAreConsistent) {

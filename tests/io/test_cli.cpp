@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "io/records.hpp"
 #include "metrics/kendall.hpp"
@@ -277,7 +279,22 @@ TEST(Cli, InferWritesTraceAndMetricsFiles) {
   std::stringstream report_text;
   report_text << report_in.rdbuf();
   EXPECT_NE(report_text.str().find("\"build\""), std::string::npos);
-  EXPECT_NE(report_text.str().find("\"phases_ms\""), std::string::npos);
+  // The phases are the infer span's four steps, in order.
+  const std::string report = report_text.str();
+  const std::size_t phases_at = report.find("\"phases_ms\": {");
+  ASSERT_NE(phases_at, std::string::npos);
+  const std::string phases =
+      report.substr(phases_at, report.find('}', phases_at) - phases_at);
+  std::size_t previous = 0;
+  for (const char* step :
+       {"step1_truth_discovery", "step2_smoothing", "step3_propagation",
+        "step4_find_best_ranking"}) {
+    const std::size_t at = phases.find(std::string("\"") + step + "\": ");
+    ASSERT_NE(at, std::string::npos) << step;
+    EXPECT_GT(at, previous) << step;
+    previous = at;
+  }
+  EXPECT_EQ(std::count(phases.begin(), phases.end(), ':'), 5);
   EXPECT_NE(report_text.str().find("truth_discovery.delta"),
             std::string::npos);
   for (const char* key :
@@ -411,6 +428,45 @@ TEST(Cli, ServeIsDeterministicAcrossServiceWorkerCounts) {
     return text.str();
   };
   EXPECT_EQ(results_text("1"), results_text("3"));
+}
+
+TEST(Cli, ServeTraceRecordsEveryJobsEngineSteps) {
+  const TempDir dir;
+  std::string out;
+  ASSERT_EQ(run({"simulate", "--object-count", "12", "--selection-ratio",
+                 "0.6", "--seed", "8", "--votes-out",
+                 dir.file("votes.csv")},
+                &out),
+            0);
+  constexpr int kJobs = 4;
+  {
+    std::ofstream jobs(dir.file("jobs.jsonl"));
+    for (int k = 1; k <= kJobs; ++k) {
+      jobs << "{\"id\": " << k << ", \"votes\": \"" << dir.file("votes.csv")
+           << "\", \"seed\": " << k << "}\n";
+    }
+  }
+  ASSERT_EQ(run({"serve", "--jobs", dir.file("jobs.jsonl"),
+                 "--service-workers", "2", "--trace", dir.file("trace.json")},
+                &out),
+            0);
+  std::ifstream in(dir.file("trace.json"));
+  std::stringstream text;
+  text << in.rdbuf();
+  const auto count = [&](const std::string& name) {
+    const std::string needle = "\"name\":\"" + name + "\"";
+    int found = 0;
+    for (std::size_t at = text.str().find(needle); at != std::string::npos;
+         at = text.str().find(needle, at + 1)) {
+      ++found;
+    }
+    return found;
+  };
+  for (const char* name :
+       {"service.job", "infer", "step1_truth_discovery", "step2_smoothing",
+        "step3_propagation", "step4_find_best_ranking"}) {
+    EXPECT_EQ(count(name), kJobs) << name;
+  }
 }
 
 TEST(Cli, ServeTelemetryWritesArtifactsAndTopRendersThem) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <vector>
 
 #include "core/pipeline.hpp"
 #include "graph/preference_graph.hpp"
@@ -14,6 +15,14 @@ namespace {
 using SweepParam =
     std::tuple<std::size_t /*n*/, double /*ratio*/, QualityDistribution,
                QualityLevel>;
+
+/// Records the stage each engine checkpoint announces.
+struct StageRecorder final : StageControl {
+  std::vector<PipelineStage> seen;
+  void checkpoint(const StageSnapshot& snapshot) override {
+    seen.push_back(snapshot.next);
+  }
+};
 
 class PipelineInvariants : public ::testing::TestWithParam<SweepParam> {};
 
@@ -27,6 +36,8 @@ TEST_P(PipelineInvariants, HoldAcrossTheGrid) {
   config.worker_quality = {dist, level};
   config.inference.saps.iterations = 600;  // speed over polish here
   config.seed = 1000 + n * 7 + static_cast<std::size_t>(ratio * 100);
+  StageRecorder stages;
+  config.inference.control = &stages;
   const ExperimentResult r = run_experiment(config);
 
   // 1. Output is a full ranking over exactly the n objects.
@@ -64,8 +75,13 @@ TEST_P(PipelineInvariants, HoldAcrossTheGrid) {
   EXPECT_GE(r.accuracy, 0.0);
   EXPECT_LE(r.accuracy, 1.0);
 
-  // 8. Timings exist for all four steps.
-  EXPECT_EQ(r.inference.timings.phases().size(), 4u);
+  // 8. The engine checkpoints before each of the four steps and once when
+  //    done, in order.
+  EXPECT_EQ(stages.seen,
+            (std::vector<PipelineStage>{
+                PipelineStage::TruthDiscovery, PipelineStage::Smoothing,
+                PipelineStage::Propagation, PipelineStage::RankSearch,
+                PipelineStage::Done}));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -7,13 +7,22 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <unistd.h>
+#include <variant>
 #include <vector>
 
 #include "core/checkpoint.hpp"
 #include "core/pipeline.hpp"
 #include "crowd/vote.hpp"
+#include "obs/json.hpp"
+#include "obs/telemetry.hpp"
+#include "util/trace.hpp"
 
 namespace crowdrank::service {
 namespace {
@@ -404,6 +413,129 @@ TEST(ServiceDeterminismTest, IdenticalResultsAtOneAndManyExecutors) {
     EXPECT_EQ(solo[k].hardening.retained_votes,
               fleet[k].hardening.retained_votes);
   }
+}
+
+// ---------------------------------------------------------------------
+// Tracing: each executor installs the service's sink around its job, so
+// the engine's spans nest under that job's service.job span.
+// ---------------------------------------------------------------------
+
+const std::vector<std::string> kStepNames = {
+    "step1_truth_discovery", "step2_smoothing", "step3_propagation",
+    "step4_find_best_ranking"};
+
+/// Indices of the spans whose parent is `parent`, in open order.
+std::vector<std::size_t> children_of(
+    const std::vector<trace::SpanRecord>& spans, std::size_t parent) {
+  std::vector<std::size_t> out;
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    if (spans[i].parent == parent) out.push_back(i);
+  }
+  return out;
+}
+
+/// The integer attribute `key` of `span`, or -1 when it has none.
+std::int64_t int_attr(const trace::SpanRecord& span, const char* key) {
+  for (const auto& [name, value] : span.attrs) {
+    if (name == key) return std::get<std::int64_t>(value);
+  }
+  return -1;
+}
+
+TEST(ServiceTraceTest, EveryJobSpanHoldsItsOwnEngineSpans) {
+  trace::TraceSink sink;
+  ServiceConfig config;
+  config.worker_count = 2;
+  config.trace = &sink;
+  {
+    RankingService svc(config);
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      RankingJob job = clean_job(7);
+      job.seed = seed;
+      svc.submit(std::move(job));
+    }
+    for (const JobResult& r : svc.drain()) {
+      ASSERT_EQ(r.outcome, JobOutcome::Completed) << r.reason;
+    }
+  }
+
+  const auto spans = sink.spans();
+  std::size_t jobs = 0;
+  for (std::size_t j = 0; j < spans.size(); ++j) {
+    if (spans[j].name != "service.job") continue;
+    ++jobs;
+    const std::int64_t id = int_attr(spans[j], "id");
+    SCOPED_TRACE("job " + std::to_string(id));
+    EXPECT_EQ(spans[j].parent, trace::SpanRecord::kNoParent);
+    const std::vector<std::size_t> infer = children_of(spans, j);
+    ASSERT_EQ(infer.size(), 1u);
+    EXPECT_EQ(spans[infer[0]].name, "infer");
+    std::vector<std::string> steps;
+    for (const std::size_t s : children_of(spans, infer[0])) {
+      steps.push_back(spans[s].name);
+    }
+    EXPECT_EQ(steps, kStepNames);
+    // Every descendant, however deep, carries this job's id.
+    for (std::size_t d = j + 1; d < spans.size(); ++d) {
+      std::size_t p = spans[d].parent;
+      while (p != trace::SpanRecord::kNoParent && p > j) p = spans[p].parent;
+      if (p == j) {
+        EXPECT_EQ(int_attr(spans[d], "job"), id) << spans[d].name;
+      }
+    }
+  }
+  EXPECT_EQ(jobs, 6u);
+}
+
+TEST(ServiceTraceTest, PostmortemOfAJobFailedMidPipelineHoldsItsSpanTree) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("crowdrank_service_trace_" +
+                        std::to_string(::getpid()));
+  fs::remove_all(dir);
+  obs::TelemetryConfig telemetry_config;
+  telemetry_config.directory = dir.string();
+  telemetry_config.period = milliseconds(0);
+  trace::TraceSink sink;
+  {
+    obs::Telemetry telemetry(telemetry_config, /*executor_count=*/1);
+    ServiceConfig config;
+    config.telemetry = &telemetry;
+    config.trace = &sink;
+    RankingService svc(config);
+    // A healthy job first, so the failed job's subtree sits mid-list and
+    // must be re-indexed.
+    ASSERT_EQ(svc.wait(svc.submit(clean_job())).outcome,
+              JobOutcome::Completed);
+    RankingJob failing = clean_job();
+    failing.fault.fail_before = PipelineStage::RankSearch;
+    ASSERT_EQ(svc.wait(svc.submit(std::move(failing))).outcome,
+              JobOutcome::Failed);
+  }
+
+  std::ifstream in(dir / "postmortems" / "job_2_failed.json");
+  ASSERT_TRUE(in.good());
+  std::stringstream text;
+  text << in.rdbuf();
+  fs::remove_all(dir);
+  const obs::JsonValue doc = obs::parse_json(text.str());
+  const obs::JsonValue* spans = doc.find("spans");
+  ASSERT_NE(spans, nullptr);
+  std::vector<std::string> names;
+  std::vector<double> parents;
+  for (const obs::JsonValue& span : spans->items) {
+    names.push_back(span.string_at("name"));
+    parents.push_back(span.number_at("parent"));
+    const obs::JsonValue* attrs = span.find("attrs");
+    ASSERT_NE(attrs, nullptr);
+    if (names.size() > 1) {
+      EXPECT_EQ(attrs->number_at("job"), 2.0) << names.back();
+    }
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{
+                       "service.job", "infer", "step1_truth_discovery",
+                       "step2_smoothing", "step3_propagation"}));
+  EXPECT_EQ(parents, (std::vector<double>{-1, 0, 1, 1, 1}));
 }
 
 }  // namespace

@@ -80,33 +80,6 @@ TEST(Timer, StopwatchAdvances) {
   EXPECT_GT(w.elapsed_millis(), 0.0);
 }
 
-TEST(Timer, PhaseTimerAccumulatesInOrder) {
-  PhaseTimer t;
-  t.add("step1", 1.0);
-  t.add("step2", 2.0);
-  t.add("step1", 0.5);
-  EXPECT_DOUBLE_EQ(t.seconds("step1"), 1.5);
-  EXPECT_DOUBLE_EQ(t.seconds("step2"), 2.0);
-  EXPECT_DOUBLE_EQ(t.seconds("missing"), 0.0);
-  EXPECT_DOUBLE_EQ(t.total_seconds(), 3.5);
-  ASSERT_EQ(t.phases().size(), 2u);
-  EXPECT_EQ(t.phases()[0], "step1");
-  EXPECT_EQ(t.phases()[1], "step2");
-  t.clear();
-  EXPECT_TRUE(t.phases().empty());
-  EXPECT_DOUBLE_EQ(t.total_seconds(), 0.0);
-}
-
-TEST(Timer, ScopedPhaseRecordsOnExit) {
-  PhaseTimer t;
-  {
-    ScopedPhase p(t, "scope");
-    volatile double sink = 0.0;
-    for (int i = 0; i < 10000; ++i) sink = sink + 1.0;
-  }
-  EXPECT_GT(t.seconds("scope"), 0.0);
-}
-
 TEST(Logging, LevelGating) {
   Logger& logger = Logger::instance();
   const LogLevel saved = logger.level();

@@ -1,8 +1,9 @@
-// Tracing/metrics layer tests: span tree shape, sharded-counter merges
-// under the thread pool, exporter JSON well-formedness (checked with a
-// small recursive-descent parser below), and the zero-allocation guarantee
-// of the disabled-sink path (checked with the global operator new override
-// at the bottom of this file — which is why this suite is its own binary).
+// Tracing/metrics layer tests: span tree shape, per-thread sinks and their
+// handoff to pool lanes, sharded-counter merges under the thread pool,
+// exporter JSON well-formedness (checked with a small recursive-descent
+// parser below), and the zero-allocation guarantee of the disabled-sink
+// path (checked with the global operator new override at the bottom of
+// this file — which is why this suite is its own binary).
 //
 // The allocator overrides route through malloc/free, which GCC's inliner
 // misreads as new/free mismatches at the use sites — a false positive for
@@ -11,19 +12,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "util/build_info.hpp"
 #include "util/parallel.hpp"
-#include "util/timer.hpp"
 #include "util/trace.hpp"
 
 namespace {
@@ -253,10 +256,11 @@ JsonValue parse_json(const std::string& text) {
 
 class TraceTest : public ::testing::Test {
  protected:
-  void TearDown() override {
-    trace::set_sink(nullptr);
-    set_thread_count(configured_thread_count());
-  }
+  void TearDown() override { set_thread_count(configured_thread_count()); }
+
+  // Every test starts with no sink on this thread, and whatever it
+  // installs is gone once it ends.
+  const trace::ScopedSink no_sink_{nullptr};
 };
 
 TEST_F(TraceTest, SpansNestUnderTheEnclosingSpanOfTheSameThread) {
@@ -310,27 +314,71 @@ TEST_F(TraceTest, SpanAttributesAreRecordedWithTheirTypes) {
   EXPECT_EQ(std::get<std::string>(spans[0].attrs[3].second), "hello");
 }
 
-TEST_F(TraceTest, StepScopeFeedsThePhaseTimerIdenticallyToScopedPhase) {
-  PhaseTimer timer;
-  trace::TraceSink sink;
+TEST_F(TraceTest, AScopedSinkOpenedInsideASpanStartsItsOwnTree) {
+  trace::TraceSink outer_sink;
+  trace::TraceSink inner_sink;
   {
-    trace::ScopedSink scoped(&sink);
-    trace::StepScope scope(timer, "step1_truth_discovery");
+    const trace::ScopedSink outer_scope(&outer_sink);
+    trace::Span outer("outer");
+    {
+      const trace::ScopedSink inner_scope(&inner_sink);
+      trace::Span first("first");
+      trace::Span nested("nested");
+    }
+    trace::Span after("after");
   }
-  // Same phase name lands in the timer whether or not tracing is on, so
-  // Fig.-4 breakdowns are unchanged; the span mirrors it in the trace.
-  EXPECT_EQ(timer.phases(),
-            std::vector<std::string>{"step1_truth_discovery"});
-  EXPECT_GE(timer.seconds("step1_truth_discovery"), 0.0);
-  const auto spans = sink.spans();
-  ASSERT_EQ(spans.size(), 1u);
-  EXPECT_EQ(spans[0].name, "step1_truth_discovery");
+  const auto inner = inner_sink.spans();
+  ASSERT_EQ(inner.size(), 2u);
+  EXPECT_EQ(inner[0].name, "first");
+  EXPECT_EQ(inner[0].parent, trace::SpanRecord::kNoParent);
+  EXPECT_EQ(inner[1].parent, 0u);
+  // The outer tree is untouched: its open span is still the parent once
+  // the inner sink is gone.
+  const auto outer = outer_sink.spans();
+  ASSERT_EQ(outer.size(), 2u);
+  EXPECT_EQ(outer[0].name, "outer");
+  EXPECT_EQ(outer[0].parent, trace::SpanRecord::kNoParent);
+  EXPECT_EQ(outer[1].name, "after");
+  EXPECT_EQ(outer[1].parent, 0u);
 }
 
-TEST_F(TraceTest, StepScopeWithoutSinkStillFeedsTheTimer) {
-  PhaseTimer timer;
-  { trace::StepScope scope(timer, "step2_smoothing"); }
-  EXPECT_EQ(timer.phases(), std::vector<std::string>{"step2_smoothing"});
+TEST_F(TraceTest, PoolLanesRecordIntoTheCallersSinkAndNoOtherThreadSeesIt) {
+  set_thread_count(4);
+  trace::TraceSink sink;
+  constexpr std::size_t kTasks = 200;
+  std::vector<std::thread::id> ran_on(kTasks);
+
+  // A second thread without a sink watches for the whole region.
+  std::atomic<bool> region_done{false};
+  std::atomic<bool> observer_started{false};
+  std::atomic<bool> observer_saw_a_sink{false};
+  std::thread observer([&] {
+    observer_started.store(true);
+    while (!region_done.load()) {
+      if (trace::sink() != nullptr) observer_saw_a_sink.store(true);
+    }
+  });
+  while (!observer_started.load()) std::this_thread::yield();
+  {
+    const trace::ScopedSink scoped(&sink);
+    parallel_for(0, kTasks, 1, [&](std::size_t b, std::size_t e) {
+      for (std::size_t i = b; i < e; ++i) {
+        if (metrics::Counter* c = trace::counter("test.tasks")) c->add(1);
+        ran_on[i] = std::this_thread::get_id();
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+    });
+  }
+  region_done.store(true);
+  observer.join();
+
+  EXPECT_EQ(sink.metrics().counter("test.tasks").value(), kTasks);
+  EXPECT_FALSE(observer_saw_a_sink.load());
+  // The region really ran on worker lanes, not only on the caller.
+  std::sort(ran_on.begin(), ran_on.end());
+  EXPECT_GT(std::unique(ran_on.begin(), ran_on.end()) - ran_on.begin(), 1);
+  // The lanes gave the sink back: after the region no thread has it.
+  EXPECT_EQ(trace::sink(), nullptr);
 }
 
 // ---------------------------------------------------------------------
@@ -441,14 +489,18 @@ TEST_F(TraceTest, ChromeTraceExportIsValidJsonWithTheRecordedSpans) {
 
 TEST_F(TraceTest, RunReportRoundTripsBuildInfoNotesAndMetrics) {
   trace::TraceSink sink;
-  PhaseTimer timer;
   {
     trace::ScopedSink scoped(&sink);
-    trace::StepScope scope(timer, "step3_propagation");
-    sink.metrics().counter("work.items").add(7);
-    sink.metrics().gauge("work.threads").set(4.0);
-    sink.metrics().histogram("work.us").observe(123.0);
-    trace::push_series(trace::series("work.delta"), 1.0, 0.25);
+    trace::Span root("infer");
+    {
+      trace::Span step("step3_propagation");
+      trace::Span inner("propagation_inner");  // a grandchild: no phase
+      sink.metrics().counter("work.items").add(7);
+      sink.metrics().gauge("work.threads").set(4.0);
+      sink.metrics().histogram("work.us").observe(123.0);
+      trace::push_series(trace::series("work.delta"), 1.0, 0.25);
+    }
+    { trace::Span again("step3_propagation"); }
   }
 
   trace::RunReport report("test report");
@@ -459,7 +511,7 @@ TEST_F(TraceTest, RunReportRoundTripsBuildInfoNotesAndMetrics) {
   trace::RunReport::Run& run = report.add_run("main");
   run.note("accuracy", 0.75);
   run.capture(sink);
-  run.capture(timer);
+  run.phase("measured_elsewhere", 2.5);
 
   std::ostringstream os;
   report.write(os);
@@ -496,14 +548,25 @@ TEST_F(TraceTest, RunReportRoundTripsBuildInfoNotesAndMetrics) {
   ASSERT_EQ(series->array.size(), 1u);
   EXPECT_EQ(series->array[0].array[0].number, 1.0);
   EXPECT_EQ(series->array[0].array[1].number, 0.25);
+  // Phases are the root's children, totalled by name, then the figure
+  // the caller added itself.
+  const auto recorded = sink.spans();
+  ASSERT_EQ(recorded.size(), 4u);
   const JsonValue* phases = main_run.find("phases_ms");
   ASSERT_NE(phases, nullptr);
-  ASSERT_NE(phases->find("step3_propagation"), nullptr);
+  ASSERT_EQ(phases->object.size(), 2u);
+  EXPECT_EQ(phases->object[0].first, "step3_propagation");
+  EXPECT_DOUBLE_EQ(phases->object[0].second.number,
+                   (recorded[1].dur_us + recorded[3].dur_us) * 1e-3);
+  EXPECT_EQ(phases->object[1].first, "measured_elsewhere");
+  EXPECT_EQ(phases->object[1].second.number, 2.5);
   const JsonValue* spans = main_run.find("spans");
   ASSERT_NE(spans, nullptr);
-  ASSERT_EQ(spans->array.size(), 1u);
-  EXPECT_EQ(spans->array[0].find("name")->str, "step3_propagation");
+  ASSERT_EQ(spans->array.size(), 4u);
+  EXPECT_EQ(spans->array[0].find("name")->str, "infer");
   EXPECT_EQ(spans->array[0].find("parent")->number, -1.0);
+  EXPECT_EQ(spans->array[1].find("name")->str, "step3_propagation");
+  EXPECT_EQ(spans->array[1].find("parent")->number, 0.0);
 }
 
 TEST_F(TraceTest, DoubleFormattingRoundTripsFullPrecision) {
@@ -536,6 +599,27 @@ TEST_F(TraceTest, DisabledSinkPrimitivesReturnNullAndDoNothing) {
   trace::push_series(nullptr, 1.0, 2.0);  // must be a safe no-op
   trace::Span span("unrecorded");
   EXPECT_FALSE(span.active());
+}
+
+TEST_F(TraceTest, ScopedSinkInstallsOnTheCallingThreadAndRestores) {
+  trace::TraceSink outer;
+  trace::TraceSink inner;
+  const trace::ScopedSink outer_scope(&outer);
+  EXPECT_EQ(trace::sink(), &outer);
+  {
+    const trace::ScopedSink inner_scope(&inner);
+    EXPECT_EQ(trace::sink(), &inner);
+    {
+      const trace::ScopedSink off(nullptr);
+      EXPECT_EQ(trace::sink(), nullptr);
+    }
+    EXPECT_EQ(trace::sink(), &inner);
+  }
+  EXPECT_EQ(trace::sink(), &outer);
+  // Another thread has its own (empty) slot.
+  trace::TraceSink* seen = &inner;
+  std::thread([&] { seen = trace::sink(); }).join();
+  EXPECT_EQ(seen, nullptr);
 }
 
 TEST_F(TraceTest, DisabledSinkPathAllocatesNothing) {

@@ -16,8 +16,9 @@ the whole telemetry contract end to end:
                     non-decreasing in `le` order, and the `+Inf` bucket
                     equals `_count`.
   postmortems/      every postmortem is valid JSON with v == 1 and the
-                    job/outcome/stage/spans/events key set; span parent
-                    indices stay in range (or -1 for the root).
+                    job/outcome/stage/spans/events key set; its spans form
+                    one tree: span 0 is the job's root (parent -1) and
+                    every later span's parent is an earlier span.
 
   --require-postmortem OUTCOME  asserts at least one postmortem with
                     that outcome exists — the CI serve smoke injects a
@@ -203,10 +204,12 @@ def check_postmortems(directory, require_outcome, findings):
             if postmortem["v"] != 1:
                 findings.append(
                     f"{path}: schema version {postmortem['v']} != 1")
-            span_count = len(postmortem["spans"])
             for i, span in enumerate(postmortem["spans"]):
                 parent = span.get("parent", -1)
-                if parent != -1 and not 0 <= parent < span_count:
+                if i == 0 and parent != -1:
+                    findings.append(
+                        f"{path}: span 0 has parent {parent}, not -1")
+                elif i > 0 and not 0 <= parent < i:
                     findings.append(
                         f"{path}: span {i} parent {parent} out of range")
             outcomes.append(postmortem["outcome"])
