@@ -57,9 +57,10 @@ struct SapsTraceHandles {
 };
 
 /// One annealing chain (Algorithm 2 lines 3-11 + Algorithm 3 acceptance),
-/// self-contained: it reads only the immutable cost cache and its own Rng
-/// stream, so chains run concurrently without sharing any mutable state.
-RestartOutcome run_restart(const SapsCostCache& cache,
+/// self-contained: it reads only the immutable cost cache, the search's
+/// shared start order and its own Rng stream, so chains run concurrently
+/// without sharing any mutable state.
+RestartOutcome run_restart(const SapsCostCache& cache, const Path& order,
                            const SapsConfig& config, std::size_t restart,
                            Rng& rng, const SapsTraceHandles& handles) {
   const std::size_t n = cache.size();
@@ -68,17 +69,17 @@ RestartOutcome run_restart(const SapsCostCache& cache,
     restart_span.set_attr("restart", restart);
   }
 
-  // Algorithm 3: Metropolis acceptance on d = sum log(1/w).
+  // Algorithm 3: Metropolis acceptance on d = sum log(1/w), one uniform
+  // draw per worse move.
   const auto accept = [&](double d_cur, double d_next, double temp) {
     if (d_next < d_cur) return true;
     if (temp <= 0.0) return false;
-    const double p = std::exp(-(d_next - d_cur) / temp);
-    return rng.bernoulli(p);
+    return saps_metropolis_accept(rng.uniform(), -(d_next - d_cur) / temp);
   };
 
   RestartOutcome out;
   const VertexId anchor = static_cast<VertexId>(restart % n);
-  Path current = saps_initial_path(cache, anchor, config.init_mode,
+  Path current = saps_initial_path(cache, order, anchor, config.init_mode,
                                    /*force_anchor=*/restart > 0, rng);
   double d_cur = path_log_cost(cache, current);
   out.log_cost = d_cur;
@@ -188,8 +189,14 @@ SapsResult saps_search(const Matrix& closure, const SapsConfig& config,
                                    : std::min(config.restarts, n);
 
   // Materialize the -log w cost matrix once; every delta evaluation below
-  // is a handful of loads instead of std::log calls.
+  // is a handful of loads instead of std::log calls. The weight-difference
+  // start is the same for every restart up to its anchor, so it is ranked
+  // once here and each restart copies it.
   const SapsCostCache cache(closure);
+  const Path order =
+      config.init_mode == SapsInitMode::WeightDifferenceRanking
+          ? weight_difference_order(closure)
+          : Path{};
 
   // One draw from the caller's stream seeds every restart chain: restart r
   // runs on Rng(task_stream_seed(base, r)). The derivation depends only on
@@ -223,7 +230,7 @@ SapsResult saps_search(const Matrix& closure, const SapsConfig& config,
   const auto run_one = [&](std::size_t restart) {
     Rng restart_rng(task_stream_seed(stream_base, restart));
     outcomes[restart] =
-        run_restart(cache, config, restart, restart_rng, handles);
+        run_restart(cache, order, config, restart, restart_rng, handles);
   };
   if (total_moves < kSerialMoveLimit) {
     for (std::size_t restart = 0; restart < restarts; ++restart) {

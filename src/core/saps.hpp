@@ -14,12 +14,17 @@
 //
 // Hot-path kernels (core/saps_kernel.hpp): `saps_search` materializes the
 // -log w cost matrix once per call and scores every proposal through it,
-// and its restart chains run as independent pool tasks — restart r is
-// seeded with `task_stream_seed(base, r)` where `base` is a single draw
-// from the caller's Rng, and the winner is a min-reduction in restart
-// order keyed on (log_cost, restart_index). Output is therefore
-// bitwise-identical at any thread count (tests/core/test_determinism.cpp)
-// and SAPS wall time scales with CROWDRANK_THREADS.
+// ranks the weight-difference start once for all restarts, and decides a
+// worse move without exp where its one uniform draw already settles the
+// Metropolis test. Restart r is seeded with `task_stream_seed(base, r)`
+// where `base` is a single draw from the caller's Rng, and the winner is
+// a min-reduction in restart order keyed on (log_cost, restart_index).
+// Restart chains run as independent pool tasks only when the search
+// proposes at least 2M moves (restarts x iterations x n); below that,
+// n <= 166 at the defaults, they run serially on the caller and wall time
+// does not scale with CROWDRANK_THREADS. Output is bitwise-identical
+// either way, and equal to the per-restart reference search in
+// tests/core/saps_reference.hpp (tests/core/test_determinism.cpp).
 #pragma once
 
 #include <cstddef>

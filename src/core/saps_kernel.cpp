@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <numeric>
 
 #include "util/error.hpp"
@@ -25,16 +26,17 @@ constexpr double kCostLogFloor = -745.0;
 }  // namespace
 
 SapsCostCache::SapsCostCache(const Matrix& weights)
-    : weights_(&weights), n_(weights.rows()), costs_(n_ * n_, 0.0) {
+    : n_(weights.rows()),
+      costs_(std::make_unique_for_overwrite<double[]>(n_ * n_)) {
   CR_EXPECTS(weights.is_square(), "cost cache requires a square matrix");
   const std::span<const double> w = weights.data();
-  // Batch -safe_log transform; element-disjoint chunks, and the simd
+  // Batch -safe_log transform over every element, so the buffer is left
+  // uninitialized until here; element-disjoint chunks, and the simd
   // backend is bitwise-pinned to the scalar safe_log branch structure.
-  parallel_for(0, costs_.size(), kFillGrain,
-               [&](std::size_t b, std::size_t e) {
-                 simd::neg_log_clamped(costs_.data() + b, w.data() + b, e - b,
-                                       kCostLogFloor);
-               });
+  parallel_for(0, n_ * n_, kFillGrain, [&](std::size_t b, std::size_t e) {
+    simd::neg_log_clamped(costs_.get() + b, w.data() + b, e - b,
+                          kCostLogFloor);
+  });
 }
 
 double path_log_cost(const SapsCostCache& cache, const Path& path) {
@@ -138,8 +140,32 @@ double saps_swap_delta(const SapsCostCache& cache, const Path& path,
   return delta;
 }
 
-Path saps_initial_path(const SapsCostCache& cache, VertexId start,
-                       SapsInitMode mode, bool force_anchor, Rng& rng) {
+Path weight_difference_order(const Matrix& weights) {
+  CR_EXPECTS(weights.is_square(),
+             "weight-difference order needs a square matrix");
+  const std::size_t n = weights.rows();
+  // Row u adds its term to every v's sum, so each v still sums over
+  // ascending u (skipping u == v) in the same order as a per-v scan, and
+  // the n running sums are independent instead of one serial chain.
+  const std::span<const double> w = weights.data();
+  std::vector<double> diff(n, 0.0);
+  for (VertexId u = 0; u < n; ++u) {
+    for (VertexId v = 0; v < n; ++v) {
+      if (u == v) continue;
+      diff[v] += w[v * n + u] - w[u * n + v];  // w(v, u) - w(u, v)
+    }
+  }
+  Path order(n);
+  std::iota(order.begin(), order.end(), VertexId{0});
+  std::stable_sort(order.begin(), order.end(), [&](VertexId a, VertexId b) {
+    return diff[a] > diff[b];
+  });
+  return order;
+}
+
+Path saps_initial_path(const SapsCostCache& cache, const Path& order,
+                       VertexId start, SapsInitMode mode, bool force_anchor,
+                       Rng& rng) {
   const std::size_t n = cache.size();
   switch (mode) {
     case SapsInitMode::GreedyNearestNeighbor: {
@@ -170,19 +196,9 @@ Path saps_initial_path(const SapsCostCache& cache, VertexId start,
       return path;
     }
     case SapsInitMode::WeightDifferenceRanking: {
-      const Matrix& w = cache.weights();
-      std::vector<double> diff(n, 0.0);
-      for (VertexId v = 0; v < n; ++v) {
-        for (VertexId u = 0; u < n; ++u) {
-          if (u == v) continue;
-          diff[v] += w(v, u) - w(u, v);
-        }
-      }
-      Path path(n);
-      std::iota(path.begin(), path.end(), VertexId{0});
-      std::stable_sort(path.begin(), path.end(), [&](VertexId a, VertexId b) {
-        return diff[a] > diff[b];
-      });
+      CR_EXPECTS(order.size() == n,
+                 "the weight-difference order must cover every vertex");
+      Path path = order;
       if (force_anchor) {
         // Later restarts diversify by pulling their anchor vertex to the
         // front, preserving the relative order of the rest.

@@ -17,9 +17,10 @@
 // tests/core/test_saps_kernel.cpp pins this bit for bit.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
+#include <memory>
 #include <span>
-#include <vector>
 
 #include "core/saps.hpp"
 #include "graph/types.hpp"
@@ -29,7 +30,7 @@
 namespace crowdrank {
 
 /// Immutable -log w cost matrix over a square weight matrix. Built once
-/// per search; the referenced weight matrix must outlive the cache.
+/// per search.
 class SapsCostCache {
  public:
   /// Materializes cost(u, v) = -safe_log(w(u, v)) for all pairs. The fill
@@ -43,15 +44,11 @@ class SapsCostCache {
   double cost(VertexId u, VertexId v) const { return costs_[u * n_ + v]; }
 
   /// Row-major raw cost matrix (size * size), for the batch kernels.
-  std::span<const double> data() const { return costs_; }
-
-  /// The weight matrix the cache was built from.
-  const Matrix& weights() const { return *weights_; }
+  std::span<const double> data() const { return {costs_.get(), n_ * n_}; }
 
  private:
-  const Matrix* weights_;
   std::size_t n_;
-  std::vector<double> costs_;
+  std::unique_ptr<double[]> costs_;
 };
 
 /// Total path cost sum of c(p[i] -> p[i+1]); bitwise-identical to
@@ -72,13 +69,35 @@ double saps_reverse_delta(const SapsCostCache& cache, const Path& path,
 double saps_swap_delta(const SapsCostCache& cache, const Path& path,
                        std::size_t a, std::size_t b);
 
+/// Algorithm 3's Metropolis decision for a worse move: accept when
+/// `u < exp(x)`, where `u` is one `Rng::uniform()` draw in [0, 1) and
+/// x = -(d_next - d_cur) / T. Equal to `u < clamp(exp(x), 0, 1)` for every
+/// such u and every x, NaN included. Below x = -40, exp(x) < 2^-53, which
+/// every nonzero draw exceeds, so the outcome is decided without calling
+/// exp unless u == 0.
+inline bool saps_metropolis_accept(double u, double x) {
+  if (x < -40.0) {
+    return u == 0.0 && u < std::exp(x);
+  }
+  return u < std::exp(x);
+}
+
+/// Algorithm 2's weight-difference ranking: every vertex v by descending
+/// sum over u != v of w(v, u) - w(u, v), taken in ascending u, ties kept
+/// in id order. `saps_search` builds it once per search and every
+/// WeightDifferenceRanking restart starts from a copy.
+Path weight_difference_order(const Matrix& weights);
+
 /// Restart-chain initial path (Algorithm 2 line 3), routed through the
 /// cache. GreedyNearestNeighbor picks the minimum-cost unvisited successor,
 /// which selects exactly the maximum-weight successor the uncached code
 /// picked (-log is strictly decreasing and ties map to ties), so the
-/// produced paths are identical. WeightDifferenceRanking and
-/// RandomPermutation read `cache.weights()` / the rng as before.
-Path saps_initial_path(const SapsCostCache& cache, VertexId start,
-                       SapsInitMode mode, bool force_anchor, Rng& rng);
+/// produced paths are identical. WeightDifferenceRanking copies `order`
+/// (the search's `weight_difference_order`; the other modes ignore it) and
+/// pulls `start` to the front when `force_anchor` is set.
+/// RandomPermutation draws from the rng.
+Path saps_initial_path(const SapsCostCache& cache, const Path& order,
+                       VertexId start, SapsInitMode mode, bool force_anchor,
+                       Rng& rng);
 
 }  // namespace crowdrank

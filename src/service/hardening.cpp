@@ -4,9 +4,74 @@
 #include <cstdint>
 #include <utility>
 
+#include "util/error.hpp"
+
 namespace crowdrank::service {
 
 namespace {
+
+/// SplitMix64's finalizer: a bijection on 64-bit words that spreads every
+/// input bit over the whole output.
+std::uint64_t mix64(std::uint64_t x) {
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+
+/// An open-addressing map from keys to 32-bit values, for keys the caller
+/// keeps in its own arrays: each stored value names its key there, and the
+/// caller's `same(value)` compares a probed key with the one looked up.
+/// Linear probing at load <= 1/2; an 8-byte slot holds the top 32 bits of
+/// the key's hash and value + 1 (0 marks an empty slot), so a probe reads
+/// the caller's key only when those hash bits match. The table takes at
+/// most 32 bytes per stored key.
+class FlatIndex {
+ public:
+  /// The value stored for the key that hashes to `hash` and satisfies
+  /// `same`; stores and returns `fresh` when there is none.
+  template <typename Same>
+  std::uint32_t find_or_add(std::uint64_t hash, std::uint32_t fresh,
+                            Same same) {
+    if (2 * (size_ + 1) > slots_.size()) {
+      grow();
+    }
+    const auto tag = static_cast<std::uint32_t>(hash >> 32);
+    for (std::size_t at = home(tag);; at = (at + 1) & (slots_.size() - 1)) {
+      const std::uint64_t slot = slots_[at];
+      if (slot == 0) {
+        slots_[at] = (std::uint64_t{tag} << 32) | (std::uint64_t{fresh} + 1);
+        ++size_;
+        return fresh;
+      }
+      const auto value = static_cast<std::uint32_t>(slot - 1);
+      if ((slot >> 32) == tag && same(value)) {
+        return value;
+      }
+    }
+  }
+
+ private:
+  /// A key's first slot: the top bits of its tag.
+  std::size_t home(std::uint32_t tag) const { return tag >> (32 - bits_); }
+
+  void grow() {
+    const std::vector<std::uint64_t> old = std::move(slots_);
+    bits_ = old.empty() ? 4 : bits_ + 1;
+    slots_.assign(std::size_t{1} << bits_, 0);
+    for (const std::uint64_t slot : old) {
+      if (slot == 0) continue;
+      std::size_t at = home(static_cast<std::uint32_t>(slot >> 32));
+      while (slots_[at] != 0) {
+        at = (at + 1) & (slots_.size() - 1);
+      }
+      slots_[at] = slot;
+    }
+  }
+
+  std::vector<std::uint64_t> slots_;
+  unsigned bits_ = 0;
+  std::size_t size_ = 0;
+};
 
 /// Union-find over object ids, used for the component restriction.
 class DisjointSets {
@@ -82,53 +147,37 @@ HardenedBatch harden_votes(const VoteBatch& votes, std::size_t object_count,
   // in both directions contradicts themselves: all their votes on that
   // task are dropped. Repeated same-direction answers keep only the
   // first occurrence. The direction is relative to the canonical edge so
-  // (i,j,prefers_i) and (j,i,!prefers_i) count as one direction. One sort
-  // of (worker, task, batch index) records lays each group out in batch
-  // order.
+  // (i,j,prefers_i) and (j,i,!prefers_i) count as one direction. One
+  // table keyed by (worker, task) names each vote's group by the group's
+  // first vote, so the verdicts follow from one pass in batch order.
+  CR_EXPECTS(kept.size() < (std::size_t{1} << 31),
+             "hardening takes fewer than 2^31 votes");
   if (policy.drop_duplicates || policy.drop_conflicting) {
-    struct Answer {
-      WorkerId worker;
-      Edge task;
-      std::size_t index;   ///< position in `kept`; unique, so it breaks ties
-      unsigned direction;  ///< 1: task.first preferred, 2: task.second
-
-      auto operator<=>(const Answer&) const = default;
-    };
-    std::vector<Answer> answers;
-    answers.reserve(kept.size());
+    FlatIndex groups;
+    std::vector<std::uint32_t> first_of(kept.size());
+    std::vector<std::uint8_t> directions(kept.size(), 0);  // by first vote
     for (std::size_t k = 0; k < kept.size(); ++k) {
       const Vote& v = kept[k];
       const Edge task = Edge::canonical(v.i, v.j);
-      const bool first_preferred = v.prefers_i == (v.i == task.first);
-      answers.push_back({v.worker, task, k, first_preferred ? 1u : 2u});
-    }
-    std::sort(answers.begin(), answers.end());
-
-    const auto same_group = [](const Answer& a, const Answer& b) {
-      return a.worker == b.worker && a.task == b.task;
-    };
-    enum Verdict : std::uint8_t { kKeep, kDuplicate, kConflicting };
-    std::vector<Verdict> verdict(kept.size(), kKeep);
-    for (std::size_t lo = 0; lo < answers.size();) {
-      std::size_t hi = lo;
-      unsigned mask = 0;
-      while (hi < answers.size() && same_group(answers[hi], answers[lo])) {
-        mask |= answers[hi++].direction;
-      }
-      for (std::size_t k = lo; k < hi; ++k) {
-        if (policy.drop_conflicting && mask == 3u) {
-          verdict[answers[k].index] = kConflicting;
-        } else if (policy.drop_duplicates && k > lo) {
-          verdict[answers[k].index] = kDuplicate;
-        }
-      }
-      lo = hi;
+      const std::uint64_t hash =
+          mix64(v.worker ^ mix64(task.first ^ mix64(task.second)));
+      const std::uint32_t first = groups.find_or_add(
+          hash, static_cast<std::uint32_t>(k), [&](std::uint32_t f) {
+            const Vote& earlier = kept[f];
+            return earlier.worker == v.worker &&
+                   Edge::canonical(earlier.i, earlier.j) == task;
+          });
+      first_of[k] = first;
+      // 1: task.first preferred, 2: task.second.
+      directions[first] |= v.prefers_i == (v.i == task.first) ? 1 : 2;
     }
     std::size_t next = 0;
     for (std::size_t k = 0; k < kept.size(); ++k) {
-      r.dropped_conflicting += verdict[k] == kConflicting ? 1 : 0;
-      r.dropped_duplicate += verdict[k] == kDuplicate ? 1 : 0;
-      if (verdict[k] == kKeep) {
+      if (policy.drop_conflicting && directions[first_of[k]] == 3) {
+        ++r.dropped_conflicting;
+      } else if (policy.drop_duplicates && first_of[k] != k) {
+        ++r.dropped_duplicate;
+      } else {
         kept[next++] = kept[k];
       }
     }
@@ -191,8 +240,9 @@ HardenedBatch harden_votes(const VoteBatch& votes, std::size_t object_count,
   // Compaction: rewrite object and worker ids onto dense ascending
   // ranges. Worker identity does not survive into the ranking, so the
   // remap is invisible to callers; the report keeps the original ids.
-  // Worker ids are arbitrary u64s, so they are ranked by sort, unique and
-  // binary search, never used as an index. Object ids >= n pass through.
+  // Worker ids are arbitrary u64s, never used as an index: a table
+  // numbers the distinct ids by first appearance, and only that set is
+  // sorted. Object ids >= n pass through.
   HardenedBatch batch;
   std::vector<VertexId> object_map(n, n);
   for (std::size_t v = 0; v < n; ++v) {
@@ -206,22 +256,32 @@ HardenedBatch harden_votes(const VoteBatch& votes, std::size_t object_count,
   const auto compact_object = [&](VertexId id) {
     return id < n ? object_map[id] : id;
   };
-  batch.workers.reserve(kept.size());
-  for (const Vote& v : kept) {
-    batch.workers.push_back(v.worker);
+  FlatIndex worker_index;
+  std::vector<WorkerId> seen;  // distinct workers, first appearance first
+  std::vector<std::uint32_t> seen_of(kept.size());
+  for (std::size_t k = 0; k < kept.size(); ++k) {
+    const WorkerId worker = kept[k].worker;
+    seen_of[k] = worker_index.find_or_add(
+        mix64(worker), static_cast<std::uint32_t>(seen.size()),
+        [&](std::uint32_t s) { return seen[s] == worker; });
+    if (seen_of[k] == seen.size()) {
+      seen.push_back(worker);
+    }
   }
+  batch.workers = seen;
   std::sort(batch.workers.begin(), batch.workers.end());
-  batch.workers.erase(std::unique(batch.workers.begin(), batch.workers.end()),
-                      batch.workers.end());
-  batch.workers.shrink_to_fit();
-  const std::vector<WorkerId>& workers = batch.workers;
+  std::vector<WorkerId> compact_worker(seen.size());
+  for (std::size_t s = 0; s < seen.size(); ++s) {
+    compact_worker[s] = static_cast<WorkerId>(
+        std::lower_bound(batch.workers.begin(), batch.workers.end(), seen[s]) -
+        batch.workers.begin());
+  }
   batch.votes.reserve(kept.size());
-  for (const Vote& v : kept) {
-    const auto rank =
-        std::lower_bound(workers.begin(), workers.end(), v.worker);
-    const auto worker = static_cast<WorkerId>(rank - workers.begin());
-    batch.votes.push_back(
-        Vote{worker, compact_object(v.i), compact_object(v.j), v.prefers_i});
+  for (std::size_t k = 0; k < kept.size(); ++k) {
+    const Vote& v = kept[k];
+    batch.votes.push_back(Vote{compact_worker[seen_of[k]],
+                               compact_object(v.i), compact_object(v.j),
+                               v.prefers_i});
   }
   r.retained_votes = batch.votes.size();
   return batch;

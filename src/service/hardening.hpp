@@ -13,11 +13,15 @@
 //
 // The pass is deterministic: drops depend only on batch order and ids,
 // the component tie-break is the smallest member id, and compaction maps
-// ids in ascending order. It runs on flat arrays: one sort groups the
-// votes by (worker, task), component sizes are counted per union-find
-// root, and worker ids are compacted by sort, unique and binary search.
-// tests/service/hardening_reference.* keeps the original map-keyed pass
-// as the oracle it is checked against.
+// ids in ascending order. It runs on flat arrays, with no sort over the
+// votes: one open-addressing table keyed by (worker, canonical task)
+// names each vote's group by its first vote, component sizes are counted
+// per union-find root, and a second table collects the distinct worker
+// ids, of which only that set is sorted. The group table holds at most
+// 32 bytes per group; with a 4-byte group id and a direction byte per
+// vote the pass needs at most 37 bytes per vote beyond the batch copy.
+// Batches hold fewer than 2^31 votes. tests/service/hardening_reference.*
+// keeps the original map-keyed pass as the oracle it is checked against.
 #pragma once
 
 #include <cstddef>

@@ -1,6 +1,5 @@
 #include "util/rng.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <unordered_set>
 
@@ -14,10 +13,6 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
   return z ^ (z >> 31);
-}
-
-std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
 }
 
 }  // namespace
@@ -34,43 +29,9 @@ Rng::Rng(std::uint64_t seed) {
   }
 }
 
-Rng::result_type Rng::operator()() {
-  const std::uint64_t result = rotl(state_[0] + state_[3], 23) + state_[0];
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::uniform() {
-  // 53 high bits -> double in [0, 1).
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-}
-
 double Rng::uniform(double lo, double hi) {
   CR_EXPECTS(lo < hi, "uniform(lo, hi) requires lo < hi");
   return lo + (hi - lo) * uniform();
-}
-
-std::uint64_t Rng::uniform_index(std::uint64_t n) {
-  CR_EXPECTS(n > 0, "uniform_index requires n > 0");
-  // Lemire's nearly-divisionless unbiased bounded sampling.
-  std::uint64_t x = (*this)();
-  __uint128_t m = static_cast<__uint128_t>(x) * n;
-  auto lo = static_cast<std::uint64_t>(m);
-  if (lo < n) {
-    const std::uint64_t threshold = (0 - n) % n;
-    while (lo < threshold) {
-      x = (*this)();
-      m = static_cast<__uint128_t>(x) * n;
-      lo = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
 }
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
@@ -97,11 +58,6 @@ double Rng::normal() {
 double Rng::normal(double mean, double sigma) {
   CR_EXPECTS(sigma >= 0.0, "normal sigma must be non-negative");
   return mean + sigma * normal();
-}
-
-bool Rng::bernoulli(double p) {
-  const double clamped = std::clamp(p, 0.0, 1.0);
-  return uniform() < clamped;
 }
 
 double Rng::exponential(double rate) {

@@ -9,6 +9,7 @@
 // distributions are implemented here and therefore portable.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -19,7 +20,9 @@ namespace crowdrank {
 
 /// xoshiro256++ engine with SplitMix64 seeding. Satisfies
 /// std::uniform_random_bit_generator so it also works with <random> if a
-/// caller insists, but prefer the member samplers for portability.
+/// caller insists, but prefer the member samplers for portability. The
+/// engine step and the samplers SAPS calls in its annealing loop (7-10
+/// draws per iteration) are defined inline here.
 class Rng {
  public:
   using result_type = std::uint64_t;
@@ -31,17 +34,45 @@ class Rng {
   static constexpr result_type max() { return ~result_type{0}; }
 
   /// Next raw 64-bit output.
-  result_type operator()();
+  result_type operator()() {
+    const std::uint64_t result = rotl(state_[0] + state_[3], 23) + state_[0];
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1) with 53 bits of precision.
-  double uniform();
+  double uniform() {
+    // 53 high bits -> double in [0, 1).
+    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi). Requires lo < hi.
   double uniform(double lo, double hi);
 
   /// Uniform integer in [0, n). Requires n > 0. Uses Lemire rejection for
   /// unbiased bounded generation.
-  std::uint64_t uniform_index(std::uint64_t n);
+  std::uint64_t uniform_index(std::uint64_t n) {
+    CR_EXPECTS(n > 0, "uniform_index requires n > 0");
+    // Lemire's nearly-divisionless unbiased bounded sampling.
+    std::uint64_t x = (*this)();
+    __uint128_t m = static_cast<__uint128_t>(x) * n;
+    auto lo = static_cast<std::uint64_t>(m);
+    if (lo < n) {
+      const std::uint64_t threshold = (0 - n) % n;
+      while (lo < threshold) {
+        x = (*this)();
+        m = static_cast<__uint128_t>(x) * n;
+        lo = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
@@ -53,7 +84,10 @@ class Rng {
   double normal(double mean, double sigma);
 
   /// Bernoulli trial: true with probability p (clamped to [0,1]).
-  bool bernoulli(double p);
+  bool bernoulli(double p) {
+    const double clamped = std::clamp(p, 0.0, 1.0);
+    return uniform() < clamped;
+  }
 
   /// Exponential with the given rate (> 0).
   double exponential(double rate);
@@ -81,6 +115,10 @@ class Rng {
   Rng fork();
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> state_;
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;

@@ -1,4 +1,5 @@
-// Uncached SAPS move deltas — the reference formulation.
+// Uncached SAPS move deltas and the whole search built on them — the
+// reference formulation.
 //
 // Each delta is the change in path_log_cost if the move were applied,
 // recomputed from the closure through -safe_log(w) on every edge, without
@@ -7,12 +8,21 @@
 // direction). The annealing loop in core/saps.cpp scores proposals through
 // the SapsCostCache overloads in core/saps_kernel.hpp instead; tests pin
 // those to these bit for bit, and pin these to the brute-force recompute.
+//
+// `saps_search_reference` is the search as core/saps.cpp ran it before
+// the shared start: restarts run serially on the caller, each rebuilds its
+// own start (the weight-difference ranking by a per-vertex column scan),
+// proposals are scored by the uncached deltas, and a worse move is
+// accepted by `bernoulli(exp(x))`. tests/core/test_determinism.cpp pins
+// `saps_search` to it bit for bit at 1 and 4 threads.
 #pragma once
 
 #include <cstddef>
 
+#include "core/saps.hpp"
 #include "graph/types.hpp"
 #include "util/matrix.hpp"
+#include "util/rng.hpp"
 
 namespace crowdrank {
 
@@ -24,5 +34,9 @@ double saps_reverse_delta(const Matrix& w, const Path& path,
                           std::size_t first, std::size_t last);
 double saps_swap_delta(const Matrix& w, const Path& path, std::size_t a,
                        std::size_t b);
+
+/// Same contract, seeding and result as `saps_search`.
+SapsResult saps_search_reference(const Matrix& closure,
+                                 const SapsConfig& config, Rng& rng);
 
 }  // namespace crowdrank

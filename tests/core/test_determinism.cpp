@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
@@ -13,6 +15,7 @@
 #include "core/saps.hpp"
 #include "core/truth_discovery.hpp"
 #include "crowdrank.hpp"
+#include "saps_reference.hpp"
 #include "util/matrix.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -204,6 +207,80 @@ TEST_F(DeterminismTest, SapsIsBitwiseIdenticalAcrossThreadCounts) {
       EXPECT_EQ(parallel.log_cost, repeat.log_cost);
     }
   }
+}
+
+TEST_F(DeterminismTest, SapsSearchMatchesTheReferenceBitForBit) {
+  // The whole search against tests/core/saps_reference.cpp: per-restart
+  // starts, uncached deltas and bernoulli(exp(x)). Odd seeds use
+  // quarter-step weights, so the start order has ties and zero weights
+  // hit the safe_log floor. At n = 170 the default config proposes
+  // 4 x 3000 x 170 > 2M moves, so the restarts fan out across the pool
+  // and read the shared start concurrently.
+  struct Moves {
+    bool rotate, reverse, swap;
+  };
+  const Moves move_sets[] = {{true, true, true},
+                             {true, false, false},
+                             {false, true, false},
+                             {false, false, true}};
+  std::size_t searches = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    for (const std::size_t n : {2, 3, 17, 100, 170}) {
+      Rng setup(seed * 1000 + n);
+      Matrix closure(n, n, 0.0);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = i + 1; j < n; ++j) {
+          const double w =
+              seed % 2 == 1
+                  ? 0.25 * static_cast<double>(setup.uniform_index(5))
+                  : setup.uniform(0.05, 0.95);
+          closure(i, j) = w;
+          closure(j, i) = 1.0 - w;
+        }
+      }
+      for (const bool paper_mode : {false, true}) {
+        if (paper_mode && n > 17) continue;
+        for (const auto mode : {SapsInitMode::WeightDifferenceRanking,
+                                SapsInitMode::GreedyNearestNeighbor,
+                                SapsInitMode::RandomPermutation}) {
+          for (const Moves& moves : move_sets) {
+            SapsConfig config;
+            config.paper_mode = paper_mode;
+            config.init_mode = mode;
+            config.use_rotate = moves.rotate;
+            config.use_reverse = moves.reverse;
+            config.use_swap = moves.swap;
+            Rng want_rng(seed);
+            const SapsResult want =
+                saps_search_reference(closure, config, want_rng);
+            const std::uint64_t want_next = want_rng();
+            for (const std::size_t threads : {1, 4}) {
+              SCOPED_TRACE("seed " + std::to_string(seed) + ", n " +
+                           std::to_string(n) + ", paper_mode " +
+                           std::to_string(paper_mode) + ", init " +
+                           std::to_string(static_cast<int>(mode)) +
+                           ", moves " + std::to_string(moves.rotate) +
+                           std::to_string(moves.reverse) +
+                           std::to_string(moves.swap) + ", threads " +
+                           std::to_string(threads));
+              set_thread_count(threads);
+              Rng got_rng(seed);
+              const SapsResult got = saps_search(closure, config, got_rng);
+              EXPECT_EQ(got.best_path, want.best_path);
+              EXPECT_EQ(std::bit_cast<std::uint64_t>(got.log_cost),
+                        std::bit_cast<std::uint64_t>(want.log_cost));
+              EXPECT_EQ(got.moves_proposed, want.moves_proposed);
+              EXPECT_EQ(got.moves_accepted, want.moves_accepted);
+              EXPECT_EQ(got.restarts_run, want.restarts_run);
+              EXPECT_EQ(got_rng(), want_next);  // one draw from the caller
+              ++searches;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(searches, 8u * (5 + 3) * 3 * 4 * 2);
 }
 
 TEST_F(DeterminismTest, TruthDiscoveryIsBitwiseIdenticalAcrossThreadCounts) {

@@ -2,13 +2,20 @@
 // cached kernel must agree bit for bit with the uncached safe_log
 // formulation it replaced, on randomized closures and on the clamp/floor
 // edge cases (zero weights hitting the safe_log floor, weights at exactly
-// the completeness-floor clamp, subnormal weights).
+// the completeness-floor clamp, subnormal weights). The once-per-search
+// weight-difference start and the Metropolis decision are pinned to the
+// formulations they replaced the same way.
 #include "core/saps_kernel.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <numeric>
+#include <vector>
 
 #include "core/saps.hpp"
 #include "graph/hamiltonian.hpp"
@@ -116,8 +123,52 @@ TEST_P(SapsKernelBitwise, DeltasMatchUncachedFormulation) {
   }
 }
 
+TEST_P(SapsKernelBitwise, WeightDifferenceOrderMatchesThePerVertexScan) {
+  // The row-by-row build must rank exactly as a per-vertex scan of
+  // w(v, u) - w(u, v) over ascending u; the quarter-step weights make
+  // equal sums, so the tie order is checked too.
+  const std::size_t n = GetParam();
+  Rng rng(1000 + n);
+  Matrix quarters(n, n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      quarters(i, j) = 0.25 * static_cast<double>(rng.uniform_index(5));
+      quarters(j, i) = 1.0 - quarters(i, j);
+    }
+  }
+  for (const Matrix& m : {edge_case_matrix(n, rng), quarters}) {
+    std::vector<double> diff(n, 0.0);
+    for (VertexId v = 0; v < n; ++v) {
+      for (VertexId u = 0; u < n; ++u) {
+        if (u != v) diff[v] += m(v, u) - m(u, v);
+      }
+    }
+    Path expected(n);
+    std::iota(expected.begin(), expected.end(), VertexId{0});
+    std::stable_sort(expected.begin(), expected.end(),
+                     [&](VertexId a, VertexId b) { return diff[a] > diff[b]; });
+    EXPECT_EQ(weight_difference_order(m), expected);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Sizes, SapsKernelBitwise,
                          ::testing::Values(4, 8, 25, 60));
+
+TEST(SapsKernel, MetropolisDecisionEqualsTheClampedExpTest) {
+  // exp(-36) > 2^-53 > exp(-40): the smallest nonzero draw is accepted at
+  // -36 and rejected at -40, so the exp-free cutoff cannot move far
+  // either way unnoticed.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double u : {0.0, 0x1.0p-53, 0.5, 1.0 - 0x1.0p-53}) {
+    for (const double x :
+         {-0.0, -1.0, -36.0, -40.0, std::nextafter(-40.0, -inf), -745.2,
+          -746.0, -inf, std::numeric_limits<double>::quiet_NaN()}) {
+      EXPECT_EQ(saps_metropolis_accept(u, x),
+                u < std::clamp(std::exp(x), 0.0, 1.0))
+          << "u = " << u << ", x = " << x;
+    }
+  }
+}
 
 TEST(SapsKernel, CacheFillIsThreadCountInvariant) {
   // The materialization is an element-disjoint parallel transform; the
@@ -165,9 +216,9 @@ TEST(SapsKernel, GreedyInitialPathMatchesWeightGreedy) {
     }
 
     Rng unused(0);
-    const Path got =
-        saps_initial_path(cache, start, SapsInitMode::GreedyNearestNeighbor,
-                          /*force_anchor=*/false, unused);
+    const Path got = saps_initial_path(cache, /*order=*/{}, start,
+                                       SapsInitMode::GreedyNearestNeighbor,
+                                       /*force_anchor=*/false, unused);
     EXPECT_EQ(got, expected) << "start " << start;
   }
 }
@@ -182,8 +233,8 @@ TEST(SapsKernel, InitialPathModesProduceAnchoredPermutations) {
         SapsInitMode::WeightDifferenceRanking,
         SapsInitMode::RandomPermutation}) {
     Rng init_rng(7);
-    const Path p = saps_initial_path(cache, 5, mode, /*force_anchor=*/true,
-                                     init_rng);
+    const Path p = saps_initial_path(cache, weight_difference_order(m), 5,
+                                     mode, /*force_anchor=*/true, init_rng);
     EXPECT_TRUE(is_permutation_path(p, n));
     EXPECT_EQ(p.front(), 5u);
   }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -188,33 +189,50 @@ TEST(HardeningTest, OutOfRangeVotesKeptByPolicyJoinNoComponent) {
 constexpr WorkerId kTopWorker = std::numeric_limits<WorkerId>::max();
 constexpr VertexId kTopVertex = std::numeric_limits<VertexId>::max();
 
-/// A seeded adversarial batch: worker ids from a pool that reaches
+/// How `adversarial_batch` draws a batch.
+struct BatchShape {
+  std::size_t votes = 0;  ///< exact size; 0 draws one below 120 (or none)
+  double repeat = 0.25;   ///< chance a vote repeats an earlier answer
+  double flip = 0.3;      ///< chance a repeat flips its preference
+  /// 0: workers from a five-id pool; k: k ids from 0 up and k below
+  /// UINT64_MAX.
+  std::size_t workers = 0;
+};
+
+/// A seeded adversarial batch: worker ids that include 0 and reach
 /// UINT64_MAX, votes inside equal-size blocks of objects (so components
 /// tie on size) with the odd cross-block vote, self votes, out-of-range
 /// ids up to SIZE_MAX, and repeats of earlier answers in the same or the
 /// flipped spelling, agreeing or conflicting.
-VoteBatch adversarial_batch(Rng& rng, std::size_t n) {
+VoteBatch adversarial_batch(Rng& rng, std::size_t n,
+                            const BatchShape& shape = {}) {
   const WorkerId pool[] = {0, 7, WorkerId{1} << 40, kTopWorker - 1, kTopWorker};
   const std::size_t block = 1 + rng.uniform_index(std::min<std::size_t>(n, 6));
-  const std::size_t count =
-      rng.bernoulli(0.05) ? 0 : rng.uniform_index(120);
+  std::size_t count = shape.votes;
+  if (count == 0) {
+    count = rng.bernoulli(0.05) ? 0 : rng.uniform_index(120);
+  }
   VoteBatch votes;
+  votes.reserve(count);
   for (std::size_t k = 0; k < count; ++k) {
-    if (!votes.empty() && rng.bernoulli(0.25)) {
+    if (!votes.empty() && rng.bernoulli(shape.repeat)) {
       Vote again = votes[rng.uniform_index(votes.size())];
       if (rng.bernoulli(0.5)) {
         std::swap(again.i, again.j);
         again.prefers_i = !again.prefers_i;
       }
-      if (rng.bernoulli(0.3)) {
+      if (rng.bernoulli(shape.flip)) {
         again.prefers_i = !again.prefers_i;
       }
       votes.push_back(again);
       continue;
     }
     const VertexId base = rng.uniform_index(n) / block * block;
-    Vote v{pool[rng.uniform_index(std::size(pool))],
-           std::min(n - 1, base + rng.uniform_index(block)),
+    const WorkerId worker =
+        shape.workers == 0 ? pool[rng.uniform_index(std::size(pool))]
+        : rng.bernoulli(0.5) ? rng.uniform_index(shape.workers)
+                             : kTopWorker - rng.uniform_index(shape.workers);
+    Vote v{worker, std::min(n - 1, base + rng.uniform_index(block)),
            std::min(n - 1, base + rng.uniform_index(block)),
            rng.bernoulli(0.5)};
     if (rng.bernoulli(0.05)) {
@@ -302,6 +320,70 @@ TEST(HardeningTest, MatchesTheReferenceUnderEveryPolicy) {
   for (unsigned bits = 0; bits < 32; ++bits) {
     expect_same_as_reference({}, 0, policy_from_bits(bits));
     expect_same_as_reference({}, 5, policy_from_bits(bits));
+  }
+
+  // Batches where most votes repeat an earlier (worker, task) answer: in
+  // one direction (every repeat agrees, in either spelling), then in both.
+  for (const double flip : {0.0, 0.5}) {
+    std::size_t total = 0;
+    std::size_t duplicate = 0;
+    std::size_t conflicting = 0;
+    for (std::uint64_t seed = 0; seed < 40; ++seed) {
+      Rng rng(1000 + seed);
+      const std::size_t n = 4 + rng.uniform_index(12);
+      const VoteBatch votes = adversarial_batch(
+          rng, n,
+          {.votes = 200, .repeat = 0.8, .flip = flip, .workers = 100});
+      HardeningReport report;
+      harden_votes(votes, n, {}, &report);
+      total += votes.size();
+      duplicate += report.dropped_duplicate;
+      conflicting += report.dropped_conflicting;
+      for (unsigned bits = 0; bits < 32; ++bits) {
+        SCOPED_TRACE(std::to_string(flip) + "/" + std::to_string(seed) + "/" +
+                     std::to_string(bits));
+        expect_same_as_reference(votes, 0, policy_from_bits(bits));
+        expect_same_as_reference(votes, n, policy_from_bits(bits));
+      }
+    }
+    EXPECT_GE(duplicate + conflicting, total / 3);
+    if (flip == 0.0) {
+      EXPECT_GT(duplicate, 20 * conflicting);
+    } else {
+      EXPECT_GT(conflicting, 10 * duplicate);
+    }
+  }
+
+  // Object ids >= n, which drop_out_of_range = false keeps; with the
+  // component restriction off too they reach compaction, next to worker
+  // ids 0 and UINT64_MAX.
+  {
+    Rng rng(2024);
+    const VoteBatch votes = adversarial_batch(
+        rng, 8, {.votes = 300, .repeat = 0.5, .flip = 0.2, .workers = 3});
+    const HardenedBatch batch =
+        harden_votes(votes, 8, policy_from_bits(2 | 4 | 8));
+    EXPECT_TRUE(std::any_of(
+        batch.votes.begin(), batch.votes.end(),
+        [](const Vote& v) { return v.i >= 8 || v.j >= 8; }));
+    EXPECT_EQ(batch.workers.front(), 0u);
+    EXPECT_EQ(batch.workers.back(), kTopWorker);
+    for (unsigned bits = 0; bits < 32; ++bits) {
+      SCOPED_TRACE("out of range/" + std::to_string(bits));
+      expect_same_as_reference(votes, 0, policy_from_bits(bits));
+      expect_same_as_reference(votes, 8, policy_from_bits(bits));
+    }
+  }
+
+  // One batch of 120k votes from 2 x 200 workers, so both tables grow
+  // through many sizes.
+  Rng rng(77);
+  const VoteBatch big = adversarial_batch(
+      rng, 3000,
+      {.votes = 120'000, .repeat = 0.4, .flip = 0.2, .workers = 200});
+  for (unsigned bits = 0; bits < 32; ++bits) {
+    SCOPED_TRACE("120k/" + std::to_string(bits));
+    expect_same_as_reference(big, 3000, policy_from_bits(bits));
   }
 }
 
