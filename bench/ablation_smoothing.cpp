@@ -4,8 +4,6 @@
 // graph keeps its in-/out-nodes, the closure leans on the completeness
 // floor instead of estimated reverse preferences, and accuracy drops —
 // exactly the failure mode Thm 4.3 / §V-B describes.
-#include <map>
-
 #include "bench/common.hpp"
 #include "core/propagation.hpp"
 #include "core/smoothing.hpp"
@@ -39,23 +37,16 @@ Outcome run_once(bool smoothing_on, SmoothingMode mode, double ratio,
   const SimulatedCrowd crowd(truth, workers);
   const VoteBatch votes = crowd.collect(assignment, rng);
 
-  const auto step1 = discover_truth(votes, n, m, {});
-  PreferenceGraph graph = step1.to_preference_graph(n);
-  if (smoothing_on) {
-    std::map<Edge, std::size_t> idx;
-    for (std::size_t t = 0; t < assignment.tasks().size(); ++t) {
-      idx[assignment.tasks()[t]] = t;
-    }
-    std::vector<std::vector<WorkerId>> task_workers;
-    for (const auto& t : step1.truths) {
-      task_workers.push_back(assignment.workers_for_task(idx[t.task]));
-    }
+  VoteIndex index;
+  const auto step1 = discover_truth(votes, n, m, {}, &index);
+  const PreferenceGraph graph = [&] {
+    if (!smoothing_on) return step1.to_preference_graph(n);
     SmoothingConfig config;
     config.mode = mode;
     Rng smooth_rng(seed + 1);
-    graph = smooth_preferences(graph, step1, task_workers, config,
-                               &smooth_rng, nullptr);
-  }
+    return smooth_preferences(n, step1, assigned_workers(index, assignment),
+                              config, &smooth_rng, nullptr);
+  }();
 
   PropagationStats stats;
   const Matrix closure = propagate_preferences(graph, {}, &stats);

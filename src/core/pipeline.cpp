@@ -1,6 +1,5 @@
 #include "core/pipeline.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "analysis/invariants.hpp"
@@ -140,51 +139,6 @@ std::vector<ConfigError> ExperimentConfig::validate() const {
   return errors;
 }
 
-namespace {
-
-/// Workers of each indexed task in the assignment's order. A task the
-/// assignment lists twice takes its first listing.
-std::vector<std::vector<WorkerId>> assigned_workers(
-    const VoteIndex& index, const HitAssignment& assignment) {
-  // Listings sorted by (canonical task, position): a task's first listing
-  // is the first match of a binary search.
-  std::vector<std::pair<Edge, std::size_t>> listings;
-  listings.reserve(assignment.tasks().size());
-  for (std::size_t t = 0; t < assignment.tasks().size(); ++t) {
-    const Edge& e = assignment.tasks()[t];
-    listings.emplace_back(Edge::canonical(e.first, e.second), t);
-  }
-  std::sort(listings.begin(), listings.end());
-  std::vector<std::vector<WorkerId>> workers;
-  workers.reserve(index.tasks.size());
-  for (const Edge& task : index.tasks) {
-    const auto it = std::lower_bound(listings.begin(), listings.end(),
-                                     std::pair{task, std::size_t{0}});
-    CR_EXPECTS(it != listings.end() && it->first == task,
-               "votes reference a task outside the assignment");
-    workers.push_back(assignment.workers_for_task(it->second));
-  }
-  return workers;
-}
-
-/// Distinct voters of each indexed task in first-seen order.
-std::vector<std::vector<WorkerId>> voting_workers(const VoteIndex& index) {
-  std::vector<std::vector<WorkerId>> workers(index.tasks.size());
-  for (std::size_t t = 0; t < index.tasks.size(); ++t) {
-    const auto votes = index.votes_of_task(t);
-    workers[t].reserve(votes.size());
-    for (const VoteIndex::TaskVote& v : votes) {
-      if (std::find(workers[t].begin(), workers[t].end(), v.worker) ==
-          workers[t].end()) {
-        workers[t].push_back(v.worker);
-      }
-    }
-  }
-  return workers;
-}
-
-}  // namespace
-
 InferenceEngine::InferenceEngine(InferenceConfig config)
     : config_(std::move(config)) {}
 
@@ -264,28 +218,30 @@ InferenceResult InferenceEngine::infer_impl(const VoteBatch& votes,
 
   // Wire each discovered task to its workers, in truths[] order (smoothing
   // consults those workers' qualities).
-  const std::vector<std::vector<WorkerId>> task_workers =
-      assignment != nullptr ? assigned_workers(index, *assignment)
-                            : voting_workers(index);
+  const TaskWorkers task_workers = assignment != nullptr
+                                       ? assigned_workers(index, *assignment)
+                                       : voting_workers(index);
 
-  // Step 2: preference smoothing of the 1-edges. `direct` outlives the
-  // step's span so the validators can diff it against the smoothed graph.
-  const auto [direct, smoothed] = [&] {
+  // Step 2: preference smoothing of the 1-edges, straight from step 1's
+  // truths. A task has at most one 1-edge and smoothing softens each one,
+  // so the smoothed count is the 1-edge count.
+  const PreferenceGraph smoothed = [&] {
     trace::Span span("step2_smoothing");
-    PreferenceGraph direct_graph = step1.to_preference_graph(object_count);
-    result.one_edge_count = direct_graph.one_edges().size();
-    PreferenceGraph smoothed_graph =
-        smooth_preferences(direct_graph, step1, task_workers,
+    PreferenceGraph graph =
+        smooth_preferences(object_count, step1, task_workers,
                            config_.smoothing, &rng, &result.step2);
+    result.one_edge_count = result.step2.one_edges_smoothed;
     if (span.active()) {
       span.set_attr("one_edges", result.one_edge_count);
       span.set_attr("one_edges_smoothed", result.step2.one_edges_smoothed);
       span.set_attr("strongly_connected_after",
                     result.step2.strongly_connected_after);
     }
-    return std::pair{std::move(direct_graph), std::move(smoothed_graph)};
+    return graph;
   }();
   if (validate) {
+    // The direct graph G_P exists only for the validators to diff against.
+    const PreferenceGraph direct = step1.to_preference_graph(object_count);
     analysis::check_preference_graph(direct.out_csr());
     analysis::check_preference_graph(smoothed.out_csr());
     analysis::check_smoothing(direct, smoothed, config_.smoothing);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/error.hpp"
 #include "util/math.hpp"
@@ -14,12 +15,58 @@ double worker_sigma_from_quality(double quality) {
   return -std::log(q);
 }
 
-PreferenceGraph smooth_preferences(
-    const PreferenceGraph& graph, const TruthDiscoveryResult& step1,
-    std::span<const std::vector<WorkerId>> assignment_workers,
-    const SmoothingConfig& config, Rng* rng, SmoothingStats* stats) {
-  CR_EXPECTS(assignment_workers.size() == step1.truths.size(),
-             "need one worker list per discovered task");
+TaskWorkers assigned_workers(const VoteIndex& index,
+                             const HitAssignment& assignment) {
+  // Listings sorted by (canonical task, position): a task's first listing
+  // is the first match of a binary search.
+  std::vector<std::pair<Edge, std::size_t>> listings;
+  listings.reserve(assignment.tasks().size());
+  for (std::size_t t = 0; t < assignment.tasks().size(); ++t) {
+    const Edge& e = assignment.tasks()[t];
+    listings.emplace_back(Edge::canonical(e.first, e.second), t);
+  }
+  std::sort(listings.begin(), listings.end());
+  TaskWorkers rows;
+  rows.offsets.reserve(index.tasks.size() + 1);
+  rows.workers.reserve(index.task_votes.size());
+  for (const Edge& task : index.tasks) {
+    const auto it = std::lower_bound(listings.begin(), listings.end(),
+                                     std::pair{task, std::size_t{0}});
+    CR_EXPECTS(it != listings.end() && it->first == task,
+               "votes reference a task outside the assignment");
+    const std::vector<WorkerId>& workers =
+        assignment.workers_for_task(it->second);
+    rows.workers.insert(rows.workers.end(), workers.begin(), workers.end());
+    rows.offsets.push_back(rows.workers.size());
+  }
+  return rows;
+}
+
+TaskWorkers voting_workers(const VoteIndex& index) {
+  TaskWorkers rows;
+  rows.offsets.reserve(index.tasks.size() + 1);
+  rows.workers.reserve(index.task_votes.size());
+  for (std::size_t t = 0; t < index.tasks.size(); ++t) {
+    const auto row_begin =
+        rows.workers.begin() + static_cast<std::ptrdiff_t>(rows.offsets[t]);
+    for (const VoteIndex::TaskVote& v : index.votes_of_task(t)) {
+      if (std::find(row_begin, rows.workers.end(), v.worker) ==
+          rows.workers.end()) {
+        rows.workers.push_back(v.worker);
+      }
+    }
+    rows.offsets.push_back(rows.workers.size());
+  }
+  return rows;
+}
+
+PreferenceGraph smooth_preferences(std::size_t object_count,
+                                   const TruthDiscoveryResult& step1,
+                                   const TaskWorkers& task_workers,
+                                   const SmoothingConfig& config, Rng* rng,
+                                   SmoothingStats* stats) {
+  CR_EXPECTS(task_workers.task_count() == step1.truths.size(),
+             "need one worker row per discovered task");
   CR_EXPECTS(config.min_mass > 0.0 && config.min_mass <= config.max_mass &&
                  config.max_mass < 0.5,
              "smoothing masses must satisfy 0 < min <= max < 0.5");
@@ -27,8 +74,6 @@ PreferenceGraph smooth_preferences(
              "SampledError smoothing needs an Rng");
 
   SmoothingStats local;
-  local.in_nodes_before = graph.in_nodes().size();
-  local.out_nodes_before = graph.out_nodes().size();
 
   // Per-orientation flip counters for the trace: how many 1-edges were
   // softened in the forward (x == 1) vs backward (x == 0) direction.
@@ -37,33 +82,57 @@ PreferenceGraph smooth_preferences(
       trace::counter("smoothing.backward_ones");
   metrics::Histogram* trace_mass = trace::histogram("smoothing.mass");
 
+  const bool expected_error = config.mode == SmoothingMode::ExpectedError;
+  // Filled the first time a 1-edge meets worker k: err_k for
+  // ExpectedError, sigma_k for SampledError. Negative means not yet.
+  std::vector<double> per_worker(step1.worker_quality.size(), -1.0);
+  // Which directions of the direct graph touch each vertex.
+  constexpr unsigned char kHasIn = 1;
+  constexpr unsigned char kHasOut = 2;
+  std::vector<unsigned char> direct_sides(object_count, 0);
+
   // The smoothed graph carries exactly step 1's task pairs: each pair keeps
-  // its stored weights unless one direction is a 1-edge.
+  // its direct weights unless one direction is a 1-edge.
   std::vector<WeightedEdge> edges;
   edges.reserve(2 * step1.truths.size());
   for (std::size_t t = 0; t < step1.truths.size(); ++t) {
     const TaskTruth& truth = step1.truths[t];
     const VertexId i = truth.task.first;
     const VertexId j = truth.task.second;
-    double w_ij = graph.weight(i, j);
-    double w_ji = graph.weight(j, i);
+    CR_EXPECTS(i < object_count && j < object_count,
+               "truth references an out-of-range object");
+    CR_EXPECTS(truth.x >= 0.0 && truth.x <= 1.0,
+               "preference weight must lie in [0, 1]");
+    // The direct weights, exactly as to_preference_graph stores them.
+    double w_ij = truth.x;
+    double w_ji = 1.0 - truth.x;
+    if (w_ij > 0.0) {
+      direct_sides[i] |= kHasOut;
+      direct_sides[j] |= kHasIn;
+    }
+    if (w_ji > 0.0) {
+      direct_sides[j] |= kHasOut;
+      direct_sides[i] |= kHasIn;
+    }
     // Identify 1-edges in either orientation: x == 1 means i -> j is a
-    // 1-edge (j -> i absent); x == 0 the reverse.
+    // 1-edge (j -> i absent); 1 - x == 1 the reverse, which also holds
+    // for 0 < x <= 2^-54, where i -> j stays present.
     const bool forward_one = w_ij == 1.0;
     const bool backward_one = w_ji == 1.0;
     if (forward_one || backward_one) {
-      const auto& workers = assignment_workers[t];
+      const std::span<const WorkerId> workers = task_workers.of_task(t);
       CR_EXPECTS(!workers.empty(), "a crowdsourced task must have workers");
       double err_sum = 0.0;
       for (const WorkerId k : workers) {
-        CR_EXPECTS(k < step1.worker_quality.size(),
+        CR_EXPECTS(k < per_worker.size(),
                    "worker id outside the quality vector");
-        const double sigma =
-            worker_sigma_from_quality(step1.worker_quality[k]);
-        const double err = config.mode == SmoothingMode::ExpectedError
-                               ? math::expected_abs_normal(sigma)
-                               : std::abs(rng->normal(0.0, sigma));
-        err_sum += err;
+        double& known = per_worker[k];
+        if (known < 0.0) {
+          const double sigma =
+              worker_sigma_from_quality(step1.worker_quality[k]);
+          known = expected_error ? math::expected_abs_normal(sigma) : sigma;
+        }
+        err_sum += expected_error ? known : std::abs(rng->normal(0.0, known));
       }
       const double mass = std::clamp(
           err_sum / static_cast<double>(workers.size()), config.min_mass,
@@ -83,8 +152,12 @@ PreferenceGraph smooth_preferences(
     edges.push_back({i, j, w_ij});
     edges.push_back({j, i, w_ji});
   }
-  PreferenceGraph smoothed(graph.vertex_count(), edges);
+  PreferenceGraph smoothed(object_count, edges);
 
+  for (const unsigned char sides : direct_sides) {
+    local.in_nodes_before += sides == kHasIn ? 1 : 0;
+    local.out_nodes_before += sides == kHasOut ? 1 : 0;
+  }
   local.strongly_connected_after = smoothed.is_strongly_connected();
   if (metrics::Counter* c = trace::counter("smoothing.one_edges_smoothed")) {
     c->add(local.one_edges_smoothed);

@@ -10,6 +10,13 @@
 // After smoothing, every crowdsourced edge is bidirectional with positive
 // weights, so the smoothed graph of a *connected* task graph is strongly
 // connected — the precondition of Thm 5.1's always-an-HP guarantee.
+//
+// Step 2 reads step 1's truths directly: task (i, j) with truth x has the
+// direct weights w_ij = x and w_ji = 1 - x, exactly what
+// TruthDiscoveryResult::to_preference_graph stores (a weight of 0 is an
+// absent edge). So the smoothed graph is the only graph a run builds
+// before Step 3; the direct graph G_P is built only by the stage
+// validators and `crowdrank diagnose`.
 #pragma once
 
 #include <cstddef>
@@ -17,6 +24,7 @@
 #include <vector>
 
 #include "core/truth_discovery.hpp"
+#include "crowd/hit.hpp"
 #include "graph/preference_graph.hpp"
 #include "util/rng.hpp"
 
@@ -49,17 +57,43 @@ struct SmoothingStats {
   bool strongly_connected_after = false;
 };
 
-/// Applies Step 2 to the Step-1 output. `truths` identifies which task each
-/// 1-edge came from so the right workers' qualities are consulted;
-/// `assignment_workers[t]` lists the workers of truths[t]'s task.
-/// `rng` may be null for SmoothingMode::ExpectedError.
-/// Returns the smoothed graph (the paper's G~_P), built in O(n + m) from
-/// step 1's task pairs with their weights read from `graph`; edges of
-/// `graph` between other pairs are not carried over.
-PreferenceGraph smooth_preferences(
-    const PreferenceGraph& graph, const TruthDiscoveryResult& step1,
-    std::span<const std::vector<WorkerId>> assignment_workers,
-    const SmoothingConfig& config, Rng* rng, SmoothingStats* stats = nullptr);
+/// The workers of each step-1 task in flat rows: the workers of truths[t]
+/// are `workers[offsets[t] .. offsets[t + 1])`.
+struct TaskWorkers {
+  std::vector<std::size_t> offsets{0};  ///< size tasks + 1
+  std::vector<WorkerId> workers;
+
+  std::size_t task_count() const { return offsets.size() - 1; }
+  std::span<const WorkerId> of_task(std::size_t t) const {
+    return {workers.data() + offsets[t], offsets[t + 1] - offsets[t]};
+  }
+};
+
+/// Workers of each task of `index` as the assignment lists them; a task
+/// the assignment lists twice takes its first listing. Throws when a task
+/// is not in the assignment.
+TaskWorkers assigned_workers(const VoteIndex& index,
+                             const HitAssignment& assignment);
+
+/// Distinct voters of each task of `index`, in first-seen order.
+TaskWorkers voting_workers(const VoteIndex& index);
+
+/// Applies Step 2 to the Step-1 output over `object_count` objects.
+/// `task_workers` row t lists the workers of truths[t]'s task, whose
+/// qualities smooth it if it is a 1-edge; a worker id outside
+/// `step1.worker_quality` throws there. `rng` may be null for
+/// SmoothingMode::ExpectedError. Each worker's sigma_k (and, for
+/// ExpectedError, its err_k) is computed once; SampledError draws one
+/// error per (1-edge, worker) pair, in row order.
+/// Returns the smoothed graph (the paper's G~_P), built in O(n + m) over
+/// exactly step 1's task pairs. `stats` counts the in-/out-nodes of the
+/// direct graph, read from the same weights (edge i -> j exists iff its
+/// weight is > 0).
+PreferenceGraph smooth_preferences(std::size_t object_count,
+                                   const TruthDiscoveryResult& step1,
+                                   const TaskWorkers& task_workers,
+                                   const SmoothingConfig& config, Rng* rng,
+                                   SmoothingStats* stats = nullptr);
 
 /// sigma_k = -log(q_k). The quality is clamped into [1e-9, 1] first so the
 /// result is finite and non-negative even for degenerate q_k.

@@ -130,7 +130,9 @@ RankOutcome run_ranking(const RankParams& params, Rng& rng) {
         return out;
       }
       object_count = batch.objects.size();
-      worker_count = std::max(worker_count, batch.workers.size());
+      // Compacted worker ids are dense: a caller's larger count would only
+      // size step 1's per-worker arrays for workers no vote names.
+      worker_count = batch.workers.size();
       votes = std::move(batch.votes);
       object_map = std::move(batch.objects);
     } else {

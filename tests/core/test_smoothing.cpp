@@ -10,17 +10,19 @@
 namespace crowdrank {
 namespace {
 
-/// Builds a Step-1 result + graph for a chain of unanimous tasks plus one
-/// contested task, with chosen worker qualities.
+/// Builds a Step-1 result for a chain of unanimous tasks plus one
+/// contested task over 4 objects, with chosen worker qualities; workers
+/// 0, 1 and 2 answer every task.
 struct Fixture {
+  static constexpr std::size_t n = 4;
   TruthDiscoveryResult step1;
-  PreferenceGraph graph;
-  std::vector<std::vector<WorkerId>> task_workers;
+  TaskWorkers task_workers;
 
   explicit Fixture(std::vector<double> qualities)
-      : step1(make_step1(std::move(qualities))),
-        graph(step1.to_preference_graph(4)),
-        task_workers{{0, 1, 2}, {0, 1, 2}, {0, 1, 2}} {}
+      : step1(make_step1(std::move(qualities))) {
+    task_workers.offsets = {0, 3, 6, 9};
+    task_workers.workers = {0, 1, 2, 0, 1, 2, 0, 1, 2};
+  }
 
   static TruthDiscoveryResult make_step1(std::vector<double> qualities) {
     TruthDiscoveryResult step1;
@@ -36,7 +38,7 @@ struct Fixture {
 TEST(Smoothing, OneEdgesGetBothDirections) {
   Fixture f({0.8, 0.8, 0.8});
   SmoothingStats stats;
-  const auto smoothed = smooth_preferences(f.graph, f.step1, f.task_workers,
+  const auto smoothed = smooth_preferences(f.n, f.step1, f.task_workers,
                                            {}, nullptr, &stats);
   EXPECT_EQ(stats.one_edges_smoothed, 2u);
   // Forward 1-edge (0,1).
@@ -54,7 +56,7 @@ TEST(Smoothing, OneEdgesGetBothDirections) {
 TEST(Smoothing, SmoothedMassMatchesExpectedError) {
   const double q = 0.8;
   Fixture f({q, q, q});
-  const auto smoothed = smooth_preferences(f.graph, f.step1, f.task_workers,
+  const auto smoothed = smooth_preferences(f.n, f.step1, f.task_workers,
                                            {}, nullptr, nullptr);
   const double sigma = -std::log(q);
   const double expected_mass = sigma * std::sqrt(2.0 / M_PI);
@@ -66,7 +68,7 @@ TEST(Smoothing, PerfectWorkersStillLeaveMinimumMass) {
   // reverse edge alive (otherwise Thm 5.1's guarantee dies).
   Fixture f({1.0, 1.0, 1.0});
   SmoothingConfig config;
-  const auto smoothed = smooth_preferences(f.graph, f.step1, f.task_workers,
+  const auto smoothed = smooth_preferences(f.n, f.step1, f.task_workers,
                                            config, nullptr, nullptr);
   EXPECT_DOUBLE_EQ(smoothed.weight(1, 0), config.min_mass);
   EXPECT_DOUBLE_EQ(smoothed.weight(0, 1), 1.0 - config.min_mass);
@@ -77,7 +79,7 @@ TEST(Smoothing, TerribleWorkersAreCappedBelowHalf) {
   // preferred (mass < 0.5).
   Fixture f({0.01, 0.01, 0.01});
   SmoothingConfig config;
-  const auto smoothed = smooth_preferences(f.graph, f.step1, f.task_workers,
+  const auto smoothed = smooth_preferences(f.n, f.step1, f.task_workers,
                                            config, nullptr, nullptr);
   EXPECT_DOUBLE_EQ(smoothed.weight(1, 0), config.max_mass);
   EXPECT_GT(smoothed.weight(0, 1), 0.5);
@@ -86,18 +88,18 @@ TEST(Smoothing, TerribleWorkersAreCappedBelowHalf) {
 TEST(Smoothing, LowerQualityMeansMoreSmoothedMass) {
   Fixture good({0.95, 0.95, 0.95});
   Fixture poor({0.5, 0.5, 0.5});
-  const auto sg = smooth_preferences(good.graph, good.step1,
+  const auto sg = smooth_preferences(good.n, good.step1,
                                      good.task_workers, {}, nullptr, nullptr);
-  const auto sp = smooth_preferences(poor.graph, poor.step1,
+  const auto sp = smooth_preferences(poor.n, poor.step1,
                                      poor.task_workers, {}, nullptr, nullptr);
   EXPECT_LT(sg.weight(1, 0), sp.weight(1, 0));
 }
 
 TEST(Smoothing, ConnectedChainBecomesStronglyConnected) {
   Fixture f({0.8, 0.8, 0.8});
-  EXPECT_FALSE(f.graph.is_strongly_connected());
+  EXPECT_FALSE(f.step1.to_preference_graph(f.n).is_strongly_connected());
   SmoothingStats stats;
-  const auto smoothed = smooth_preferences(f.graph, f.step1, f.task_workers,
+  const auto smoothed = smooth_preferences(f.n, f.step1, f.task_workers,
                                            {}, nullptr, &stats);
   EXPECT_TRUE(stats.strongly_connected_after);
   EXPECT_TRUE(smoothed.is_strongly_connected());
@@ -106,7 +108,7 @@ TEST(Smoothing, ConnectedChainBecomesStronglyConnected) {
 TEST(Smoothing, InOutNodeCountsReported) {
   Fixture f({0.8, 0.8, 0.8});
   SmoothingStats stats;
-  smooth_preferences(f.graph, f.step1, f.task_workers, {}, nullptr, &stats);
+  smooth_preferences(f.n, f.step1, f.task_workers, {}, nullptr, &stats);
   // Before smoothing: vertex 0 is an out-node (only outgoing), vertex 3 an
   // in-node.
   EXPECT_EQ(stats.out_nodes_before, 1u);
@@ -118,10 +120,10 @@ TEST(Smoothing, SampledModeDrawsErrors) {
   SmoothingConfig config;
   config.mode = SmoothingMode::SampledError;
   Rng rng(1);
-  const auto a = smooth_preferences(f.graph, f.step1, f.task_workers, config,
+  const auto a = smooth_preferences(f.n, f.step1, f.task_workers, config,
                                     &rng, nullptr);
   Rng rng2(2);
-  const auto b = smooth_preferences(f.graph, f.step1, f.task_workers, config,
+  const auto b = smooth_preferences(f.n, f.step1, f.task_workers, config,
                                     &rng2, nullptr);
   // Different draws: the masses should (almost surely) differ.
   EXPECT_NE(a.weight(1, 0), b.weight(1, 0));
@@ -134,7 +136,7 @@ TEST(Smoothing, SampledModeRequiresRng) {
   Fixture f({0.5, 0.5, 0.5});
   SmoothingConfig config;
   config.mode = SmoothingMode::SampledError;
-  EXPECT_THROW(smooth_preferences(f.graph, f.step1, f.task_workers, config,
+  EXPECT_THROW(smooth_preferences(f.n, f.step1, f.task_workers, config,
                                   nullptr, nullptr),
                Error);
 }
@@ -143,17 +145,19 @@ TEST(Smoothing, ValidatesConfigAndInputs) {
   Fixture f({0.5, 0.5, 0.5});
   SmoothingConfig bad;
   bad.min_mass = 0.0;
-  EXPECT_THROW(smooth_preferences(f.graph, f.step1, f.task_workers, bad,
+  EXPECT_THROW(smooth_preferences(f.n, f.step1, f.task_workers, bad,
                                   nullptr, nullptr),
                Error);
   bad = {};
   bad.max_mass = 0.6;
-  EXPECT_THROW(smooth_preferences(f.graph, f.step1, f.task_workers, bad,
+  EXPECT_THROW(smooth_preferences(f.n, f.step1, f.task_workers, bad,
                                   nullptr, nullptr),
                Error);
-  // Worker list count mismatch.
-  std::vector<std::vector<WorkerId>> short_list{{0}};
-  EXPECT_THROW(smooth_preferences(f.graph, f.step1, short_list, {}, nullptr,
+  // Worker row count mismatch.
+  TaskWorkers short_rows;
+  short_rows.offsets = {0, 1};
+  short_rows.workers = {0};
+  EXPECT_THROW(smooth_preferences(f.n, f.step1, short_rows, {}, nullptr,
                                   nullptr),
                Error);
 }

@@ -154,8 +154,11 @@ TEST(PreferenceGraph, SmoothsACirculantGraphWithOneHundredThousandObjects) {
       step1.truths.push_back(TaskTruth{task, x, 3});
     }
   }
-  const std::vector<std::vector<WorkerId>> task_workers(step1.truths.size(),
-                                                        {0, 1, 2});
+  TaskWorkers task_workers;  // workers 0, 1 and 2 answer every task
+  for (std::size_t t = 0; t < step1.truths.size(); ++t) {
+    task_workers.workers.insert(task_workers.workers.end(), {0, 1, 2});
+    task_workers.offsets.push_back(task_workers.workers.size());
+  }
   constexpr std::size_t kSpecial = n / 10;  // of each kind
 
   const PreferenceGraph direct = step1.to_preference_graph(n);
@@ -167,7 +170,7 @@ TEST(PreferenceGraph, SmoothsACirculantGraphWithOneHundredThousandObjects) {
 
   SmoothingStats stats;
   const PreferenceGraph smoothed = smooth_preferences(
-      direct, step1, task_workers, SmoothingConfig{}, nullptr, &stats);
+      n, step1, task_workers, SmoothingConfig{}, nullptr, &stats);
   EXPECT_EQ(stats.one_edges_smoothed, 4 * 2 * kSpecial);
   EXPECT_EQ(stats.in_nodes_before, kSpecial);
   EXPECT_EQ(stats.out_nodes_before, kSpecial);

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -22,6 +23,7 @@
 #include "crowd/vote.hpp"
 #include "obs/json.hpp"
 #include "obs/telemetry.hpp"
+#include "service/api.hpp"
 #include "util/trace.hpp"
 
 namespace crowdrank::service {
@@ -536,6 +538,31 @@ TEST(ServiceTraceTest, PostmortemOfAJobFailedMidPipelineHoldsItsSpanTree) {
                        "service.job", "infer", "step1_truth_discovery",
                        "step2_smoothing", "step3_propagation"}));
   EXPECT_EQ(parents, (std::vector<double>{-1, 0, 1, 1, 1}));
+}
+
+// Hardening compacts worker ids to 0..k-1, so step 1 sizes its per-worker
+// arrays by the k workers the batch names, not by a larger caller count.
+// A worker no vote names would keep q = 1 and enter neither Eq. 4 nor the
+// max-normalization, so the answer is the same bits either way.
+TEST(ServiceApiTest, HardenedWorkerCountIsTheCompactedCount) {
+  api::Request request;
+  for (VertexId i = 0; i < 6; ++i) {
+    for (VertexId j = i + 1; j < 6; ++j) {
+      request.votes.push_back(Vote{7, i, j, true});
+      request.votes.push_back(Vote{5'000'000, i, j, (i + j) % 4 != 1});
+    }
+  }
+  request.worker_count = 5'000'001;
+  const api::Response oversized = api::rank(request);
+  request.worker_count = 0;
+  const api::Response derived = api::rank(request);
+  ASSERT_TRUE(oversized.ok()) << oversized.reason;
+  ASSERT_TRUE(derived.ok()) << derived.reason;
+  ASSERT_TRUE(oversized.inference.has_value());
+  EXPECT_EQ(oversized.inference->step1.worker_quality.size(), 2u);
+  EXPECT_EQ(oversized.ranking.order, derived.ranking.order);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(oversized.log_probability),
+            std::bit_cast<std::uint64_t>(derived.log_probability));
 }
 
 }  // namespace
