@@ -2,8 +2,9 @@
 // for most of the testing cases".
 //
 // Sweeps worker-quality settings and budgets, reporting the iteration
-// count of the truth-discovery loop and whether it converged before the
-// cap.
+// count of the truth-discovery loop, whether it converged before the cap,
+// the share of tasks whose votes disagree (the only rows an iteration
+// after the first runs over) and step 1's wall time.
 #include "bench/common.hpp"
 
 namespace crowdrank {
@@ -16,7 +17,7 @@ void run() {
 
   const std::size_t n = 100;
   TableWriter table({"distribution", "quality", "r", "iterations",
-                     "converged", "one_edges"});
+                     "converged", "one_edges", "contested", "step1_ms"});
   for (const auto dist :
        {QualityDistribution::Gaussian, QualityDistribution::Uniform}) {
     for (const auto level :
@@ -30,12 +31,19 @@ void run() {
         config.worker_quality = {dist, level};
         config.inference.saps.iterations = 200;  // step 4 irrelevant here
         config.seed = 9000 + static_cast<std::uint64_t>(ratio * 10);
+        bench::StepClock clock;
+        config.inference.control = &clock;
         const ExperimentResult r = run_experiment(config);
-        table.add_row({to_string(dist), to_string(level),
-                       TableWriter::fmt(ratio, 1),
-                       std::to_string(r.inference.step1.iterations),
-                       r.inference.step1.converged ? "yes" : "no",
-                       std::to_string(r.inference.one_edge_count)});
+        const TruthDiscoveryResult& step1 = r.inference.step1;
+        table.add_row(
+            {to_string(dist), to_string(level), TableWriter::fmt(ratio, 1),
+             std::to_string(step1.iterations),
+             step1.converged ? "yes" : "no",
+             std::to_string(r.inference.one_edge_count),
+             TableWriter::fmt(static_cast<double>(step1.contested_tasks) /
+                                  static_cast<double>(step1.truths.size()),
+                              3),
+             TableWriter::fmt(clock.step_ms(0), 2)});
       }
     }
   }

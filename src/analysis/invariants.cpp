@@ -158,6 +158,18 @@ void check_truth_discovery(const TruthDiscoveryResult& step1,
       fail(kStage, os.str());
     }
   }
+  if (step1.contested_tasks > step1.truths.size()) {
+    std::ostringstream os;
+    os << step1.contested_tasks << " contested tasks of "
+       << step1.truths.size();
+    fail(kStage, os.str());
+  }
+  if (step1.full_passes < 1 || step1.full_passes > step1.iterations) {
+    std::ostringstream os;
+    os << step1.full_passes << " passes over every task in "
+       << step1.iterations << " iterations (need 1 <= passes <= iterations)";
+    fail(kStage, os.str());
+  }
 }
 
 void check_preference_graph(const CsrAdjacency& graph) {

@@ -73,7 +73,8 @@ void check_task_graph(const TaskGraph& graph, std::size_t expected_edges);
 
 /// Step 1 (§V-A): every task canonical (i < j < n), no duplicate tasks,
 /// every x_ij and every worker quality/weight in [0, 1], vectors sized to
-/// `worker_count`, each discovered task backed by at least one vote.
+/// `worker_count`, each discovered task backed by at least one vote, at
+/// most every task contested, and 1 <= full_passes <= iterations.
 void check_truth_discovery(const TruthDiscoveryResult& step1,
                            std::size_t object_count,
                            std::size_t worker_count);

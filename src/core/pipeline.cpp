@@ -208,6 +208,8 @@ InferenceResult InferenceEngine::infer_impl(const VoteBatch& votes,
       span.set_attr("iterations", step1.iterations);
       span.set_attr("converged", step1.converged);
       span.set_attr("tasks", step1.truths.size());
+      span.set_attr("contested_tasks", step1.contested_tasks);
+      span.set_attr("full_passes", step1.full_passes);
     }
   }
   if (validate) {

@@ -295,11 +295,16 @@ PowerStep power_step(const CsrAdjacency& a, const std::vector<double>& x,
 bool perron_vectors(const PreferenceGraph& smoothed, std::size_t length,
                     std::vector<double>& u, std::vector<double>& v,
                     PropagationStats& stats) {
-  if (!smoothed.is_strongly_connected()) {
+  // Kosaraju's two passes, the second over the transpose the left
+  // iteration needs anyway: W is transposed once per call.
+  const CsrAdjacency& out = smoothed.out_csr();
+  if (!reaches_every_vertex(out)) {
     return false;
   }
-  const CsrAdjacency& out = smoothed.out_csr();
   const CsrAdjacency in = smoothed.in_csr();
+  if (!reaches_every_vertex(in)) {
+    return false;
+  }
   const std::size_t n = out.vertex_count();
   u.resize(n);
   for (std::size_t i = 0; i < n; ++i) {

@@ -6,6 +6,7 @@
 
 #include "util/error.hpp"
 #include "util/math.hpp"
+#include "util/rows.hpp"
 #include "util/trace.hpp"
 
 namespace crowdrank {
@@ -17,25 +18,63 @@ double worker_sigma_from_quality(double quality) {
 
 TaskWorkers assigned_workers(const VoteIndex& index,
                              const HitAssignment& assignment) {
-  // Listings sorted by (canonical task, position): a task's first listing
-  // is the first match of a binary search.
-  std::vector<std::pair<Edge, std::size_t>> listings;
-  listings.reserve(assignment.tasks().size());
-  for (std::size_t t = 0; t < assignment.tasks().size(); ++t) {
-    const Edge& e = assignment.tasks()[t];
-    listings.emplace_back(Edge::canonical(e.first, e.second), t);
+  // The listings and the step-1 tasks, each bucketed by first object with
+  // a stable counting sort, so a bucket keeps listing (or task) order.
+  // Walking the buckets in order, a scratch row indexed by second object
+  // holds the first listing of each task of the current bucket (an entry
+  // from an earlier bucket is stale). O(n + listings + tasks).
+  const std::vector<Edge>& listed = assignment.tasks();
+  const auto listing = [&](std::size_t p) {
+    return Edge::canonical(listed[p].first, listed[p].second);
+  };
+  std::size_t n = 0;
+  for (const Edge& task : index.tasks) {
+    n = std::max<std::size_t>(n, task.second + 1);
   }
-  std::sort(listings.begin(), listings.end());
+  // Listings naming an object >= n match no task: they go to row n.
+  std::vector<std::size_t> listing_offsets;
+  std::vector<std::size_t> by_first_listing;
+  fill_rows(
+      n + 1, listed.size(),
+      [&](std::size_t p) {
+        const Edge e = listing(p);
+        return e.second < n ? std::size_t{e.first} : n;
+      },
+      [](std::size_t p) { return p; }, listing_offsets, by_first_listing);
+  std::vector<std::size_t> task_offsets;
+  std::vector<std::size_t> by_first_task;
+  fill_rows(
+      n, index.tasks.size(),
+      [&](std::size_t t) { return std::size_t{index.tasks[t].first}; },
+      [](std::size_t t) { return t; }, task_offsets, by_first_task);
+
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> first_listing(n, kNone);
+  std::vector<std::size_t> listing_of(index.tasks.size());
+  for (std::size_t first = 0; first < n; ++first) {
+    for (std::size_t r = listing_offsets[first];
+         r < listing_offsets[first + 1]; ++r) {
+      const std::size_t p = by_first_listing[r];
+      std::size_t& slot = first_listing[listing(p).second];
+      if (slot == kNone || listing(slot).first != first) {
+        slot = p;
+      }
+    }
+    for (std::size_t r = task_offsets[first]; r < task_offsets[first + 1];
+         ++r) {
+      const std::size_t t = by_first_task[r];
+      const std::size_t slot = first_listing[index.tasks[t].second];
+      CR_EXPECTS(slot != kNone && listing(slot).first == first,
+                 "votes reference a task outside the assignment");
+      listing_of[t] = slot;
+    }
+  }
+
   TaskWorkers rows;
   rows.offsets.reserve(index.tasks.size() + 1);
   rows.workers.reserve(index.task_votes.size());
-  for (const Edge& task : index.tasks) {
-    const auto it = std::lower_bound(listings.begin(), listings.end(),
-                                     std::pair{task, std::size_t{0}});
-    CR_EXPECTS(it != listings.end() && it->first == task,
-               "votes reference a task outside the assignment");
-    const std::vector<WorkerId>& workers =
-        assignment.workers_for_task(it->second);
+  for (const std::size_t p : listing_of) {
+    const std::vector<WorkerId>& workers = assignment.workers_for_task(p);
     rows.workers.insert(rows.workers.end(), workers.begin(), workers.end());
     rows.offsets.push_back(rows.workers.size());
   }

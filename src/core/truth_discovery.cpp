@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "util/error.hpp"
 #include "util/math.hpp"
 #include "util/parallel.hpp"
+#include "util/rows.hpp"
 #include "util/trace.hpp"
 
 namespace crowdrank {
@@ -20,29 +20,22 @@ namespace {
 constexpr std::size_t kTaskGrain = 512;
 constexpr std::size_t kWorkerGrain = 16;
 
-/// Stable counting sort of items 0..count-1 into CSR rows: row r lists
-/// entry_of(k), in item order, for every item k with row_of(k) == r.
-template <class Entry, class RowOf, class EntryOf>
-void fill_rows(std::size_t rows, std::size_t count, RowOf row_of,
-               EntryOf entry_of, std::vector<std::size_t>& offsets,
-               std::vector<Entry>& entries) {
-  offsets.assign(rows + 1, 0);
-  for (std::size_t k = 0; k < count; ++k) {
-    ++offsets[row_of(k) + 1];
-  }
-  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
-  std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
-  entries.resize(count);
-  for (std::size_t k = 0; k < count; ++k) {
-    entries[cursor[row_of(k)]++] = entry_of(k);
-  }
-}
+/// The rows of the tasks whose votes disagree: task row c is the row of
+/// task `tasks[c]` (dense ids in task order), and worker row k lists
+/// worker k's votes on them, each naming its task's dense id. Both keep
+/// batch order.
+struct ContestedRows {
+  std::vector<std::size_t> tasks;
+  VoteRows rows;
+};
 
-/// Checks every vote in batch order and groups the batch. Throws when
-/// `votes` is empty or a vote names an out-of-range object or worker or
-/// compares an object with itself.
+/// Checks every vote in batch order and groups the batch; `contested`
+/// (optional) receives the contested rows. Throws when `votes` is empty
+/// or a vote names an out-of-range object or worker or compares an
+/// object with itself.
 VoteIndex index_votes(const VoteBatch& votes, std::size_t object_count,
-                      std::size_t worker_count) {
+                      std::size_t worker_count,
+                      ContestedRows* contested = nullptr) {
   CR_EXPECTS(!votes.empty(), "truth discovery needs at least one vote");
   for (const Vote& v : votes) {
     CR_EXPECTS(v.i < object_count && v.j < object_count,
@@ -107,7 +100,87 @@ VoteIndex index_votes(const VoteBatch& votes, std::size_t object_count,
             index.task_offsets, index.task_votes);
   fill_rows(worker_count, vote_count, worker_of, seen_from_worker,
             index.worker_offsets, index.worker_votes);
+  if (contested == nullptr) {
+    return index;
+  }
+
+  // Contested rows, copied out of the full rows so they keep batch order.
+  // `dense` reuses vote_task's storage: the dense id of each task, or kNone.
+  std::vector<std::size_t>& dense = vote_task;
+  dense.assign(index.tasks.size(), kNone);
+  std::size_t contested_votes = 0;
+  for (std::size_t t = 0; t < index.tasks.size(); ++t) {
+    const auto row = index.votes_of_task(t);
+    if (std::ranges::any_of(row, [&](const VoteIndex::TaskVote& v) {
+          return v.x != row.front().x;
+        })) {
+      dense[t] = contested->tasks.size();
+      contested->tasks.push_back(t);
+      contested_votes += row.size();
+    }
+  }
+  VoteRows& rows = contested->rows;
+  rows.task_offsets.reserve(contested->tasks.size() + 1);
+  rows.task_offsets.push_back(0);
+  rows.task_votes.reserve(contested_votes);
+  for (const std::size_t t : contested->tasks) {
+    const auto row = index.votes_of_task(t);
+    rows.task_votes.insert(rows.task_votes.end(), row.begin(), row.end());
+    rows.task_offsets.push_back(rows.task_votes.size());
+  }
+  rows.worker_offsets.reserve(worker_count + 1);
+  rows.worker_offsets.push_back(0);
+  rows.worker_votes.reserve(contested_votes);
+  for (WorkerId k = 0; k < worker_count; ++k) {
+    for (const VoteIndex::WorkerVote& v : index.votes_of_worker(k)) {
+      if (dense[v.task] != kNone) {
+        rows.worker_votes.push_back({dense[v.task], v.x});
+      }
+    }
+    rows.worker_offsets.push_back(rows.worker_votes.size());
+  }
   return index;
+}
+
+/// Truths over the rows of one pass: every task, or the contested ones.
+struct RowView {
+  const VoteRows& rows;
+  std::span<double> x;  ///< one truth per task row
+};
+
+/// Eq. 4 over every task row of `view`: each truth becomes its votes'
+/// quality-weighted mean (0.5 when their weights sum to 0). Returns the
+/// largest |change|. Tasks are independent, so the rows fan out over the
+/// pool; the max reduction is exact.
+double e_step(const RowView& view, std::span<const double> q) {
+  return parallel_reduce(
+      std::size_t{0}, view.x.size(), kTaskGrain, 0.0,
+      [&](std::size_t t0, std::size_t t1) {
+        double local = 0.0;
+        for (std::size_t t = t0; t < t1; ++t) {
+          double num = 0.0;
+          double den = 0.0;
+          for (const VoteRows::TaskVote& v : view.rows.votes_of_task(t)) {
+            num += v.x * q[v.worker];
+            den += q[v.worker];
+          }
+          const double next = den > 0.0 ? num / den : 0.5;
+          local = std::max(local, std::abs(next - view.x[t]));
+          view.x[t] = next;
+        }
+        return local;
+      },
+      [](double a, double b) { return std::max(a, b); });
+}
+
+/// `dev` plus the squared deviation of worker k's votes in `view` from
+/// their truths, summed in row order.
+double add_deviation(const RowView& view, WorkerId k, double dev) {
+  for (const VoteRows::WorkerVote& v : view.rows.votes_of_worker(k)) {
+    const double d = v.x - view.x[v.task];
+    dev += d * d;
+  }
+  return dev;
 }
 
 }  // namespace
@@ -123,37 +196,70 @@ TruthDiscoveryResult discover_truth(const VoteBatch& votes,
              "alpha must be in (0, 1)");
   VoteIndex own_index;
   VoteIndex& g = index != nullptr ? *index : own_index;
-  g = index_votes(votes, object_count, worker_count);
+  ContestedRows split;
+  g = index_votes(votes, object_count, worker_count, &split);
   const std::size_t num_tasks = g.tasks.size();
 
   std::vector<double> x(num_tasks, 0.5);
+  std::vector<double> x_contested(split.tasks.size());
   std::vector<double> q(worker_count, 1.0);  // equal initial quality
+  std::vector<double> raw(worker_count, 0.0);
 
-  // Chi-squared scale per worker depends only on their task count;
-  // precompute once.
+  // Chi-squared scale and deviation floor per worker depend only on their
+  // vote count; precompute once.
   std::vector<double> chi2_scale(worker_count, 0.0);
+  std::vector<double> floor_dev(worker_count, 0.0);
   for (WorkerId k = 0; k < worker_count; ++k) {
     const std::size_t dof = g.votes_of_worker(k).size();
     if (dof > 0) {
       chi2_scale[k] = math::chi_squared_quantile(config.alpha / 2.0,
                                                  static_cast<double>(dof));
+      floor_dev[k] = config.deviation_floor * static_cast<double>(dof);
     }
   }
 
   TruthDiscoveryResult result;
+  result.contested_tasks = split.tasks.size();
 
   // Trace handles, resolved once. Instrumentation below only *reads* the
   // iteration state (delta, q spread) — it never feeds back into Eq. 4/5.
   metrics::Counter* trace_votes = trace::counter("truth_discovery.votes");
   metrics::Counter* trace_tasks = trace::counter("truth_discovery.tasks");
+  metrics::Counter* trace_contested =
+      trace::counter("truth_discovery.contested_tasks");
   metrics::Counter* trace_iters =
       trace::counter("truth_discovery.iterations");
+  metrics::Counter* trace_full_passes =
+      trace::counter("truth_discovery.full_passes");
   metrics::Series* trace_delta = trace::series("truth_discovery.delta");
   metrics::Series* trace_spread =
       trace::series("truth_discovery.quality_spread");
   // Each handle is guarded on its own (see trace::counter).
   if (trace_votes != nullptr) trace_votes->add(votes.size());
   if (trace_tasks != nullptr) trace_tasks->add(num_tasks);
+  if (trace_contested != nullptr) trace_contested->add(split.tasks.size());
+
+  // The contested truths live in x_contested while contested passes run,
+  // and in x otherwise; each switch copies them across.
+  const RowView all{g, x};
+  const RowView contested{split.rows, x_contested};
+  const RowView* view = &all;
+  const auto switch_to = [&](const RowView& next) {
+    if (view == &next) return;
+    for (std::size_t c = 0; c < split.tasks.size(); ++c) {
+      double& full = x[split.tasks[c]];
+      if (&next == &contested) {
+        x_contested[c] = full;
+      } else {
+        full = x_contested[c];
+      }
+    }
+    view = &next;
+  };
+  // True while each unanimous truth sits at its fixed point, 1.0 or 0.0:
+  // from a pass over every row that ran with every quality in (0, 1]
+  // until a pass runs with some quality outside it.
+  bool settled = false;
 
   const std::size_t iteration_cap =
       config.use_quality_weighting ? config.max_iterations : 1;
@@ -161,29 +267,18 @@ TruthDiscoveryResult discover_truth(const VoteBatch& votes,
   bool converged = false;
   while (iter < iteration_cap && !converged) {
     ++iter;
-    double max_change = 0.0;
+    const bool q_in_range = std::ranges::all_of(
+        q, [](double w) { return w > 0.0 && w <= 1.0; });
+    if (settled && q_in_range) {
+      switch_to(contested);
+    } else {
+      switch_to(all);
+      ++result.full_passes;
+    }
+    settled = q_in_range;
 
-    // E-step analog (Eq. 4): quality-weighted average per task. Tasks are
-    // independent, so the loop fans out over the pool; the convergence
-    // gauge is an exact max reduction.
-    max_change = parallel_reduce(
-        std::size_t{0}, num_tasks, kTaskGrain, max_change,
-        [&](std::size_t t0, std::size_t t1) {
-          double local = 0.0;
-          for (std::size_t t = t0; t < t1; ++t) {
-            double num = 0.0;
-            double den = 0.0;
-            for (const VoteIndex::TaskVote& v : g.votes_of_task(t)) {
-              num += v.x * q[v.worker];
-              den += q[v.worker];
-            }
-            const double next = den > 0.0 ? num / den : 0.5;
-            local = std::max(local, std::abs(next - x[t]));
-            x[t] = next;
-          }
-          return local;
-        },
-        [](double a, double b) { return std::max(a, b); });
+    // E-step analog (Eq. 4).
+    double max_change = e_step(*view, q);
 
     if (!config.use_quality_weighting) {
       // Plain averaging: one E-step with unit weights, no M-step.
@@ -198,44 +293,29 @@ TruthDiscoveryResult discover_truth(const VoteBatch& votes,
 
     // M-step analog (Eq. 5): inverse total squared deviation, chi2-scaled.
     // Workers are independent; max_raw is again an exact max reduction.
-    std::vector<double> raw(worker_count, 0.0);
     const double max_raw = parallel_reduce(
         std::size_t{0}, static_cast<std::size_t>(worker_count), kWorkerGrain,
         0.0,
         [&](std::size_t k0, std::size_t k1) {
           double local = 0.0;
           for (std::size_t k = k0; k < k1; ++k) {
-            const auto row = g.votes_of_worker(k);
-            if (row.empty()) continue;
-            double dev =
-                config.deviation_floor * static_cast<double>(row.size());
-            for (const VoteIndex::WorkerVote& v : row) {
-              const double d = v.x - x[v.task];
-              dev += d * d;
-            }
-            raw[k] = chi2_scale[k] / dev;
+            if (g.votes_of_worker(k).empty()) continue;
+            raw[k] = chi2_scale[k] / add_deviation(*view, k, floor_dev[k]);
             local = std::max(local, raw[k]);
           }
           return local;
         },
         [](double a, double b) { return std::max(a, b); });
     // Max-normalize into [0,1]; workers with no votes keep quality 1 (the
-    // neutral prior) — they never enter Eq. 4 anyway.
-    max_change = parallel_reduce(
-        std::size_t{0}, static_cast<std::size_t>(worker_count), kWorkerGrain,
-        max_change,
-        [&](std::size_t k0, std::size_t k1) {
-          double local = 0.0;
-          for (std::size_t k = k0; k < k1; ++k) {
-            const double next = g.votes_of_worker(k).empty()
-                                    ? 1.0
-                                    : (max_raw > 0.0 ? raw[k] / max_raw : 1.0);
-            local = std::max(local, std::abs(next - q[k]));
-            q[k] = next;
-          }
-          return local;
-        },
-        [](double a, double b) { return std::max(a, b); });
+    // neutral prior) — they never enter Eq. 4 anyway. Max is exact, so
+    // this cheap loop runs on the caller.
+    for (std::size_t k = 0; k < worker_count; ++k) {
+      const double next = g.votes_of_worker(k).empty()
+                              ? 1.0
+                              : (max_raw > 0.0 ? raw[k] / max_raw : 1.0);
+      max_change = std::max(max_change, std::abs(next - q[k]));
+      q[k] = next;
+    }
 
     converged = max_change < config.tolerance;
 
@@ -249,30 +329,31 @@ TruthDiscoveryResult discover_truth(const VoteBatch& votes,
                          *q_max - *q_min);
     }
   }
+  if (trace_full_passes != nullptr) {
+    trace_full_passes->add(result.full_passes);
+  }
 
+  // Calibrated quality for Step 2: sigma_hat_k is the empirical RMS
+  // deviation of the worker's votes from the final truths; q = exp(-sigma)
+  // inverts §V-B's sigma_k = -log(q_k). It sums over the last pass's rows
+  // and divides by the worker's full vote count.
+  result.worker_quality.assign(worker_count, 1.0);
+  parallel_for(0, worker_count, kWorkerGrain,
+               [&](std::size_t k0, std::size_t k1) {
+                 for (std::size_t k = k0; k < k1; ++k) {
+                   const std::size_t count = g.votes_of_worker(k).size();
+                   if (count == 0) continue;
+                   const double msd = add_deviation(*view, k, 0.0) /
+                                      static_cast<double>(count);
+                   result.worker_quality[k] = std::exp(-std::sqrt(msd));
+                 }
+               });
+  switch_to(all);
   result.truths.reserve(num_tasks);
   for (std::size_t t = 0; t < num_tasks; ++t) {
     result.truths.push_back(
         TaskTruth{g.tasks[t], math::clamp01(x[t]), g.votes_of_task(t).size()});
   }
-  // Calibrated quality for Step 2: sigma_hat_k is the empirical RMS
-  // deviation of the worker's votes from the final truths; q = exp(-sigma)
-  // inverts §V-B's sigma_k = -log(q_k).
-  result.worker_quality.assign(worker_count, 1.0);
-  parallel_for(0, worker_count, kWorkerGrain,
-               [&](std::size_t k0, std::size_t k1) {
-                 for (std::size_t k = k0; k < k1; ++k) {
-                   const auto row = g.votes_of_worker(k);
-                   if (row.empty()) continue;
-                   double dev = 0.0;
-                   for (const VoteIndex::WorkerVote& v : row) {
-                     const double d = v.x - x[v.task];
-                     dev += d * d;
-                   }
-                   const double msd = dev / static_cast<double>(row.size());
-                   result.worker_quality[k] = std::exp(-std::sqrt(msd));
-                 }
-               });
   result.worker_weight = std::move(q);
   result.iterations = iter;
   result.converged = converged;

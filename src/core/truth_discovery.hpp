@@ -10,6 +10,32 @@
 // max-normalized into [0,1]. Iterates until both estimate vectors move less
 // than `tolerance` or `max_iterations` is hit — the paper reports
 // convergence within ~10 iterations, which bench/truth_convergence checks.
+//
+// Most tasks are unanimous (the paper's 1-edges, §V-B: ~82% at n = 1000,
+// r = 0.1), and the quality weights cannot move their truths. So after
+// the first iteration the loop runs over the rows of the *contested*
+// tasks only, those whose votes disagree, with the same bits as a pass
+// over every row. The grouping pass copies those rows out: dense ids in
+// task order, each task's and each worker's contested votes in batch
+// order, and a dense truth vector written back at the end. The bits hold
+// because:
+//  * Eq. 4 on a unanimous task adds the same q's to num and den in the
+//    same order, since x^k is exactly 0.0 or 1.0: num == den for an
+//    all-1 task and num == 0.0 for an all-0 one. So its truth is exactly
+//    1.0 or 0.0 whenever den > 0, which holds when every worker quality
+//    lies in (0, 1]. Such a truth changes by 0 on every later pass, and
+//    the convergence test takes an exact max.
+//  * A settled unanimous task adds d = x^k - x_t = 0.0 to a worker's
+//    Eq. 5 deviation, and dev + 0.0 == dev. So the sum over a worker's
+//    contested votes, in batch order, equals the sum over all its votes.
+//    The deviation floor and the calibrated quality's mean still count
+//    every vote.
+// An iteration runs over every row instead when the unanimous truths are
+// not settled (the first iteration, and the one after any pass that ran
+// with a quality outside (0, 1]) or when some quality lies outside
+// (0, 1]: Eq. 5 gives 0, NaN or inf when a worker's total deviation is
+// 0, which a deviation_floor of 0 allows. `full_passes` counts those
+// iterations.
 #pragma once
 
 #include <cstddef>
@@ -43,26 +69,22 @@ struct TruthDiscoveryConfig {
   double deviation_floor = 1e-4;
 };
 
-/// A vote batch grouped by task and by worker in flat rows (CSR: row r
-/// spans [offsets[r], offsets[r + 1]) of its vote array). Tasks are
-/// numbered in first-seen vote order, and every row lists its votes in
-/// batch order, so a sum over a row adds in batch order. `discover_truth`
-/// builds it in O(votes + object_count + worker_count) and iterates over
-/// it; the engine reads each task's voters from the same index.
-struct VoteIndex {
+/// Votes grouped by task and by worker in flat rows (CSR: row r spans
+/// [offsets[r], offsets[r + 1]) of its vote array). Every row lists its
+/// votes in batch order, so a sum over a row adds in batch order.
+struct VoteRows {
   /// A vote seen from its task: its worker and x^k in {0, 1}, 1 when the
   /// worker prefers the task's first (smaller) object.
   struct TaskVote {
     WorkerId worker;
     double x;
   };
-  /// A vote seen from its worker: its task and x^k.
+  /// A vote seen from its worker: its task row and x^k.
   struct WorkerVote {
     std::size_t task;
     double x;
   };
 
-  std::vector<Edge> tasks;  ///< canonical (first < second)
   std::vector<std::size_t> task_offsets;
   std::vector<TaskVote> task_votes;
   std::vector<std::size_t> worker_offsets;  ///< one row per worker id
@@ -76,6 +98,15 @@ struct VoteIndex {
     const std::size_t begin = worker_offsets[k];
     return {worker_votes.data() + begin, worker_offsets[k + 1] - begin};
   }
+};
+
+/// A vote batch grouped by task and by worker. Tasks are numbered in
+/// first-seen vote order, and the inherited rows cover every vote.
+/// `discover_truth` builds it in O(votes + object_count + worker_count)
+/// and iterates over it; the engine reads each task's voters from the
+/// same index.
+struct VoteIndex : VoteRows {
+  std::vector<Edge> tasks;  ///< canonical (first < second)
 };
 
 /// Estimated truth of one crowdsourced comparison task.
@@ -102,6 +133,11 @@ struct TruthDiscoveryResult {
   std::vector<double> worker_weight;
   std::size_t iterations = 0;
   bool converged = false;
+  /// Tasks whose votes disagree: the rows every iteration after the first
+  /// runs over while the unanimous truths stay settled.
+  std::size_t contested_tasks = 0;
+  /// Iterations that ran over every task (1 <= full_passes <= iterations).
+  std::size_t full_passes = 0;
 
   /// Builds the preference graph G_P from the estimated truths: for each
   /// task (i, j) with truth x, edge i->j gets weight x and j->i gets 1-x

@@ -131,35 +131,34 @@ bool PreferenceGraph::is_complete() const {
   return edge_count() == n * (n - 1);
 }
 
-bool PreferenceGraph::is_strongly_connected() const {
-  const std::size_t n = vertex_count();
-  // Iterative DFS from vertex 0: does it reach every vertex?
-  const auto reaches_all = [n](const std::vector<std::size_t>& row_ptr,
-                               const std::vector<VertexId>& targets) {
-    std::vector<bool> seen(n, false);
-    std::vector<VertexId> stack{0};
-    seen[0] = true;
-    std::size_t visited = 1;
-    while (!stack.empty()) {
-      const VertexId v = stack.back();
-      stack.pop_back();
-      for (std::size_t e = row_ptr[v]; e < row_ptr[v + 1]; ++e) {
-        const VertexId u = targets[e];
-        if (!seen[u]) {
-          seen[u] = true;
-          ++visited;
-          stack.push_back(u);
-        }
+bool reaches_every_vertex(const CsrAdjacency& adjacency) {
+  const std::size_t n = adjacency.vertex_count();
+  if (n == 0) return true;
+  std::vector<bool> seen(n, false);
+  std::vector<VertexId> stack{0};
+  seen[0] = true;
+  std::size_t visited = 1;
+  while (!stack.empty()) {
+    const VertexId v = stack.back();
+    stack.pop_back();
+    for (std::size_t e = adjacency.row_ptr[v]; e < adjacency.row_ptr[v + 1];
+         ++e) {
+      const VertexId u = adjacency.neighbors[e];
+      if (!seen[u]) {
+        seen[u] = true;
+        ++visited;
+        stack.push_back(u);
       }
     }
-    return visited == n;
-  };
-  if (!reaches_all(csr_.row_ptr, csr_.neighbors)) return false;
-  const CsrAdjacency in = in_csr();
-  return reaches_all(in.row_ptr, in.neighbors);
+  }
+  return visited == n;
 }
 
-CsrAdjacency PreferenceGraph::in_csr() const {
+bool PreferenceGraph::is_strongly_connected() const {
+  return reaches_every_vertex(csr_) && reaches_every_vertex(transpose(false));
+}
+
+CsrAdjacency PreferenceGraph::transpose(bool with_weights) const {
   // Each vertex's in-edge sources, scattered from the out-rows: visiting
   // sources in ascending order keeps every row sorted.
   const std::size_t n = vertex_count();
@@ -168,13 +167,13 @@ CsrAdjacency PreferenceGraph::in_csr() const {
   const std::vector<std::size_t> degrees = in_degrees();
   std::partial_sum(degrees.begin(), degrees.end(), in.row_ptr.begin() + 1);
   in.neighbors.resize(edge_count());
-  in.weights.resize(edge_count());
+  if (with_weights) in.weights.resize(edge_count());
   std::vector<std::size_t> cursor(in.row_ptr.begin(), in.row_ptr.end() - 1);
   for (VertexId v = 0; v < n; ++v) {
     for (std::size_t e = csr_.row_ptr[v]; e < csr_.row_ptr[v + 1]; ++e) {
       const std::size_t slot = cursor[csr_.neighbors[e]]++;
       in.neighbors[slot] = v;
-      in.weights[slot] = csr_.weights[e];
+      if (with_weights) in.weights[slot] = csr_.weights[e];
     }
   }
   return in;

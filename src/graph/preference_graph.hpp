@@ -40,6 +40,12 @@ struct CsrAdjacency {
   std::size_t edge_count() const { return neighbors.size(); }
 };
 
+/// True when an iterative DFS from vertex 0 along the rows of `adjacency`
+/// reaches every vertex. Reads `row_ptr` and `neighbors` only. O(n + m).
+/// Over a graph's out-rows and then over its transpose, this is
+/// Kosaraju's strong-connectivity test.
+bool reaches_every_vertex(const CsrAdjacency& adjacency);
+
 /// Immutable weighted digraph. Invariants, enforced at construction: ids
 /// in range, no self-preference, weights in (0, 1], and at most one edge
 /// per ordered pair.
@@ -83,9 +89,10 @@ class PreferenceGraph {
   /// True when every ordered pair (i, j), i != j, has weight > 0. O(1).
   bool is_complete() const;
 
-  /// Strong connectivity via Kosaraju's two passes (iterative DFS from
-  /// vertex 0 over the out-edges, then over the reversed edges). O(n + m).
-  /// The smoothed graph must be strongly connected for Thm 5.1 to hold.
+  /// Strong connectivity via Kosaraju's two passes: `reaches_every_vertex`
+  /// over the out-edges, then over the reversed edges, whose transpose
+  /// carries neighbor ids only. O(n + m). The smoothed graph must be
+  /// strongly connected for Thm 5.1 to hold.
   bool is_strongly_connected() const;
 
   /// The out-edge CSR itself: the graph's only representation.
@@ -93,11 +100,13 @@ class PreferenceGraph {
 
   /// The transposed CSR, built on each call in O(n + m): row v lists the
   /// sources u of the edges u -> v in ascending order, with their weights.
-  CsrAdjacency in_csr() const;
+  CsrAdjacency in_csr() const { return transpose(true); }
 
  private:
   /// In-degree of every vertex in one pass over the CSR.
   std::vector<std::size_t> in_degrees() const;
+  /// The transposed rows; `weights` stays empty unless `with_weights`.
+  CsrAdjacency transpose(bool with_weights) const;
 
   CsrAdjacency csr_;
 };

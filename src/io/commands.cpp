@@ -292,8 +292,11 @@ int cmd_infer(const std::vector<std::string>& argv, std::ostream& out) {
   if (config.check_invariants || analysis::invariant_checks_enabled()) {
     out << "invariant checks: all stage validators passed\n";
   }
-  out << "truth discovery: " << result.step1.iterations << " iterations, "
-      << result.one_edge_count << " 1-edges smoothed\n";
+  out << "truth discovery: " << result.step1.iterations << " iterations ("
+      << result.step1.full_passes << " over every task), "
+      << result.step1.contested_tasks << " of " << result.step1.truths.size()
+      << " tasks contested, " << result.one_edge_count
+      << " 1-edges smoothed\n";
   out << "log preference probability: " << result.log_probability << "\n";
   // How rankable the batch is: how fast its walk mixes, and whether step 3
   // fell back from the Perron limit to the doubling.
@@ -347,6 +350,10 @@ int cmd_infer(const std::vector<std::string>& argv, std::ostream& out) {
     run.note("one_edges", static_cast<std::int64_t>(result.one_edge_count));
     run.note("truth_discovery_iterations",
              static_cast<std::int64_t>(result.step1.iterations));
+    run.note("truth_discovery_full_passes",
+             static_cast<std::int64_t>(result.step1.full_passes));
+    run.note("contested_tasks",
+             static_cast<std::int64_t>(result.step1.contested_tasks));
     run.note("perron_iterations",
              static_cast<std::int64_t>(result.step3.perron_iterations));
     run.note("perron_ratio", result.step3.perron_ratio);

@@ -110,6 +110,10 @@ TruthDiscoveryResult healthy_step1() {
   r.truths.push_back({Edge{1, 2}, 0.4, 3});
   r.worker_quality = {0.9, 0.7};
   r.worker_weight = {1.0, 0.5};
+  r.iterations = 4;
+  r.converged = true;
+  r.contested_tasks = 2;
+  r.full_passes = 1;
   return r;
 }
 
@@ -166,6 +170,23 @@ TEST(TruthInvariant, FiresOnVotelessTask) {
   const std::string msg =
       violation([&] { analysis::check_truth_discovery(r, 3, 2); });
   EXPECT_TRUE(mentions(msg, "zero votes")) << msg;
+}
+
+TEST(TruthInvariant, FiresOnPassCounts) {
+  auto r = healthy_step1();
+  r.contested_tasks = 3;
+  const std::string contested =
+      violation([&] { analysis::check_truth_discovery(r, 3, 2); });
+  EXPECT_TRUE(mentions(contested, "3 contested tasks of 2")) << contested;
+
+  for (const std::size_t passes : {0, 5}) {
+    r = healthy_step1();
+    r.full_passes = passes;
+    const std::string msg =
+        violation([&] { analysis::check_truth_discovery(r, 3, 2); });
+    EXPECT_TRUE(mentions(msg, "passes over every task in 4 iterations"))
+        << msg;
+  }
 }
 
 // ---------------------------------------------------- preference graph

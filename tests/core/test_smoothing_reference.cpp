@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -216,6 +217,50 @@ TEST(SmoothingReference, WorkerOutsideQualityVectorThrows) {
   on_contested.workers = {0, 1, 0, 2};
   on_contested.offsets = {0, 2, 4};
   expect_same_step2(3, step1, on_contested, SmoothingMode::ExpectedError, 1);
+}
+
+/// The message of the Error `run` throws, or "" when it throws none.
+template <class Run>
+std::string error_message(Run run) {
+  try {
+    run();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(SmoothingReference, AssignedWorkersTakeTheFirstListing) {
+  // Task (1, 2) is listed twice, the first time reversed; (0, 5) names an
+  // object beyond every voted task.
+  const std::vector<Edge> tasks{{2, 1}, {0, 3}, {0, 5}, {1, 2}, {2, 3}};
+  Rng rng(2);
+  const HitAssignment assignment(tasks, HitConfig{1, 2}, 6, rng);
+  ASSERT_NE(assignment.workers_for_task(0), assignment.workers_for_task(3));
+  const VoteBatch votes{Vote{0, 2, 3, true}, Vote{1, 1, 2, false},
+                        Vote{2, 0, 3, true}, Vote{3, 2, 1, true}};
+  VoteIndex index;
+  discover_truth(votes, 4, 6, {}, &index);
+  ASSERT_EQ(index.tasks[1], (Edge{1, 2}));
+  const TaskWorkers rows = assigned_workers(index, assignment);
+  EXPECT_EQ(as_lists(rows), assigned_workers_reference(index, assignment));
+  const auto row = rows.of_task(1);
+  EXPECT_EQ(std::vector<WorkerId>(row.begin(), row.end()),
+            assignment.workers_for_task(0));
+
+  // A voted task the assignment never lists throws the reference's
+  // message.
+  VoteBatch outside = votes;
+  outside.push_back(Vote{4, 1, 3, true});
+  discover_truth(outside, 4, 6, {}, &index);
+  for (const std::string& message :
+       {error_message([&] { assigned_workers(index, assignment); }),
+        error_message(
+            [&] { assigned_workers_reference(index, assignment); })}) {
+    EXPECT_NE(message.find("votes reference a task outside the assignment"),
+              std::string::npos)
+        << message;
+  }
 }
 
 /// Copies the engine's smoothed graph at the step 3 checkpoint.

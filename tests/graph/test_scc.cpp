@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <string>
 
 #include "util/rng.hpp"
 
@@ -108,21 +110,60 @@ TEST(Scc, CondensationIsAcyclic) {
 }
 
 TEST(Scc, AgreesWithStrongConnectivityCheck) {
-  Rng rng(13);
-  for (int trial = 0; trial < 30; ++trial) {
-    Edges edges;
-    for (VertexId i = 0; i < 8; ++i) {
-      for (VertexId j = 0; j < 8; ++j) {
-        if (i != j && rng.bernoulli(0.3)) {
-          edges.push_back({i, j, 0.5});
+  // Random digraphs from sparse to dense, and a path through a random
+  // order plus one back edge from its last vertex: strongly connected
+  // only when that edge goes to the path's first vertex, not when it goes
+  // to its second. Checks both forms of Kosaraju's test:
+  // `is_strongly_connected` and the out-CSR plus `in_csr()` pair that
+  // step 3 runs.
+  std::size_t connected = 0;
+  std::size_t checked = 0;
+  const auto check = [&](const PreferenceGraph& g, const std::string& what) {
+    const bool want = strongly_connected_components(g).single_component();
+    EXPECT_EQ(g.is_strongly_connected(), want) << what;
+    EXPECT_EQ(reaches_every_vertex(g.out_csr()) &&
+                  reaches_every_vertex(g.in_csr()),
+              want)
+        << what;
+    connected += want ? 1 : 0;
+    ++checked;
+  };
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    for (const std::size_t n : {2, 3, 9, 40, 150}) {
+      for (const double p : {0.02, 0.1, 0.3}) {
+        Edges edges;
+        for (VertexId i = 0; i < n; ++i) {
+          for (VertexId j = 0; j < n; ++j) {
+            if (i != j && rng.bernoulli(p)) {
+              edges.push_back({i, j, rng.uniform(0.05, 1.0)});
+            }
+          }
         }
+        check(PreferenceGraph(n, edges), "random seed " +
+                                             std::to_string(seed) + " n " +
+                                             std::to_string(n));
+      }
+      const auto order = rng.permutation(n);
+      Edges path;
+      for (std::size_t k = 0; k + 1 < n; ++k) {
+        path.push_back({static_cast<VertexId>(order[k]),
+                        static_cast<VertexId>(order[k + 1]), 0.9});
+      }
+      for (const std::size_t target : {0, 1}) {
+        if (target + 1 >= n) continue;
+        Edges edges = path;
+        edges.push_back({static_cast<VertexId>(order[n - 1]),
+                         static_cast<VertexId>(order[target]), 0.1});
+        const PreferenceGraph g(n, edges);
+        EXPECT_EQ(g.is_strongly_connected(), target == 0);
+        check(g, "back edge seed " + std::to_string(seed) + " n " +
+                     std::to_string(n) + " to " + std::to_string(target));
       }
     }
-    const PreferenceGraph g(8, edges);
-    EXPECT_EQ(strongly_connected_components(g).single_component(),
-              g.is_strongly_connected())
-        << "trial " << trial;
   }
+  EXPECT_GT(connected, 0u);
+  EXPECT_LT(connected, checked);
 }
 
 TEST(Scc, LargeGraphNoStackOverflow) {

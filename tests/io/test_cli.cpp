@@ -261,6 +261,8 @@ TEST(Cli, InferWritesTraceAndMetricsFiles) {
             std::string::npos);
   EXPECT_NE(out.find(" Perron iterations, residual ratio "),
             std::string::npos);
+  EXPECT_NE(out.find(" over every task), "), std::string::npos) << out;
+  EXPECT_NE(out.find(" tasks contested, "), std::string::npos) << out;
 
   // Spot-check content: the Chrome trace names the pipeline steps and
   // carries step 3's rankability figures, the report carries build info,
@@ -274,6 +276,7 @@ TEST(Cli, InferWritesTraceAndMetricsFiles) {
   EXPECT_NE(trace_text.str().find("step4_find_best_ranking"),
             std::string::npos);
   EXPECT_NE(trace_text.str().find("\"perron_fallback\""), std::string::npos);
+  EXPECT_NE(trace_text.str().find("\"full_passes\""), std::string::npos);
 
   std::ifstream report_in(dir.file("report.json"));
   std::stringstream report_text;
@@ -300,7 +303,10 @@ TEST(Cli, InferWritesTraceAndMetricsFiles) {
   for (const char* key :
        {"\"perron_iterations\"", "\"perron_ratio\"", "\"perron_fallback\"",
         "\"propagation.perron_iterations\"", "\"propagation.perron_ratio\"",
-        "\"propagation.perron_fallback\""}) {
+        "\"propagation.perron_fallback\"", "\"contested_tasks\"",
+        "\"truth_discovery_full_passes\"",
+        "\"truth_discovery.contested_tasks\"",
+        "\"truth_discovery.full_passes\""}) {
     EXPECT_NE(report_text.str().find(key), std::string::npos) << key;
   }
 }
