@@ -16,9 +16,14 @@ namespace {
 /// Chunk sizes for the per-task / per-worker parallel loops. Fixed (thread
 /// count independent) so reduction chunk boundaries never move; each x[t] /
 /// q[k] is written by exactly one chunk and the only reductions are exact
-/// maxima, so iteration results are bitwise-identical at any thread count.
+/// maxima, so iteration results are bitwise-identical at any thread count
+/// and under any chunking.
 constexpr std::size_t kTaskGrain = 512;
 constexpr std::size_t kWorkerGrain = 16;
+
+/// Vote count from which a pass's loops run on the pool: below ~2^14 votes
+/// a pool round trip costs more than the pass itself.
+constexpr std::size_t kPoolVotes = std::size_t{1} << 14;
 
 /// The rows of the tasks whose votes disagree: task row c is the row of
 /// task `tasks[c]` (dense ids in task order), and worker row k lists
@@ -146,6 +151,15 @@ VoteIndex index_votes(const VoteBatch& votes, std::size_t object_count,
 struct RowView {
   const VoteRows& rows;
   std::span<double> x;  ///< one truth per task row
+
+  /// The grain of a loop over `count` rows of this pass: `pool_grain`
+  /// when the pass holds kPoolVotes votes or more, else one chunk, which
+  /// runs inline.
+  std::size_t grain(std::size_t count, std::size_t pool_grain) const {
+    return rows.task_votes.size() >= kPoolVotes
+               ? pool_grain
+               : std::max<std::size_t>(count, 1);
+  }
 };
 
 /// Eq. 4 over every task row of `view`: each truth becomes its votes'
@@ -154,7 +168,8 @@ struct RowView {
 /// pool; the max reduction is exact.
 double e_step(const RowView& view, std::span<const double> q) {
   return parallel_reduce(
-      std::size_t{0}, view.x.size(), kTaskGrain, 0.0,
+      std::size_t{0}, view.x.size(), view.grain(view.x.size(), kTaskGrain),
+      0.0,
       [&](std::size_t t0, std::size_t t1) {
         double local = 0.0;
         for (std::size_t t = t0; t < t1; ++t) {
@@ -294,7 +309,7 @@ TruthDiscoveryResult discover_truth(const VoteBatch& votes,
     // M-step analog (Eq. 5): inverse total squared deviation, chi2-scaled.
     // Workers are independent; max_raw is again an exact max reduction.
     const double max_raw = parallel_reduce(
-        std::size_t{0}, static_cast<std::size_t>(worker_count), kWorkerGrain,
+        std::size_t{0}, worker_count, view->grain(worker_count, kWorkerGrain),
         0.0,
         [&](std::size_t k0, std::size_t k1) {
           double local = 0.0;
@@ -338,7 +353,7 @@ TruthDiscoveryResult discover_truth(const VoteBatch& votes,
   // inverts §V-B's sigma_k = -log(q_k). It sums over the last pass's rows
   // and divides by the worker's full vote count.
   result.worker_quality.assign(worker_count, 1.0);
-  parallel_for(0, worker_count, kWorkerGrain,
+  parallel_for(0, worker_count, view->grain(worker_count, kWorkerGrain),
                [&](std::size_t k0, std::size_t k1) {
                  for (std::size_t k = k0; k < k1; ++k) {
                    const std::size_t count = g.votes_of_worker(k).size();

@@ -1,38 +1,10 @@
 #include "graph/transitive_closure.hpp"
 
+#include <vector>
+
 #include "util/error.hpp"
-#include "util/parallel.hpp"
 
 namespace crowdrank {
-
-std::vector<std::vector<bool>> reachability_closure(
-    const PreferenceGraph& g) {
-  const std::size_t n = g.vertex_count();
-  const CsrAdjacency& csr = g.out_csr();
-  std::vector<std::vector<bool>> closure(n, std::vector<bool>(n, false));
-  parallel_for(0, n, /*grain=*/8, [&](std::size_t s0, std::size_t s1) {
-    // Per-chunk scratch; each source writes only closure[src].
-    std::vector<VertexId> stack;
-    for (std::size_t src = s0; src < s1; ++src) {
-      std::vector<bool>& row = closure[src];
-      stack.clear();
-      stack.push_back(static_cast<VertexId>(src));
-      while (!stack.empty()) {
-        const VertexId v = stack.back();
-        stack.pop_back();
-        for (std::size_t e = csr.row_ptr[v]; e < csr.row_ptr[v + 1]; ++e) {
-          const VertexId u = csr.neighbors[e];
-          if (!row[u]) {
-            row[u] = true;  // u reachable by a non-empty path; src -> src
-                            // only becomes true via a directed cycle
-            stack.push_back(u);
-          }
-        }
-      }
-    }
-  });
-  return closure;
-}
 
 namespace {
 

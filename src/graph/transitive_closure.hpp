@@ -1,32 +1,21 @@
 // Transitive-closure machinery (paper §III and §V-C).
 //
-// Two flavors live here:
-//  * boolean reachability closure (used by diagnostics and tests of
-//    Thm 4.2/4.3), and
-//  * the exact simple-path weight accumulator, which implements the paper's
-//    literal definition of indirect preference — the sum over all simple
-//    paths from i to j (2 <= length <= max_len) of the product of edge
-//    weights. Exhaustive path enumeration is exponential, so this is only
-//    used for small n (tests, the 10/20-object AMT settings); production
-//    propagation uses the bounded-walk matrix-power approximation in
-//    core/propagation (see DESIGN.md substitution #3).
+// The exact simple-path weight accumulator implements the paper's literal
+// definition of indirect preference — the sum over all simple paths from
+// i to j (2 <= length <= max_len) of the product of edge weights.
+// Exhaustive path enumeration is exponential, so this is only used for
+// small n (tests, the 10/20-object AMT settings); production propagation
+// uses the bounded-walk matrix-power approximation in core/propagation
+// (see DESIGN.md substitution #3).
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "graph/preference_graph.hpp"
 #include "graph/types.hpp"
 #include "util/matrix.hpp"
 
 namespace crowdrank {
-
-/// Boolean reachability closure: result(i, j) == true iff j is reachable
-/// from i by a non-empty directed path. Runs one DFS per source over the
-/// graph's CSR adjacency — O(n + m) per source — with sources fanned out
-/// across the util/parallel pool (each source owns its output row, so the
-/// result is thread-count independent).
-std::vector<std::vector<bool>> reachability_closure(const PreferenceGraph& g);
 
 /// Exact indirect preference per the paper's definition: for every ordered
 /// pair (i, j), the sum over all *simple* directed paths i -> ... -> j with

@@ -1,5 +1,6 @@
 #include "io/job_record.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <fstream>
@@ -7,6 +8,7 @@
 #include <sstream>
 
 #include "core/checkpoint.hpp"
+#include "obs/json.hpp"
 #include "util/error.hpp"
 
 namespace crowdrank::io {
@@ -49,8 +51,25 @@ std::string parse_json_string(const std::string& line, std::size_t& pos,
         case '"': c = '"'; break;
         case '\\': c = '\\'; break;
         case '/': c = '/'; break;
+        case 'b': c = '\b'; break;
+        case 'f': c = '\f'; break;
         case 'n': c = '\n'; break;
+        case 'r': c = '\r'; break;
         case 't': c = '\t'; break;
+        case 'u': {
+          // ASCII code points only (\u0000-\u007f): one byte each.
+          unsigned code = 0;
+          const char* digits = line.data() + pos + 1;
+          const char* end = line.data() + std::min(pos + 5, line.size());
+          const auto [ptr, ec] = std::from_chars(digits, end, code, 16);
+          if (ec != std::errc() || ptr != digits + 4 || code > 0x7f) {
+            fail(line_number,
+                 "unsupported \\u escape (want \\u0000 to \\u007f)");
+          }
+          c = static_cast<char>(code);
+          pos += 4;
+          break;
+        }
         default:
           fail(line_number, std::string("unsupported escape '\\") +
                                 line[pos] + "'");
@@ -141,20 +160,6 @@ std::uint64_t to_uint(const JsonScalar& value, const std::string& key,
   return out;
 }
 
-void append_json_string(std::ostream& os, const std::string& text) {
-  os << '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default: os << c;
-    }
-  }
-  os << '"';
-}
-
 }  // namespace
 
 std::vector<JobRecord> parse_job_records(const std::string& text) {
@@ -227,7 +232,7 @@ std::vector<JobRecord> parse_job_records(const std::string& text) {
 std::string format_job_record(const JobRecord& record) {
   std::ostringstream os;
   os << "{\"id\": " << record.id << ", \"votes\": ";
-  append_json_string(os, record.votes_path);
+  obs::write_json_string(os, record.votes_path);
   if (record.object_count > 0) {
     os << ", \"object_count\": " << record.object_count;
   }
@@ -235,7 +240,7 @@ std::string format_job_record(const JobRecord& record) {
     os << ", \"worker_count\": " << record.worker_count;
   }
   os << ", \"seed\": " << record.seed << ", \"search\": ";
-  append_json_string(os, record.search);
+  obs::write_json_string(os, record.search);
   if (record.saps_iterations > 0) {
     os << ", \"saps_iterations\": " << record.saps_iterations;
   }
@@ -244,10 +249,10 @@ std::string format_job_record(const JobRecord& record) {
   }
   if (!record.fail_before.empty()) {
     os << ", \"fail_before\": ";
-    append_json_string(os, record.fail_before);
+    obs::write_json_string(os, record.fail_before);
     if (!record.fail_reason.empty()) {
       os << ", \"fail_reason\": ";
-      append_json_string(os, record.fail_reason);
+      obs::write_json_string(os, record.fail_reason);
     }
   }
   os << "}";
@@ -258,12 +263,12 @@ std::string format_job_result(const service::JobResult& result,
                               bool include_ranking) {
   std::ostringstream os;
   os << "{\"id\": " << result.id << ", \"outcome\": ";
-  append_json_string(os, service::outcome_name(result.outcome));
+  obs::write_json_string(os, service::outcome_name(result.outcome));
   os << ", \"stage\": ";
-  append_json_string(os, stage_name(result.stage));
+  obs::write_json_string(os, stage_name(result.stage));
   if (!result.reason.empty()) {
     os << ", \"reason\": ";
-    append_json_string(os, result.reason);
+    obs::write_json_string(os, result.reason);
   }
   const service::HardeningReport& h = result.hardening;
   os << ", \"input_votes\": " << h.input_votes

@@ -3,8 +3,9 @@
 #include <cmath>
 #include <cstdio>
 #include <ostream>
-#include <string_view>
 #include <variant>
+
+#include "obs/json.hpp"
 
 namespace crowdrank::obs {
 
@@ -20,38 +21,6 @@ void number(std::ostream& os, double v) {
   os << buf;
 }
 
-void attr_value(std::ostream& os, const trace::AttrValue& value);
-
-void json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
 void attr_value(std::ostream& os, const trace::AttrValue& value) {
   if (const auto* i = std::get_if<std::int64_t>(&value)) {
     os << *i;
@@ -60,7 +29,7 @@ void attr_value(std::ostream& os, const trace::AttrValue& value) {
   } else if (const auto* b = std::get_if<bool>(&value)) {
     os << (*b ? "true" : "false");
   } else {
-    json_string(os, std::get<std::string>(value));
+    write_json_string(os, std::get<std::string>(value));
   }
 }
 
@@ -68,7 +37,7 @@ void event_json(std::ostream& os, const Event& e) {
   os << "{\"t_us\": ";
   number(os, e.t_us);
   os << ", \"kind\": ";
-  json_string(os, event_kind_name(e.kind));
+  write_json_string(os, event_kind_name(e.kind));
   os << ", \"job\": " << e.job_id << ", \"code\": "
      << static_cast<unsigned>(e.code) << ", \"value\": ";
   number(os, e.value);
@@ -136,13 +105,13 @@ void write_snapshot_json(std::ostream& os,
   os << ", \"counters\": {";
   for (std::size_t i = 0; i < snapshot.counters.size(); ++i) {
     if (i > 0) os << ", ";
-    json_string(os, snapshot.counters[i].first);
+    write_json_string(os, snapshot.counters[i].first);
     os << ": " << snapshot.counters[i].second;
   }
   os << "}, \"gauges\": {";
   for (std::size_t i = 0; i < snapshot.gauges.size(); ++i) {
     if (i > 0) os << ", ";
-    json_string(os, snapshot.gauges[i].first);
+    write_json_string(os, snapshot.gauges[i].first);
     os << ": ";
     number(os, snapshot.gauges[i].second);
   }
@@ -151,7 +120,7 @@ void write_snapshot_json(std::ostream& os,
   for (std::size_t i = 0; i < snapshot.histograms.size(); ++i) {
     const auto& [name, snap] = snapshot.histograms[i];
     if (i > 0) os << ", ";
-    json_string(os, name);
+    write_json_string(os, name);
     os << ": {\"count\": " << snap.count << ", \"sum\": ";
     number(os, snap.sum);
     os << ", \"min\": ";
@@ -194,18 +163,18 @@ void write_postmortem_json(std::ostream& os, const Postmortem& postmortem) {
   os << "{\n  \"v\": " << kSnapshotSchemaVersion
      << ",\n  \"job\": " << postmortem.job_id
      << ",\n  \"executor\": " << postmortem.executor << ",\n  \"outcome\": ";
-  json_string(os, postmortem.outcome);
+  write_json_string(os, postmortem.outcome);
   os << ",\n  \"stage\": ";
-  json_string(os, postmortem.stage);
+  write_json_string(os, postmortem.stage);
   os << ",\n  \"reason\": ";
-  json_string(os, postmortem.reason);
+  write_json_string(os, postmortem.reason);
   os << ",\n  \"t_us\": ";
   number(os, postmortem.t_us);
 
   os << ",\n  \"config\": {";
   for (std::size_t i = 0; i < postmortem.config_echo.size(); ++i) {
     if (i > 0) os << ", ";
-    json_string(os, postmortem.config_echo[i].first);
+    write_json_string(os, postmortem.config_echo[i].first);
     os << ": ";
     attr_value(os, postmortem.config_echo[i].second);
   }
@@ -213,7 +182,7 @@ void write_postmortem_json(std::ostream& os, const Postmortem& postmortem) {
   os << "},\n  \"hardening\": {";
   for (std::size_t i = 0; i < postmortem.hardening.size(); ++i) {
     if (i > 0) os << ", ";
-    json_string(os, postmortem.hardening[i].first);
+    write_json_string(os, postmortem.hardening[i].first);
     os << ": " << postmortem.hardening[i].second;
   }
 
@@ -222,7 +191,7 @@ void write_postmortem_json(std::ostream& os, const Postmortem& postmortem) {
     const trace::SpanRecord& span = postmortem.spans[i];
     if (i > 0) os << ',';
     os << "\n    {\"name\": ";
-    json_string(os, span.name);
+    write_json_string(os, span.name);
     os << ", \"start_us\": ";
     number(os, span.start_us);
     os << ", \"dur_us\": ";
@@ -236,7 +205,7 @@ void write_postmortem_json(std::ostream& os, const Postmortem& postmortem) {
     os << ", \"attrs\": {";
     for (std::size_t a = 0; a < span.attrs.size(); ++a) {
       if (a > 0) os << ", ";
-      json_string(os, span.attrs[a].first);
+      write_json_string(os, span.attrs[a].first);
       os << ": ";
       attr_value(os, span.attrs[a].second);
     }

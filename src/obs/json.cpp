@@ -2,6 +2,8 @@
 
 #include <cctype>
 #include <charconv>
+#include <cstdio>
+#include <ostream>
 
 #include "util/error.hpp"
 
@@ -230,6 +232,36 @@ class Parser {
 
 JsonValue parse_json(const std::string& text) {
   return Parser(text).parse_document();
+}
+
+void write_json_string(std::ostream& os, std::string_view s) {
+  os << '"';
+  for (const char c : s) {
+    switch (c) {
+      case '"':
+        os << "\\\"";
+        break;
+      case '\\':
+        os << "\\\\";
+        break;
+      case '\n':
+        os << "\\n";
+        break;
+      case '\t':
+        os << "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          os << buf;
+        } else {
+          os << c;
+        }
+    }
+  }
+  os << '"';
 }
 
 }  // namespace crowdrank::obs

@@ -111,32 +111,6 @@ void axpy(double* out, const double* x, double a, std::size_t n) {
   }
 }
 
-void axpy4(double* out, const double* r0, const double* r1, const double* r2,
-           const double* r3, double a0, double a1, double a2, double a3,
-           std::size_t n) {
-  const __m256d av0 = _mm256_set1_pd(a0);
-  const __m256d av1 = _mm256_set1_pd(a1);
-  const __m256d av2 = _mm256_set1_pd(a2);
-  const __m256d av3 = _mm256_set1_pd(a3);
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    __m256d t = _mm256_loadu_pd(out + j);
-    t = _mm256_add_pd(t, _mm256_mul_pd(av0, _mm256_loadu_pd(r0 + j)));
-    t = _mm256_add_pd(t, _mm256_mul_pd(av1, _mm256_loadu_pd(r1 + j)));
-    t = _mm256_add_pd(t, _mm256_mul_pd(av2, _mm256_loadu_pd(r2 + j)));
-    t = _mm256_add_pd(t, _mm256_mul_pd(av3, _mm256_loadu_pd(r3 + j)));
-    _mm256_storeu_pd(out + j, t);
-  }
-  for (; j < n; ++j) {
-    double t = out[j];
-    t += a0 * r0[j];
-    t += a1 * r1[j];
-    t += a2 * r2[j];
-    t += a3 * r3[j];
-    out[j] = t;
-  }
-}
-
 namespace {
 
 /// One-row GEMM strip (the rows % 4 tail): 16-wide ymm strips whose

@@ -4,18 +4,17 @@
 // n x n smoothed preference matrix; at n = 1000 this is the hot loop of the
 // whole system, so multiply() is cache-blocked and register-grouped: i and
 // k run in 64-wide blocks (one rhs block stays resident in L2 while the
-// whole output block sweeps it) and each pass over the streamed output row
-// applies up to four nonzero lhs terms while the row value sits in a
-// register, instead of a load/store round-trip per term. For every output
-// element the k terms still accumulate one += at a time in ascending
-// order — exactly the order of the one-term-per-sweep loop — so the
-// optimization changes no bits (bench/perf_pipeline's matmul_naive vs
-// matmul_blocked rows track the win). multiply(), multiply_add_scaled(),
+// whole output block sweeps it) and each output strip stays in registers
+// across a block's k terms (simd::gemm_accum), instead of a load/store
+// round-trip per term. For every output element the k terms still
+// accumulate one += at a time in ascending order — exactly the order of
+// the naive inner product — so the optimization changes no bits
+// (test_matrix pins the two equal). multiply(), multiply_add_scaled(),
 // operator+=, operator*= and max_abs_diff()/max_value() run on the
 // util/parallel thread pool over disjoint row/element blocks: every output
 // element is produced by exactly one task with the same per-element
 // arithmetic order as the serial loop, so results are bitwise-identical at
-// any thread count. The inner j sweeps (axpy4/axpy/add/scale/max) dispatch
+// any thread count. The inner j sweeps (gemm_accum/axpy/add/scale/max) dispatch
 // through util/simd, whose AVX2 paths vectorize across output lanes with
 // the identical per-element op order — same bits on every backend.
 #pragma once

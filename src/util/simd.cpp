@@ -24,9 +24,6 @@ namespace crowdrank::simd {
 // Implemented in kernels_avx2.cpp (the only TU built with -mavx2).
 namespace avx2 {
 void axpy(double* out, const double* x, double a, std::size_t n);
-void axpy4(double* out, const double* r0, const double* r1, const double* r2,
-           const double* r3, double a0, double a1, double a2, double a3,
-           std::size_t n);
 void gemm_accum(double* out, std::size_t out_stride, std::size_t rows,
                 const double* a, std::size_t a_stride, const double* b,
                 std::size_t k_len, std::size_t b_stride, std::size_t w);
@@ -121,25 +118,6 @@ void axpy(double* out, const double* x, double a, std::size_t n) {
 #endif
   for (std::size_t j = 0; j < n; ++j) {
     out[j] += a * x[j];
-  }
-}
-
-void axpy4(double* out, const double* r0, const double* r1, const double* r2,
-           const double* r3, double a0, double a1, double a2, double a3,
-           std::size_t n) {
-#ifndef CROWDRANK_NO_AVX2
-  if (use_avx2()) {
-    avx2::axpy4(out, r0, r1, r2, r3, a0, a1, a2, a3, n);
-    return;
-  }
-#endif
-  for (std::size_t j = 0; j < n; ++j) {
-    double t = out[j];
-    t += a0 * r0[j];
-    t += a1 * r1[j];
-    t += a2 * r2[j];
-    t += a3 * r3[j];
-    out[j] = t;
   }
 }
 

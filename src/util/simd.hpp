@@ -12,7 +12,7 @@
 // The rules that make that possible:
 //
 //  * Vectorize across independent output lanes, never across a reduction.
-//    axpy/axpy4 process four output elements per vector op; each element
+//    axpy processes four output elements per vector op; each element
 //    sees exactly the scalar op sequence (load, mul, add, store — same
 //    order, same rounding). Order-sensitive reductions (path_cost_sum)
 //    stay scalar in both backends; only order-*insensitive* folds (max)
@@ -69,13 +69,6 @@ const char* backend_name(Backend backend);
 
 /// out[j] += a * x[j]
 void axpy(double* out, const double* x, double a, std::size_t n);
-
-/// Four-term fused sweep:
-///   t = out[j]; t += a0*r0[j]; t += a1*r1[j]; t += a2*r2[j]; t += a3*r3[j]
-/// with exactly that per-element order (ascending-k accumulation).
-void axpy4(double* out, const double* r0, const double* r1, const double* r2,
-           const double* r3, double a0, double a1, double a2, double a3,
-           std::size_t n);
 
 /// Register-blocked GEMM tile, the dense-matmul inner block. For each
 /// output row r in [0, rows) and column j in [0, w):

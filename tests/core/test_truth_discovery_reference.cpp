@@ -1,7 +1,8 @@
 // Step 1 against its reference loop (truth_discovery_reference.hpp): the
 // contested-row passes must reproduce the all-rows CRH loop bit for bit —
 // every truth, both worker vectors, the iteration count, the converged
-// flag and the index the engine reads.
+// flag and the index the engine reads. Also pins which passes go to the
+// thread pool.
 #include "truth_discovery_reference.hpp"
 
 #include <gtest/gtest.h>
@@ -17,7 +18,9 @@
 #include "crowd/simulator.hpp"
 #include "crowd/worker.hpp"
 #include "metrics/ranking.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
+#include "util/trace.hpp"
 
 namespace crowdrank {
 namespace {
@@ -226,6 +229,33 @@ TEST(TruthDiscoveryReference, ZeroFloorAlternatesFullAndContestedPasses) {
   EXPECT_EQ(r.iterations, config.max_iterations);
   EXPECT_GT(r.full_passes, 2u);
   EXPECT_LT(r.full_passes, r.iterations / 2);
+}
+
+/// The pool regions step 1 opens on `votes` at 4 threads.
+std::uint64_t pool_regions(const VoteBatch& votes, std::size_t n) {
+  const std::size_t threads = thread_count();
+  set_thread_count(4);
+  trace::TraceSink sink;
+  {
+    const trace::ScopedSink scoped(&sink);
+    discover_truth(votes, n, kPool);
+  }
+  set_thread_count(threads);
+  return sink.metrics().counter("pool.regions").value();
+}
+
+TEST(TruthDiscoveryPool, OnlyPassesOfManyVotesOpenPoolRegions) {
+  // A pass of fewer than 2^14 votes runs each loop as one inline chunk.
+  // At n = 100 every pass is that small; at n = 400 the first pass runs
+  // over all 23,940 votes.
+  const WorkerPoolConfig crowd{QualityDistribution::Gaussian,
+                               QualityLevel::Medium};
+  const VoteBatch small = round_votes(100, budgets(100)[1], crowd, 1);
+  const VoteBatch large = round_votes(400, budgets(400)[1], crowd, 1);
+  ASSERT_LT(small.size(), std::size_t{1} << 14);
+  ASSERT_GE(large.size(), std::size_t{1} << 14);
+  EXPECT_EQ(pool_regions(small, 100), 0u);
+  EXPECT_GT(pool_regions(large, 400), 0u);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <queue>
 
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 
 namespace crowdrank {
 
@@ -21,6 +22,35 @@ PreferenceGraph graph_from_matrix(const Matrix& weights) {
     }
   }
   return PreferenceGraph(n, edges);
+}
+
+std::vector<std::vector<bool>> reachability_closure(
+    const PreferenceGraph& g) {
+  const std::size_t n = g.vertex_count();
+  const CsrAdjacency& csr = g.out_csr();
+  std::vector<std::vector<bool>> closure(n, std::vector<bool>(n, false));
+  parallel_for(0, n, /*grain=*/8, [&](std::size_t s0, std::size_t s1) {
+    // Per-chunk scratch; each source writes only closure[src].
+    std::vector<VertexId> stack;
+    for (std::size_t src = s0; src < s1; ++src) {
+      std::vector<bool>& row = closure[src];
+      stack.clear();
+      stack.push_back(static_cast<VertexId>(src));
+      while (!stack.empty()) {
+        const VertexId v = stack.back();
+        stack.pop_back();
+        for (std::size_t e = csr.row_ptr[v]; e < csr.row_ptr[v + 1]; ++e) {
+          const VertexId u = csr.neighbors[e];
+          if (!row[u]) {
+            row[u] = true;  // u reachable by a non-empty path; src -> src
+                            // only becomes true via a directed cycle
+            stack.push_back(u);
+          }
+        }
+      }
+    }
+  });
+  return closure;
 }
 
 std::vector<std::vector<bool>> reachability_closure_dense(

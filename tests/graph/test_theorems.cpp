@@ -7,10 +7,10 @@
 #include <string>
 
 #include "core/task_assignment.hpp"
+#include "dense_reference.hpp"
 #include "graph/hamiltonian.hpp"
 #include "graph/preference_graph.hpp"
 #include "graph/task_graph.hpp"
-#include "graph/transitive_closure.hpp"
 #include "util/rng.hpp"
 
 namespace crowdrank {

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "obs/json.hpp"
 #include "util/error.hpp"
 
 namespace crowdrank::io {
@@ -98,6 +101,43 @@ TEST(JobRecord, FaultInjectionFieldsParseValidateAndRoundTrip) {
   ASSERT_EQ(parsed.size(), 1u);
   EXPECT_EQ(parsed[0].fail_before, record.fail_before);
   EXPECT_EQ(parsed[0].fail_reason, record.fail_reason);
+}
+
+TEST(JobRecord, ControlBytesRoundTripAsValidJson) {
+  JobRecord record;
+  record.votes_path = "a.csv";
+  record.fail_before = "smoothing";
+  record.fail_reason = "bad\x01" "byte\r\ttab";
+  const std::string formatted = format_job_record(record);
+  const auto no_control_byte = [](const std::string& line) {
+    return std::none_of(line.begin(), line.end(), [](char c) {
+      return static_cast<unsigned char>(c) < 0x20;
+    });
+  };
+  EXPECT_TRUE(no_control_byte(formatted)) << formatted;
+  const auto parsed = parse_job_records(formatted + "\n");
+  ASSERT_EQ(parsed.size(), 1u);
+  EXPECT_EQ(parsed[0].fail_reason, record.fail_reason);
+
+  // The escapes Python's json.dumps writes for control bytes.
+  const auto dumped = parse_job_records(
+      "{\"votes\": \"a.csv\", \"fail_before\": \"smoothing\", "
+      "\"fail_reason\": \"bad\\u0001byte\\r\\t\\b\\f\"}\n");
+  ASSERT_EQ(dumped.size(), 1u);
+  EXPECT_EQ(dumped[0].fail_reason, "bad\x01" "byte\r\t\b\f");
+  for (const char* bad : {"\\u00e9", "\\u01", "\\uzz00", "\\x"}) {
+    EXPECT_THROW(parse_job_records("{\"votes\": \"a" + std::string(bad) +
+                                   "\"}\n"),
+                 Error)
+        << bad;
+  }
+
+  service::JobResult failed;
+  failed.outcome = service::JobOutcome::Failed;
+  failed.reason = record.fail_reason;
+  const std::string line = format_job_result(failed);
+  EXPECT_TRUE(no_control_byte(line)) << line;
+  EXPECT_EQ(obs::parse_json(line).string_at("reason"), record.fail_reason);
 }
 
 TEST(JobRecord, FormatsStructuredResults) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -133,22 +134,6 @@ TEST_F(SimdTest, AxpyBackendIdentity) {
   });
 }
 
-TEST_F(SimdTest, Axpy4BackendIdentity) {
-  const std::vector<double> r0 = random_values(128, 21);
-  const std::vector<double> r1 = random_values(128, 22);
-  const std::vector<double> r2 = random_values(128, 23);
-  const std::vector<double> r3 = random_values(128, 24);
-  const std::vector<double> base = random_values(128, 25);
-  expect_backend_identity([&](std::size_t n, std::size_t offset) {
-    std::vector<double> out(base.begin() + offset,
-                            base.begin() + offset + n);
-    simd::axpy4(out.data(), r0.data() + offset, r1.data() + offset,
-                r2.data() + offset, r3.data() + offset, 0.3, -1.1, 2.7,
-                -0.04, n);
-    return out;
-  });
-}
-
 TEST_F(SimdTest, GemmAccumBackendIdentity) {
   // The register-tiled product kernel behind Matrix::multiply. Shapes are
   // chosen to hit every tile path in the AVX2 build: 4-row blocks plus
@@ -196,6 +181,48 @@ TEST_F(SimdTest, GemmAccumBackendIdentity) {
               << " i=" << i << ": " << scalar_out[i] << " vs "
               << avx2_out[i];
         }
+      }
+    }
+  }
+}
+
+TEST_F(SimdTest, SpmmRowAccumBackendIdentity) {
+  // The CSR-row product kernel behind the sparse staged-dense regime.
+  // Widths hit the AVX2 build's 16-wide strips, its 4-wide strips and the
+  // 1..3-wide tails; scattered column indices and a stride wider than the
+  // row catch any lane that reads the wrong b row or past its end.
+  if (!simd::avx2_supported()) {
+    GTEST_SKIP() << "no AVX2 on this host";
+  }
+  const std::size_t b_rows = 23;
+  for (const std::size_t nnz : {std::size_t{0}, std::size_t{1},
+                                std::size_t{6}, std::size_t{17}}) {
+    for (const std::size_t w : {std::size_t{1}, std::size_t{3},
+                                std::size_t{4}, std::size_t{16},
+                                std::size_t{21}, std::size_t{39}}) {
+      const std::size_t b_stride = w + 5;
+      const std::vector<double> vals = random_values(nnz, 81 + nnz);
+      std::vector<std::uint32_t> idx(nnz);
+      for (std::size_t e = 0; e < nnz; ++e) {
+        idx[e] = static_cast<std::uint32_t>((7 * e + w) % b_rows);
+      }
+      const std::vector<double> b =
+          random_values(b_rows * b_stride, 82 + w);
+      const std::vector<double> base = random_values(w, 83 + nnz + w);
+      const auto run = [&] {
+        std::vector<double> out = base;
+        simd::spmm_row_accum(out.data(), vals.data(), idx.data(), nnz,
+                             b.data(), b_stride, w);
+        return out;
+      };
+      ASSERT_TRUE(simd::set_backend(simd::Backend::Scalar));
+      const std::vector<double> scalar_out = run();
+      ASSERT_TRUE(simd::set_backend(simd::Backend::Avx2));
+      const std::vector<double> avx2_out = run();
+      for (std::size_t j = 0; j < w; ++j) {
+        ASSERT_TRUE(same_bits(scalar_out[j], avx2_out[j]))
+            << "nnz=" << nnz << " w=" << w << " j=" << j << ": "
+            << scalar_out[j] << " vs " << avx2_out[j];
       }
     }
   }
