@@ -7,7 +7,8 @@
 // bars, (b) detect "effectively tied" runs that a downstream consumer
 // should treat as unordered, and (c) decide where a second crowdsourcing
 // round would help (core/two_round.hpp targets exactly the low-margin
-// pairs).
+// pairs). An engine run's closure is read through a ClosureCapture
+// (core/checkpoint.hpp), since Step 4 consumes it.
 #pragma once
 
 #include <cstddef>

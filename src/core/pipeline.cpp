@@ -44,6 +44,15 @@ std::optional<PipelineStage> stage_from_name(std::string_view name) {
   return std::nullopt;
 }
 
+void ClosureCapture::checkpoint(const StageSnapshot& snapshot) {
+  if (snapshot.next == PipelineStage::RankSearch) {
+    closure_ = *snapshot.closure;
+  }
+  if (inner_ != nullptr) {
+    inner_->checkpoint(snapshot);
+  }
+}
+
 std::string format_config_errors(const std::vector<ConfigError>& errors) {
   std::string out;
   for (const ConfigError& e : errors) {
@@ -163,7 +172,7 @@ InferenceResult InferenceEngine::infer_impl(const VoteBatch& votes,
                                             const HitAssignment* assignment,
                                             Rng& rng) const {
   InferenceResult result{Ranking::identity(object_count), 0.0, {}, {}, {},
-                         0, {}};
+                         0};
 
   // Spans and metrics land in the calling thread's sink, if the caller
   // installed one (trace::ScopedSink). Stage validators
@@ -279,11 +288,15 @@ InferenceResult InferenceEngine::infer_impl(const VoteBatch& votes,
   checkpoint(PipelineStage::RankSearch);
 
   // Step 4: find the best ranking (max-probability Hamiltonian path).
+  // SAPS consumes the closure, writing its cost matrix over the closure's
+  // storage, so a job holds one n x n buffer; the snapshot drops it.
+  snapshot.closure = nullptr;
   {
     trace::Span span("step4_find_best_ranking");
     switch (config_.search) {
       case RankSearchMethod::Saps: {
-        const SapsResult saps = saps_search(closure, config_.saps, rng);
+        const SapsResult saps =
+            saps_search(std::move(closure), config_.saps, rng);
         result.log_probability = -saps.log_cost;
         result.ranking = Ranking(saps.best_path);
         break;
@@ -316,7 +329,6 @@ InferenceResult InferenceEngine::infer_impl(const VoteBatch& votes,
     root.set_attr("log_probability", result.log_probability);
   }
   result.step1 = std::move(step1);
-  result.closure = std::move(closure);
   return result;
 }
 

@@ -84,7 +84,10 @@ struct InferenceConfig {
 /// under a trace::ScopedSink records an `infer` span whose four children
 /// are "step1_truth_discovery", "step2_smoothing", "step3_propagation" and
 /// "step4_find_best_ranking" (Fig. 4's breakdown), and a StageControl
-/// sees the stage checkpoints between them.
+/// sees the stage checkpoints between them. Nor is Step 3's n x n
+/// closure: SAPS writes its cost matrix over it. A caller that needs the
+/// closure (core/confidence.hpp, core/two_round.hpp) sets a ClosureCapture
+/// (core/checkpoint.hpp) as `InferenceConfig::control`.
 struct InferenceResult {
   Ranking ranking;                ///< the aggregated full ranking
   double log_probability = 0.0;   ///< log Pr of the chosen Hamiltonian path
@@ -92,10 +95,6 @@ struct InferenceResult {
   SmoothingStats step2;
   PropagationStats step3;
   std::size_t one_edge_count = 0;  ///< 1-edges before smoothing
-  /// Step 3's pair-normalized closure (n x n). Downstream consumers build
-  /// on it: core/confidence.hpp annotates the ranking's boundaries,
-  /// core/two_round.hpp targets its most uncertain pairs.
-  Matrix closure;
 };
 
 /// Runs Steps 1-4 over a vote batch.

@@ -7,7 +7,8 @@
 // evidence, w_check = alpha * w + (1 - alpha) * w*, and each ordered pair
 // is then normalized so w_ij + w_ji = 1 (the probability constraint of
 // Ailon et al.). The result is a complete digraph — hence always
-// Hamiltonian (Thm 5.1) — handed to Step 4.
+// Hamiltonian (Thm 5.1) — handed to Step 4, whose SAPS writes its cost
+// matrix over the closure's storage (core/saps.hpp).
 //
 // The production propagator sums *walks* rather than enumerating simple
 // paths, and takes that sum from its rank-one Perron limit wherever the

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <utility>
 
 #include "core/saps_kernel.hpp"
 #include "graph/hamiltonian.hpp"
@@ -171,6 +172,10 @@ RestartOutcome run_restart(const SapsCostCache& cache, const Path& order,
 
 SapsResult saps_search(const Matrix& closure, const SapsConfig& config,
                        Rng& rng) {
+  return saps_search(Matrix(closure), config, rng);
+}
+
+SapsResult saps_search(Matrix&& closure, const SapsConfig& config, Rng& rng) {
   CR_EXPECTS(closure.is_square(), "closure matrix must be square");
   const std::size_t n = closure.rows();
   CR_EXPECTS(n >= 2, "need at least two objects");
@@ -188,15 +193,16 @@ SapsResult saps_search(const Matrix& closure, const SapsConfig& config,
                                    ? n
                                    : std::min(config.restarts, n);
 
-  // Materialize the -log w cost matrix once; every delta evaluation below
-  // is a handful of loads instead of std::log calls. The weight-difference
-  // start is the same for every restart up to its anchor, so it is ranked
-  // once here and each restart copies it.
-  const SapsCostCache cache(closure);
+  // The weight-difference start is the same for every restart up to its
+  // anchor, so it is ranked once here, from the weights, and each restart
+  // copies it. Then the -log w cost matrix is written over the closure's
+  // storage; every delta evaluation below is a handful of loads instead of
+  // std::log calls.
   const Path order =
       config.init_mode == SapsInitMode::WeightDifferenceRanking
           ? weight_difference_order(closure)
           : Path{};
+  const SapsCostCache cache(std::move(closure));
 
   // One draw from the caller's stream seeds every restart chain: restart r
   // runs on Rng(task_stream_seed(base, r)). The derivation depends only on

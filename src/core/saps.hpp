@@ -13,7 +13,8 @@
 // is configurable; `paper_mode` restores the literal per-vertex sweep.
 //
 // Hot-path kernels (core/saps_kernel.hpp): `saps_search` materializes the
-// -log w cost matrix once per call and scores every proposal through it,
+// -log w cost matrix once per call, over the closure's own storage, and
+// scores every proposal through it,
 // ranks the weight-difference start once for all restarts, and decides a
 // worse move without exp where its one uniform draw already settles the
 // Metropolis test. Restart r is seeded with `task_stream_seed(base, r)`
@@ -82,6 +83,13 @@ struct SapsResult {
 /// Runs SAPS on a preference closure (typically Step 3's complete matrix;
 /// any square weight matrix with weights in [0,1] works — missing edges are
 /// treated as a huge but finite cost so chains can cross them and recover).
+/// This form consumes the closure: its storage becomes the search's -log w
+/// cost matrix, so the search allocates no second n x n buffer. The engine
+/// calls it once Step 3's closure has no other reader.
+SapsResult saps_search(Matrix&& closure, const SapsConfig& config, Rng& rng);
+
+/// Same search over a copy of `closure`, which stays untouched; equal to
+/// the consuming form bit for bit.
 SapsResult saps_search(const Matrix& closure, const SapsConfig& config,
                        Rng& rng);
 

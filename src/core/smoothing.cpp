@@ -74,7 +74,7 @@ TaskWorkers assigned_workers(const VoteIndex& index,
   rows.offsets.reserve(index.tasks.size() + 1);
   rows.workers.reserve(index.task_votes.size());
   for (const std::size_t p : listing_of) {
-    const std::vector<WorkerId>& workers = assignment.workers_for_task(p);
+    const std::span<const WorkerId> workers = assignment.workers_for_task(p);
     rows.workers.insert(rows.workers.end(), workers.begin(), workers.end());
     rows.offsets.push_back(rows.workers.size());
   }

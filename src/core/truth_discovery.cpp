@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "util/error.hpp"
 #include "util/math.hpp"
@@ -57,34 +58,15 @@ VoteIndex index_votes(const VoteBatch& votes, std::size_t object_count,
     return std::max(votes[vid].i, votes[vid].j);
   };
 
-  // First vote of every vote's task. Votes are bucketed by their task's
-  // first object; walking the buckets in order, a scratch row indexed by
-  // the second object holds the first vote seen on each task of the
-  // current bucket (an entry from an earlier bucket is stale).
-  std::vector<std::size_t> bucket_offsets;
-  std::vector<std::size_t> by_bucket;
-  fill_rows(object_count, vote_count, first_of,
-            [](std::size_t vid) { return vid; }, bucket_offsets, by_bucket);
-  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> first_vote(object_count, kNone);
-  std::vector<std::size_t> vote_task(vote_count);
-  for (const std::size_t vid : by_bucket) {
-    std::size_t& first = first_vote[second_of(vid)];
-    if (first == kNone || first_of(first) != first_of(vid)) {
-      first = vid;
-    }
-    vote_task[vid] = first;
-  }
-
-  // Number the tasks in first-seen order: a vote that is its task's first
-  // opens the next id, and every later vote copies its first vote's id.
+  // Tasks in first-seen order: vote_task[vid] is the id of vid's task,
+  // and a vote that opens the next id names that task.
+  std::vector<std::uint32_t> vote_task;
   VoteIndex index;
+  index.tasks.reserve(
+      group_pairs(object_count, vote_count, first_of, second_of, vote_task));
   for (std::size_t vid = 0; vid < vote_count; ++vid) {
-    if (vote_task[vid] == vid) {
-      vote_task[vid] = index.tasks.size();
+    if (vote_task[vid] == index.tasks.size()) {
       index.tasks.push_back({first_of(vid), second_of(vid)});
-    } else {
-      vote_task[vid] = vote_task[vote_task[vid]];
     }
   }
 
@@ -111,7 +93,8 @@ VoteIndex index_votes(const VoteBatch& votes, std::size_t object_count,
 
   // Contested rows, copied out of the full rows so they keep batch order.
   // `dense` reuses vote_task's storage: the dense id of each task, or kNone.
-  std::vector<std::size_t>& dense = vote_task;
+  constexpr std::uint32_t kNone = ~std::uint32_t{0};
+  std::vector<std::uint32_t>& dense = vote_task;
   dense.assign(index.tasks.size(), kNone);
   std::size_t contested_votes = 0;
   for (std::size_t t = 0; t < index.tasks.size(); ++t) {
@@ -119,7 +102,7 @@ VoteIndex index_votes(const VoteBatch& votes, std::size_t object_count,
     if (std::ranges::any_of(row, [&](const VoteIndex::TaskVote& v) {
           return v.x != row.front().x;
         })) {
-      dense[t] = contested->tasks.size();
+      dense[t] = static_cast<std::uint32_t>(contested->tasks.size());
       contested->tasks.push_back(t);
       contested_votes += row.size();
     }

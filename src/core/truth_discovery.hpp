@@ -148,8 +148,10 @@ struct TruthDiscoveryResult {
 
 /// Runs Step 1. `worker_count` sizes the quality vector (workers with no
 /// votes keep the neutral prior quality 1 but influence nothing).
-/// Throws when `votes` is empty or references out-of-range ids. `index`
-/// (optional) receives the grouping of `votes` that step 1 ran on.
+/// Throws when `votes` is empty or references out-of-range ids, and when
+/// it holds 2^32 - 1 votes or more or object_count exceeds 2^32 - 1.
+/// `index` (optional) receives the grouping of `votes` that step 1 ran
+/// on.
 TruthDiscoveryResult discover_truth(const VoteBatch& votes,
                                     std::size_t object_count,
                                     std::size_t worker_count,

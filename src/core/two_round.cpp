@@ -4,6 +4,7 @@
 #include <cmath>
 #include <set>
 
+#include "core/checkpoint.hpp"
 #include "metrics/kendall.hpp"
 #include "util/error.hpp"
 
@@ -85,18 +86,20 @@ TwoRoundResult run_two_round_experiment(const TwoRoundConfig& config) {
   if (round2_tasks > 0) {
     // Steps 1-3 on the round-1 batch (a cheap probe inference whose Step-4
     // result is discarded) score every pair's closure certainty.
+    // The closure is copied at the Step-4 checkpoint, before SAPS consumes
+    // it.
+    ClosureCapture probe(base.inference.control);
     InferenceConfig probe_config = base.inference;
     probe_config.saps.iterations = 1;  // Step 4 output unused
     probe_config.saps.restarts = 1;
+    probe_config.control = &probe;
     const InferenceEngine probe_engine(probe_config);
     Rng probe_rng(base.seed + 101);
-    const InferenceResult probe =
-        probe_engine.infer(votes, n, base.worker_pool_size, hits1,
-                           probe_rng);
+    probe_engine.infer(votes, n, base.worker_pool_size, hits1, probe_rng);
 
     // --- Round 2: the most uncertain pairs. ---
     const std::vector<Edge> tasks2 =
-        most_uncertain_pairs(probe.closure, round2_tasks);
+        most_uncertain_pairs(probe.closure(), round2_tasks);
     const std::set<Edge> round1_set(tasks1.begin(), tasks1.end());
     for (const Edge& e : tasks2) {
       if (round1_set.contains(e)) ++repeats;

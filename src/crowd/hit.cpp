@@ -9,59 +9,33 @@ namespace crowdrank {
 HitAssignment::HitAssignment(const std::vector<Edge>& tasks,
                              const HitConfig& config,
                              std::size_t worker_pool_size, Rng& rng)
-    : tasks_(tasks) {
+    : tasks_(tasks),
+      comparisons_per_hit_(config.comparisons_per_hit),
+      workers_per_hit_(config.workers_per_hit) {
   CR_EXPECTS(!tasks.empty(), "need at least one comparison task");
   CR_EXPECTS(config.comparisons_per_hit >= 1, "HITs need c >= 1");
   CR_EXPECTS(config.workers_per_hit >= 1, "HITs need w >= 1");
   CR_EXPECTS(config.workers_per_hit <= worker_pool_size,
              "replication w must not exceed the worker pool size m");
 
-  task_workers_.resize(tasks_.size());
-  worker_tasks_.resize(worker_pool_size);
-
-  // Pack tasks into HITs of c comparisons, in order; each HIT draws w
-  // distinct workers uniformly at random from the pool.
-  for (std::size_t start = 0; start < tasks_.size();
-       start += config.comparisons_per_hit) {
-    const std::size_t end =
-        std::min(start + config.comparisons_per_hit, tasks_.size());
-    Hit hit;
-    hit.comparisons.assign(tasks_.begin() + static_cast<std::ptrdiff_t>(start),
-                           tasks_.begin() + static_cast<std::ptrdiff_t>(end));
-    const auto picked =
-        rng.sample_without_replacement(worker_pool_size,
-                                       config.workers_per_hit);
-    hit.workers.assign(picked.begin(), picked.end());
-    std::sort(hit.workers.begin(), hit.workers.end());
-
-    for (std::size_t t = start; t < end; ++t) {
-      task_workers_[t] = hit.workers;
-      for (const WorkerId k : hit.workers) {
-        worker_tasks_[k].push_back(t);
-      }
-    }
-    hits_.push_back(std::move(hit));
+  // Each HIT, in task order, draws w distinct workers uniformly at random
+  // from the pool.
+  const std::size_t c = comparisons_per_hit_;
+  const std::size_t w = workers_per_hit_;
+  const std::size_t hits = (tasks_.size() - 1) / c + 1;
+  hit_workers_.resize(hits * w);
+  for (std::size_t h = 0; h < hits; ++h) {
+    const std::span<WorkerId> row(hit_workers_.data() + h * w, w);
+    rng.sample_without_replacement(worker_pool_size, row);
+    std::sort(row.begin(), row.end());
   }
 }
 
-const std::vector<WorkerId>& HitAssignment::workers_for_task(
+std::span<const WorkerId> HitAssignment::workers_for_task(
     std::size_t t) const {
-  CR_EXPECTS(t < task_workers_.size(), "task index out of range");
-  return task_workers_[t];
-}
-
-const std::vector<std::size_t>& HitAssignment::tasks_for_worker(
-    WorkerId k) const {
-  CR_EXPECTS(k < worker_tasks_.size(), "worker id out of range");
-  return worker_tasks_[k];
-}
-
-std::size_t HitAssignment::total_answer_count() const {
-  std::size_t total = 0;
-  for (const auto& workers : task_workers_) {
-    total += workers.size();
-  }
-  return total;
+  CR_EXPECTS(t < tasks_.size(), "task index out of range");
+  return {hit_workers_.data() + t / comparisons_per_hit_ * workers_per_hit_,
+          workers_per_hit_};
 }
 
 }  // namespace crowdrank

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "crowd/worker.hpp"
@@ -15,19 +16,16 @@
 
 namespace crowdrank {
 
-/// One HIT: a batch of pairwise comparison tasks plus the workers assigned.
-struct Hit {
-  std::vector<Edge> comparisons;   ///< the c pairwise tasks in this HIT
-  std::vector<WorkerId> workers;   ///< the w workers assigned to it
-};
-
 /// Configuration of HIT construction.
 struct HitConfig {
   std::size_t comparisons_per_hit = 1;  ///< c
   std::size_t workers_per_hit = 3;      ///< w (replication factor)
 };
 
-/// The full one-round assignment: HITs plus fast lookup indexes.
+/// The full one-round assignment: tasks packed in order into HITs of c
+/// comparisons, so HIT h holds tasks [h c, (h + 1) c). Each HIT's w workers
+/// sit in one flat array, sorted, and task t reads the row of HIT
+/// floor(t / c).
 class HitAssignment {
  public:
   /// Packs `tasks` into HITs of c comparisons and assigns each HIT to w
@@ -36,25 +34,28 @@ class HitAssignment {
   HitAssignment(const std::vector<Edge>& tasks, const HitConfig& config,
                 std::size_t worker_pool_size, Rng& rng);
 
-  const std::vector<Hit>& hits() const { return hits_; }
+  /// Number of HITs: ceil(tasks / c); the last may hold fewer than c.
+  std::size_t hit_count() const {
+    return hit_workers_.size() / workers_per_hit_;
+  }
   std::size_t unique_task_count() const { return tasks_.size(); }
   const std::vector<Edge>& tasks() const { return tasks_; }
 
-  /// Workers assigned to task index t (into tasks()).
-  const std::vector<WorkerId>& workers_for_task(std::size_t t) const;
-
-  /// Task indices assigned to worker k (empty if the worker got none).
-  const std::vector<std::size_t>& tasks_for_worker(WorkerId k) const;
+  /// Workers assigned to task index t (into tasks()), ascending: the
+  /// workers of its HIT.
+  std::span<const WorkerId> workers_for_task(std::size_t t) const;
 
   /// Total pairwise answers that will be collected (sum over tasks of its
   /// replication) — what the budget actually pays for.
-  std::size_t total_answer_count() const;
+  std::size_t total_answer_count() const {
+    return tasks_.size() * workers_per_hit_;
+  }
 
  private:
-  std::vector<Hit> hits_;
   std::vector<Edge> tasks_;
-  std::vector<std::vector<WorkerId>> task_workers_;
-  std::vector<std::vector<std::size_t>> worker_tasks_;
+  std::size_t comparisons_per_hit_;
+  std::size_t workers_per_hit_;
+  std::vector<WorkerId> hit_workers_;  ///< HIT h: [h w, (h + 1) w)
 };
 
 }  // namespace crowdrank

@@ -22,6 +22,7 @@
 // util: primitives every layer shares
 #include "util/build_info.hpp"
 #include "util/error.hpp"
+#include "util/json_string.hpp"
 #include "util/logging.hpp"
 #include "util/math.hpp"
 #include "util/matrix.hpp"

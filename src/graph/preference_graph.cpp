@@ -1,6 +1,7 @@
 #include "graph/preference_graph.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 
 #include "util/error.hpp"
@@ -9,15 +10,20 @@ namespace crowdrank {
 
 namespace {
 
-/// Stable counting sort of `edges` by `key(edge)` in [0, n): O(n + m).
-template <typename Key>
-std::vector<WeightedEdge> counting_sort(std::span<const WeightedEdge> edges,
-                                        std::size_t n, Key key) {
+/// Stable counting sort of edge indices by `key(edge)` in [0, n): sorts
+/// index_at(0), index_at(1), ... over every edge. O(n + m).
+template <typename IndexAt, typename Key>
+std::vector<std::uint32_t> counting_sort(std::span<const WeightedEdge> edges,
+                                         std::size_t n, IndexAt index_at,
+                                         Key key) {
   std::vector<std::size_t> start(n + 1, 0);
   for (const WeightedEdge& e : edges) ++start[key(e) + 1];
   std::partial_sum(start.begin(), start.end(), start.begin());
-  std::vector<WeightedEdge> sorted(edges.size());
-  for (const WeightedEdge& e : edges) sorted[start[key(e)]++] = e;
+  std::vector<std::uint32_t> sorted(edges.size());
+  for (std::size_t k = 0; k < edges.size(); ++k) {
+    const std::uint32_t e = index_at(k);
+    sorted[start[key(edges[e])]++] = e;
+  }
   return sorted;
 }
 
@@ -26,27 +32,34 @@ std::vector<WeightedEdge> counting_sort(std::span<const WeightedEdge> edges,
 PreferenceGraph::PreferenceGraph(std::size_t n,
                                  std::span<const WeightedEdge> edges) {
   CR_EXPECTS(n >= 2, "a preference graph needs at least two objects");
+  CR_EXPECTS(edges.size() < (std::size_t{1} << 32),
+             "a preference graph takes fewer than 2^32 edges");
   for (const WeightedEdge& e : edges) {
     CR_EXPECTS(e.from < n && e.to < n, "vertex id out of range");
     CR_EXPECTS(e.from != e.to, "self-preference is not allowed");
     CR_EXPECTS(e.weight >= 0.0 && e.weight <= 1.0,
                "preference weight must lie in [0, 1]");
   }
-  // Sorting by target and then, stably, by source leaves every row in
-  // ascending target order with any repeated (from, to) adjacent.
-  const std::vector<WeightedEdge> by_target =
-      counting_sort(edges, n, [](const WeightedEdge& e) { return e.to; });
-  const std::vector<WeightedEdge> sorted = counting_sort(
-      by_target, n, [](const WeightedEdge& e) { return e.from; });
+  // Sorting the edge indices by target and then, stably, by source leaves
+  // every row in ascending target order with any repeated (from, to)
+  // adjacent.
+  const std::vector<std::uint32_t> by_target = counting_sort(
+      edges, n, [](std::size_t k) { return static_cast<std::uint32_t>(k); },
+      [](const WeightedEdge& e) { return e.to; });
+  const std::vector<std::uint32_t> order = counting_sort(
+      edges, n, [&](std::size_t k) { return by_target[k]; },
+      [](const WeightedEdge& e) { return e.from; });
 
   csr_.row_ptr.assign(n + 1, 0);
-  csr_.neighbors.reserve(sorted.size());
-  csr_.weights.reserve(sorted.size());
-  for (std::size_t k = 0; k < sorted.size(); ++k) {
-    const WeightedEdge& e = sorted[k];
-    CR_EXPECTS(k == 0 || sorted[k - 1].from != e.from ||
-                   sorted[k - 1].to != e.to,
+  csr_.neighbors.reserve(order.size());
+  csr_.weights.reserve(order.size());
+  const WeightedEdge* previous = nullptr;
+  for (const std::uint32_t k : order) {
+    const WeightedEdge& e = edges[k];
+    CR_EXPECTS(previous == nullptr || previous->from != e.from ||
+                   previous->to != e.to,
                "repeated preference edge");
+    previous = &e;
     if (e.weight > 0.0) {
       ++csr_.row_ptr[e.from + 1];
       csr_.neighbors.push_back(e.to);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <queue>
-#include <utility>
 
 #include "util/error.hpp"
 
@@ -19,26 +18,28 @@ void erase_value(std::vector<T>& row, const T& value) {
 
 }  // namespace
 
-TaskGraph::TaskGraph(std::size_t n) : adjacency_(n), sorted_(n) {
+TaskGraph::TaskGraph(std::size_t n) : adjacency_(n) {
   CR_EXPECTS(n >= 2, "a task graph needs at least two objects");
+  CR_EXPECTS(n <= (std::size_t{1} << 32),
+             "a task graph holds at most 2^32 objects");
 }
 
 void TaskGraph::check_vertex(VertexId v) const {
   CR_EXPECTS(v < adjacency_.size(), "vertex id out of range");
 }
 
+std::uint64_t TaskGraph::key(VertexId a, VertexId b) const {
+  const Edge e = Edge::canonical(a, b);
+  return std::uint64_t{e.first} * adjacency_.size() + e.second;
+}
+
 bool TaskGraph::add_edge(VertexId a, VertexId b) {
   check_vertex(a);
   check_vertex(b);
   CR_EXPECTS(a != b, "self-comparisons are not valid tasks");
-  std::vector<VertexId>& row_a = sorted_[a];
-  const auto at_a = std::lower_bound(row_a.begin(), row_a.end(), b);
-  if (at_a != row_a.end() && *at_a == b) {
+  if (!edge_keys_.insert(key(a, b))) {
     return false;
   }
-  row_a.insert(at_a, b);
-  std::vector<VertexId>& row_b = sorted_[b];
-  row_b.insert(std::lower_bound(row_b.begin(), row_b.end(), a), a);
   adjacency_[a].push_back(b);
   adjacency_[b].push_back(a);
   edges_.push_back(Edge::canonical(a, b));
@@ -46,11 +47,11 @@ bool TaskGraph::add_edge(VertexId a, VertexId b) {
 }
 
 bool TaskGraph::remove_edge(VertexId a, VertexId b) {
-  if (!has_edge(a, b)) {
+  check_vertex(a);
+  check_vertex(b);
+  if (a == b || !edge_keys_.erase(key(a, b))) {
     return false;
   }
-  erase_value(sorted_[a], b);
-  erase_value(sorted_[b], a);
   erase_value(adjacency_[a], b);
   erase_value(adjacency_[b], a);
   erase_value(edges_, Edge::canonical(a, b));
@@ -60,11 +61,7 @@ bool TaskGraph::remove_edge(VertexId a, VertexId b) {
 bool TaskGraph::has_edge(VertexId a, VertexId b) const {
   check_vertex(a);
   check_vertex(b);
-  if (a == b) return false;
-  if (sorted_[a].size() > sorted_[b].size()) {
-    std::swap(a, b);  // search the shorter row
-  }
-  return std::binary_search(sorted_[a].begin(), sorted_[a].end(), b);
+  return a != b && edge_keys_.contains(key(a, b));
 }
 
 std::size_t TaskGraph::degree(VertexId v) const {

@@ -7,24 +7,27 @@
 //
 // Layout: the edge list and each vertex's neighbor row keep insertion
 // order (task order is what HIT packing and every later stage sees), and
-// a second, ascending row per vertex answers `has_edge` and the duplicate
-// check of `add_edge` by binary search. `remove_edge` erases in place and
-// keeps both orders of everything that remains, so a graph edited by
-// removals and additions equals one built from its final edge list.
+// a FlatSet of the canonical edges, keyed first * n + second, answers
+// `has_edge` and the duplicate check of `add_edge` in one probe.
+// `remove_edge` erases in place and keeps the order of everything that
+// remains, so a graph edited by removals and additions equals one built
+// from its final edge list.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "graph/types.hpp"
+#include "util/flat_set.hpp"
 
 namespace crowdrank {
 
 /// Undirected simple graph over n vertices.
 class TaskGraph {
  public:
-  /// Graph with n isolated vertices; n >= 2.
+  /// Graph with n isolated vertices; 2 <= n <= 2^32.
   explicit TaskGraph(std::size_t n);
 
   std::size_t vertex_count() const { return adjacency_.size(); }
@@ -65,10 +68,12 @@ class TaskGraph {
 
  private:
   void check_vertex(VertexId v) const;
+  /// The key of edge {a, b}: first * n + second, below n^2 - n.
+  std::uint64_t key(VertexId a, VertexId b) const;
 
   std::vector<std::vector<VertexId>> adjacency_;  ///< insertion order
-  std::vector<std::vector<VertexId>> sorted_;     ///< ascending
   std::vector<Edge> edges_;
+  FlatSet edge_keys_;
 };
 
 }  // namespace crowdrank

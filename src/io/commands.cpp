@@ -12,6 +12,7 @@
 #include <thread>
 
 #include "analysis/invariants.hpp"
+#include "core/checkpoint.hpp"
 #include "core/confidence.hpp"
 #include "core/diagnostics.hpp"
 #include "core/pipeline.hpp"
@@ -152,6 +153,22 @@ BatchShape derive_shape(const VoteBatch& votes, const Args& args) {
           args.get_size("worker-count", max_worker + 1)};
 }
 
+/// Renumbers the batch's worker ids by their rank among its distinct ids.
+/// The map keeps their order, so the engine's bits are those of the
+/// original ids; it only stops step 1 from sizing its per-worker state by
+/// the largest id.
+void compact_worker_ids(VoteBatch& votes) {
+  std::vector<WorkerId> ids;
+  ids.reserve(votes.size());
+  for (const Vote& v : votes) ids.push_back(v.worker);
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  for (Vote& v : votes) {
+    v.worker = static_cast<WorkerId>(
+        std::lower_bound(ids.begin(), ids.end(), v.worker) - ids.begin());
+  }
+}
+
 /// The kInferenceOptions knobs applied onto the default config, validated.
 /// infer, index, and query all build their configs through this one
 /// function, so the same flags always describe the same work (and index /
@@ -259,8 +276,12 @@ int cmd_infer(const std::vector<std::string>& argv, std::ostream& out) {
       merge({kShapeOptions, kInferenceOptions, kObservabilityOptions,
              {"votes", "seed", "ranking-out"}}),
       {"check-invariants"});
-  const VoteBatch votes = load_votes(args.require_string("votes"));
+  VoteBatch votes = load_votes(args.require_string("votes"));
   CR_EXPECTS(!votes.empty(), "votes file contains no votes");
+  // Without --worker-count, step 1 is sized by the workers that voted.
+  if (!args.has("worker-count")) {
+    compact_worker_ids(votes);
+  }
   const auto [n, m] = derive_shape(votes, args);
 
   // Observability outputs: --trace (Chrome trace-event JSON) and --metrics
@@ -282,6 +303,10 @@ int cmd_infer(const std::vector<std::string>& argv, std::ostream& out) {
   // Stage invariant validation: --check-invariants, or the process-wide
   // CROWDRANK_CHECK_INVARIANTS env switch (analysis/invariants.hpp).
   config.check_invariants = args.flag("check-invariants");
+  // The boundary confidence below reads step 3's closure, which step 4
+  // consumes: copy it at the checkpoint between them.
+  ClosureCapture capture;
+  config.control = &capture;
   const InferenceEngine engine(config);
   Rng rng(args.get_seed("seed", 1));
   const trace::ScopedSink scoped_sink(sink.get());
@@ -311,9 +336,9 @@ int cmd_infer(const std::vector<std::string>& argv, std::ostream& out) {
         << "\n";
   }
   const RankingConfidence confidence =
-      ranking_confidence(result.closure, result.ranking);
+      ranking_confidence(capture.closure(), result.ranking);
   const auto tied =
-      effectively_tied_groups(result.closure, result.ranking, 0.55);
+      effectively_tied_groups(capture.closure(), result.ranking, 0.55);
   out << "boundary confidence: mean " << confidence.mean_belief << ", min "
       << confidence.min_belief << " (weakest boundary at position "
       << confidence.weakest_boundary << "); " << tied.size()

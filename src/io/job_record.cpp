@@ -3,13 +3,14 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cstdio>
 #include <fstream>
 #include <map>
 #include <sstream>
 
 #include "core/checkpoint.hpp"
-#include "obs/json.hpp"
 #include "util/error.hpp"
+#include "util/json_string.hpp"
 
 namespace crowdrank::io {
 
@@ -42,6 +43,13 @@ std::string parse_json_string(const std::string& line, std::size_t& pos,
   std::string out;
   while (pos < line.size() && line[pos] != '"') {
     char c = line[pos];
+    if (static_cast<unsigned char>(c) < 0x20) {
+      char text[64];
+      std::snprintf(text, sizeof text,
+                    "raw control byte 0x%02x at offset %zu in string",
+                    static_cast<unsigned>(static_cast<unsigned char>(c)), pos);
+      fail(line_number, text);
+    }
     if (c == '\\') {
       ++pos;
       if (pos >= line.size()) {
@@ -232,7 +240,7 @@ std::vector<JobRecord> parse_job_records(const std::string& text) {
 std::string format_job_record(const JobRecord& record) {
   std::ostringstream os;
   os << "{\"id\": " << record.id << ", \"votes\": ";
-  obs::write_json_string(os, record.votes_path);
+  write_json_string(os, record.votes_path);
   if (record.object_count > 0) {
     os << ", \"object_count\": " << record.object_count;
   }
@@ -240,7 +248,7 @@ std::string format_job_record(const JobRecord& record) {
     os << ", \"worker_count\": " << record.worker_count;
   }
   os << ", \"seed\": " << record.seed << ", \"search\": ";
-  obs::write_json_string(os, record.search);
+  write_json_string(os, record.search);
   if (record.saps_iterations > 0) {
     os << ", \"saps_iterations\": " << record.saps_iterations;
   }
@@ -249,10 +257,10 @@ std::string format_job_record(const JobRecord& record) {
   }
   if (!record.fail_before.empty()) {
     os << ", \"fail_before\": ";
-    obs::write_json_string(os, record.fail_before);
+    write_json_string(os, record.fail_before);
     if (!record.fail_reason.empty()) {
       os << ", \"fail_reason\": ";
-      obs::write_json_string(os, record.fail_reason);
+      write_json_string(os, record.fail_reason);
     }
   }
   os << "}";
@@ -263,12 +271,12 @@ std::string format_job_result(const service::JobResult& result,
                               bool include_ranking) {
   std::ostringstream os;
   os << "{\"id\": " << result.id << ", \"outcome\": ";
-  obs::write_json_string(os, service::outcome_name(result.outcome));
+  write_json_string(os, service::outcome_name(result.outcome));
   os << ", \"stage\": ";
-  obs::write_json_string(os, stage_name(result.stage));
+  write_json_string(os, stage_name(result.stage));
   if (!result.reason.empty()) {
     os << ", \"reason\": ";
-    obs::write_json_string(os, result.reason);
+    write_json_string(os, result.reason);
   }
   const service::HardeningReport& h = result.hardening;
   os << ", \"input_votes\": " << h.input_votes

@@ -5,7 +5,7 @@
 #include <ostream>
 #include <variant>
 
-#include "obs/json.hpp"
+#include "util/json_string.hpp"
 
 namespace crowdrank::obs {
 

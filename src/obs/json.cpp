@@ -3,7 +3,6 @@
 #include <cctype>
 #include <charconv>
 #include <cstdio>
-#include <ostream>
 
 #include "util/error.hpp"
 
@@ -47,6 +46,13 @@ class Parser {
  private:
   [[noreturn]] void fail(const std::string& what) const {
     throw Error("json offset " + std::to_string(pos_) + ": " + what);
+  }
+
+  static std::string hex_byte(char c) {
+    char text[8];
+    std::snprintf(text, sizeof text, "0x%02x",
+                  static_cast<unsigned>(static_cast<unsigned char>(c)));
+    return text;
   }
 
   void skip_ws() {
@@ -161,6 +167,9 @@ class Parser {
     std::string out;
     while (true) {
       char c = peek();
+      if (static_cast<unsigned char>(c) < 0x20) {
+        fail("raw control byte " + hex_byte(c) + " in string");
+      }
       ++pos_;
       if (c == '"') {
         return out;
@@ -232,36 +241,6 @@ class Parser {
 
 JsonValue parse_json(const std::string& text) {
   return Parser(text).parse_document();
-}
-
-void write_json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
 }
 
 }  // namespace crowdrank::obs

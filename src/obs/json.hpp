@@ -1,5 +1,5 @@
-// Minimal JSON value model + recursive-descent parser, and the string
-// writer the exporters use.
+// Minimal JSON value model + recursive-descent parser. The exporters
+// write strings with util/json_string's escaper.
 //
 // The telemetry plane writes nested JSON (snapshot lines, postmortems)
 // that `crowdrank top`, the exporter tests, and tools read back; the
@@ -12,9 +12,7 @@
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -50,11 +48,5 @@ struct JsonValue {
 /// else). Throws crowdrank::Error naming the byte offset on malformed
 /// input.
 JsonValue parse_json(const std::string& text);
-
-/// Writes `s` as a JSON string literal: `"` and `\` backslash-escaped,
-/// newline and tab as `\n` and `\t`, and every other byte below 0x20 as
-/// `\u00XX`, so no raw control byte reaches the output. The telemetry
-/// exporters and `crowdrank serve`'s JSONL records share it.
-void write_json_string(std::ostream& os, std::string_view s);
 
 }  // namespace crowdrank::obs

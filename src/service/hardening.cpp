@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <utility>
 
 #include "util/error.hpp"
+#include "util/rows.hpp"
 
 namespace crowdrank::service {
 
@@ -117,6 +119,8 @@ HardenedBatch harden_votes(const VoteBatch& votes, std::size_t object_count,
   HardeningReport& r = report != nullptr ? *report : local;
   r = HardeningReport{};
   r.input_votes = votes.size();
+  CR_EXPECTS(votes.size() < (std::size_t{1} << 31),
+             "hardening takes fewer than 2^31 votes");
 
   // Resolve the object universe: the caller's hint, or the highest id
   // mentioned by any vote.
@@ -128,9 +132,32 @@ HardenedBatch harden_votes(const VoteBatch& votes, std::size_t object_count,
   }
   r.requested_objects = n;
 
-  // Pass 1 — per-vote filters: out-of-range and self votes.
+  // Pass 1 — per-vote filters: out-of-range and self votes. Each kept
+  // vote is copied with a dense worker id, in order of first appearance,
+  // and with any object id >= n (kept only with drop_out_of_range off)
+  // renumbered n, n + 1, ... in the same order, so the later passes index
+  // workers and objects directly. A bijection keeps every (worker, pair)
+  // group, and a pair's two directions stay two directions, so the
+  // verdicts hold; compaction maps the ids back.
+  constexpr std::uint32_t kNone = ~std::uint32_t{0};
   VoteBatch kept;
   kept.reserve(votes.size());
+  FlatIndex worker_index;
+  std::vector<WorkerId> workers;  // dense -> original worker id
+  FlatIndex extra_index;
+  std::vector<VertexId> extra_objects;  // (id - n) -> original object id
+  const auto dense_object = [&](VertexId id) {
+    if (id < n) {
+      return id;
+    }
+    const std::uint32_t e = extra_index.find_or_add(
+        mix64(id), static_cast<std::uint32_t>(extra_objects.size()),
+        [&](std::uint32_t x) { return extra_objects[x] == id; });
+    if (e == extra_objects.size()) {
+      extra_objects.push_back(id);
+    }
+    return n + e;
+  };
   for (const Vote& v : votes) {
     if (policy.drop_out_of_range && (v.i >= n || v.j >= n)) {
       ++r.dropped_out_of_range;
@@ -140,45 +167,81 @@ HardenedBatch harden_votes(const VoteBatch& votes, std::size_t object_count,
       ++r.dropped_self;
       continue;
     }
-    kept.push_back(v);
+    const std::uint32_t s = worker_index.find_or_add(
+        mix64(v.worker), static_cast<std::uint32_t>(workers.size()),
+        [&](std::uint32_t x) { return workers[x] == v.worker; });
+    if (s == workers.size()) {
+      workers.push_back(v.worker);
+    }
+    const VertexId i = dense_object(v.i);
+    kept.push_back(Vote{s, i, dense_object(v.j), v.prefers_i});
   }
+  // Keeps vote k at position `next` of the batch being filtered in place;
+  // until a vote is dropped, every kept vote is already in place.
+  const auto keep = [&](std::size_t k, std::size_t& next) {
+    if (next != k) {
+      kept[next] = kept[k];
+    }
+    ++next;
+  };
 
   // Pass 2 — per-(worker, task) repairs. A worker answering the same task
   // in both directions contradicts themselves: all their votes on that
   // task are dropped. Repeated same-direction answers keep only the
   // first occurrence. The direction is relative to the canonical edge so
-  // (i,j,prefers_i) and (j,i,!prefers_i) count as one direction. One
-  // table keyed by (worker, task) names each vote's group by the group's
-  // first vote, so the verdicts follow from one pass in batch order.
-  CR_EXPECTS(kept.size() < (std::size_t{1} << 31),
-             "hardening takes fewer than 2^31 votes");
-  if (policy.drop_duplicates || policy.drop_conflicting) {
-    FlatIndex groups;
-    std::vector<std::uint32_t> first_of(kept.size());
-    std::vector<std::uint8_t> directions(kept.size(), 0);  // by first vote
-    for (std::size_t k = 0; k < kept.size(); ++k) {
-      const Vote& v = kept[k];
-      const Edge task = Edge::canonical(v.i, v.j);
-      const std::uint64_t hash =
-          mix64(v.worker ^ mix64(task.first ^ mix64(task.second)));
-      const std::uint32_t first = groups.find_or_add(
-          hash, static_cast<std::uint32_t>(k), [&](std::uint32_t f) {
-            const Vote& earlier = kept[f];
-            return earlier.worker == v.worker &&
-                   Edge::canonical(earlier.i, earlier.j) == task;
-          });
-      first_of[k] = first;
-      // 1: task.first preferred, 2: task.second.
-      directions[first] |= v.prefers_i == (v.i == task.first) ? 1 : 2;
+  // (i,j,prefers_i) and (j,i,!prefers_i) count as one direction. The
+  // votes are grouped by task and walked task by task in batch order, so
+  // each (worker, task) group is named by its first vote in batch order.
+  if ((policy.drop_duplicates || policy.drop_conflicting) && !kept.empty()) {
+    const auto first_of = [&](std::size_t k) {
+      return std::min(kept[k].i, kept[k].j);
+    };
+    const auto second_of = [&](std::size_t k) {
+      return std::max(kept[k].i, kept[k].j);
+    };
+    std::vector<std::uint32_t> task_of;
+    const std::size_t tasks = group_pairs(n + extra_objects.size(),
+                                          kept.size(), first_of, second_of,
+                                          task_of);
+    std::vector<std::size_t> task_offsets;
+    std::vector<std::uint32_t> by_task;
+    fill_rows(
+        tasks, kept.size(), [&](std::size_t k) { return task_of[k]; },
+        [](std::size_t k) { return static_cast<std::uint32_t>(k); },
+        task_offsets, by_task);
+    // Per vote: bits 0-1 gather its group's directions (1: task.first
+    // preferred, 2: task.second) on the group's first vote; bit 2 marks a
+    // vote of a conflicting group, bit 3 one that is not its group's first.
+    std::vector<std::uint8_t> verdict(kept.size(), 0);
+    // The first vote of each worker on the task being walked (a mark left
+    // from an earlier task is stale).
+    std::vector<std::uint32_t> mark(workers.size(), kNone);
+    for (std::size_t t = 0; t < tasks; ++t) {
+      const std::span<const std::uint32_t> row(
+          by_task.data() + task_offsets[t],
+          task_offsets[t + 1] - task_offsets[t]);
+      for (const std::uint32_t k : row) {
+        std::uint32_t& first = mark[kept[k].worker];
+        if (first == kNone || task_of[first] != t) {
+          first = k;
+        }
+        const Vote& v = kept[k];
+        verdict[first] |= v.prefers_i == (v.i <= v.j) ? 1 : 2;
+      }
+      for (const std::uint32_t k : row) {
+        const std::uint32_t first = mark[kept[k].worker];
+        verdict[k] |=
+            ((verdict[first] & 3) == 3 ? 4 : 0) | (first != k ? 8 : 0);
+      }
     }
     std::size_t next = 0;
     for (std::size_t k = 0; k < kept.size(); ++k) {
-      if (policy.drop_conflicting && directions[first_of[k]] == 3) {
+      if (policy.drop_conflicting && (verdict[k] & 4) != 0) {
         ++r.dropped_conflicting;
-      } else if (policy.drop_duplicates && first_of[k] != k) {
+      } else if (policy.drop_duplicates && (verdict[k] & 8) != 0) {
         ++r.dropped_duplicate;
       } else {
-        kept[next++] = kept[k];
+        keep(k, next);
       }
     }
     kept.resize(next);
@@ -224,25 +287,25 @@ HardenedBatch harden_votes(const VoteBatch& votes, std::size_t object_count,
            sets.find(v) == best_root);
     }
     if (policy.restrict_to_largest_component) {
-      VoteBatch connected;
-      connected.reserve(kept.size());
-      for (const Vote& v : kept) {
+      std::size_t next = 0;
+      for (std::size_t k = 0; k < kept.size(); ++k) {
+        const Vote& v = kept[k];
         if (in_range(v) && retained_object[v.i] && retained_object[v.j]) {
-          connected.push_back(v);
+          keep(k, next);
         } else {
           ++r.dropped_disconnected;
         }
       }
-      kept = std::move(connected);
+      kept.resize(next);
     }
   }
 
   // Compaction: rewrite object and worker ids onto dense ascending
-  // ranges. Worker identity does not survive into the ranking, so the
-  // remap is invisible to callers; the report keeps the original ids.
-  // Worker ids are arbitrary u64s, never used as an index: a table
-  // numbers the distinct ids by first appearance, and only that set is
-  // sorted. Object ids >= n pass through.
+  // ranges, in place. Worker identity does not survive into the ranking,
+  // so the remap is invisible to callers; the report keeps the original
+  // ids. Worker ids are arbitrary u64s, never used as an index: only the
+  // dense ids still in the batch are sorted by original id. Object ids
+  // >= n get their original ids back.
   HardenedBatch batch;
   std::vector<VertexId> object_map(n, n);
   for (std::size_t v = 0; v < n; ++v) {
@@ -253,36 +316,31 @@ HardenedBatch harden_votes(const VoteBatch& votes, std::size_t object_count,
       r.excluded_objects.push_back(v);
     }
   }
-  const auto compact_object = [&](VertexId id) {
-    return id < n ? object_map[id] : id;
-  };
-  FlatIndex worker_index;
-  std::vector<WorkerId> seen;  // distinct workers, first appearance first
-  std::vector<std::uint32_t> seen_of(kept.size());
-  for (std::size_t k = 0; k < kept.size(); ++k) {
-    const WorkerId worker = kept[k].worker;
-    seen_of[k] = worker_index.find_or_add(
-        mix64(worker), static_cast<std::uint32_t>(seen.size()),
-        [&](std::uint32_t s) { return seen[s] == worker; });
-    if (seen_of[k] == seen.size()) {
-      seen.push_back(worker);
+  std::vector<std::uint32_t> compact_worker(workers.size(), kNone);
+  for (const Vote& v : kept) {
+    if (compact_worker[v.worker] == kNone) {
+      compact_worker[v.worker] = 0;
+      batch.workers.push_back(workers[v.worker]);
     }
   }
-  batch.workers = seen;
   std::sort(batch.workers.begin(), batch.workers.end());
-  std::vector<WorkerId> compact_worker(seen.size());
-  for (std::size_t s = 0; s < seen.size(); ++s) {
-    compact_worker[s] = static_cast<WorkerId>(
-        std::lower_bound(batch.workers.begin(), batch.workers.end(), seen[s]) -
-        batch.workers.begin());
+  for (std::size_t s = 0; s < workers.size(); ++s) {
+    if (compact_worker[s] != kNone) {
+      compact_worker[s] = static_cast<std::uint32_t>(
+          std::lower_bound(batch.workers.begin(), batch.workers.end(),
+                           workers[s]) -
+          batch.workers.begin());
+    }
   }
-  batch.votes.reserve(kept.size());
-  for (std::size_t k = 0; k < kept.size(); ++k) {
-    const Vote& v = kept[k];
-    batch.votes.push_back(Vote{compact_worker[seen_of[k]],
-                               compact_object(v.i), compact_object(v.j),
-                               v.prefers_i});
+  const auto compact_object = [&](VertexId id) {
+    return id < n ? object_map[id] : extra_objects[id - n];
+  };
+  for (Vote& v : kept) {
+    v.worker = compact_worker[v.worker];
+    v.i = compact_object(v.i);
+    v.j = compact_object(v.j);
   }
+  batch.votes = std::move(kept);
   r.retained_votes = batch.votes.size();
   return batch;
 }

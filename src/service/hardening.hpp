@@ -13,15 +13,18 @@
 //
 // The pass is deterministic: drops depend only on batch order and ids,
 // the component tie-break is the smallest member id, and compaction maps
-// ids in ascending order. It runs on flat arrays, with no sort over the
-// votes: one open-addressing table keyed by (worker, canonical task)
-// names each vote's group by its first vote, component sizes are counted
-// per union-find root, and a second table collects the distinct worker
-// ids, of which only that set is sorted. The group table holds at most
-// 32 bytes per group; with a 4-byte group id and a direction byte per
-// vote the pass needs at most 37 bytes per vote beyond the batch copy.
-// Batches hold fewer than 2^31 votes. tests/service/hardening_reference.*
-// keeps the original map-keyed pass as the oracle it is checked against.
+// ids in ascending order. It makes one copy of the batch and filters and
+// rewrites it in place, with no sort over the votes: the copy carries a
+// dense worker id per vote from one small table of the distinct worker
+// ids, the votes are grouped by task with `group_pairs` and `fill_rows`
+// (util/rows.hpp, the grouping step 1 uses), each (worker, task) group is
+// read off its task's row with a mark per worker, component sizes are
+// counted per union-find root, and only the distinct surviving worker ids
+// are sorted. Beyond the copy and the per-worker tables, pass 2 needs
+// at most 17 bytes per vote and 12 per object. Batches hold fewer than
+// 2^31 votes.
+// tests/service/hardening_reference.* keeps the original map-keyed pass
+// as the oracle it is checked against.
 #pragma once
 
 #include <cstddef>

@@ -63,6 +63,7 @@ class Matrix {
 
   /// Raw storage (row-major).
   std::span<const double> data() const { return data_; }
+  std::span<double> data() { return data_; }
 
   Matrix& operator+=(const Matrix& other);
   Matrix& operator*=(double scalar);

@@ -1,7 +1,8 @@
 #include "util/rng.hpp"
 
 #include <cmath>
-#include <unordered_set>
+
+#include "util/flat_set.hpp"
 
 namespace crowdrank {
 
@@ -77,22 +78,37 @@ std::vector<std::size_t> Rng::permutation(std::size_t n) {
 std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,
                                                          std::size_t k) {
   CR_EXPECTS(k <= n, "cannot sample more items than the population size");
-  // Floyd's algorithm: for j in [n-k, n): pick t uniform in [0, j]; insert t
-  // unless already present, else insert j.
-  std::unordered_set<std::size_t> chosen;
-  chosen.reserve(k * 2);
-  std::vector<std::size_t> result;
-  result.reserve(k);
+  std::vector<std::size_t> result(k);
+  sample_without_replacement(n, result);
+  return result;
+}
+
+void Rng::sample_without_replacement(std::size_t n,
+                                     std::span<std::size_t> out) {
+  const std::size_t k = out.size();
+  CR_EXPECTS(k <= n, "cannot sample more items than the population size");
+  // Floyd's algorithm: for j in [n-k, n): pick t uniform in [0, j]; take t
+  // unless already picked, else take j (no earlier pick can be j).
+  std::size_t picked = 0;
+  if (k <= kScanPicks) {
+    for (std::size_t j = n - k; j < n; ++j) {
+      const auto t = static_cast<std::size_t>(uniform_index(j + 1));
+      const auto taken = out.first(picked);
+      out[picked++] =
+          std::find(taken.begin(), taken.end(), t) == taken.end() ? t : j;
+    }
+    return;
+  }
+  FlatSet chosen;  // picks are below n, never the all-ones key
   for (std::size_t j = n - k; j < n; ++j) {
     const auto t = static_cast<std::size_t>(uniform_index(j + 1));
-    if (chosen.insert(t).second) {
-      result.push_back(t);
+    if (chosen.insert(t)) {
+      out[picked++] = t;
     } else {
       chosen.insert(j);
-      result.push_back(j);
+      out[picked++] = j;
     }
   }
-  return result;
 }
 
 Rng Rng::fork() {

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/error.hpp"
@@ -109,6 +110,14 @@ class Rng {
   /// Requires k <= n. Uses Floyd's algorithm: O(k) expected time.
   std::vector<std::size_t> sample_without_replacement(std::size_t n,
                                                       std::size_t k);
+
+  /// The same draws and order, written to `out`, with k = out.size().
+  /// Up to kScanPicks picks it allocates nothing: each draw scans the
+  /// picks so far. Larger samples test membership in a FlatSet.
+  void sample_without_replacement(std::size_t n, std::span<std::size_t> out);
+
+  /// Sample size up to which membership is a scan of the picks so far.
+  static constexpr std::size_t kScanPicks = 16;
 
   /// Forks a statistically independent child stream (for per-worker or
   /// per-trial streams that must not perturb the parent sequence).

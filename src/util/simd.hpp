@@ -124,7 +124,8 @@ double max_abs_diff(const double* a, const double* b, std::size_t n);
 
 /// out[i] = -safe_log(w[i], floor_log): the SAPS cost-matrix fill.
 /// safe_log semantics: w <= 0 -> floor_log; non-finite w passes through;
-/// otherwise max(log_pinned(w), floor_log).
+/// otherwise max(log_pinned(w), floor_log). `out` may equal `w` (the fill
+/// in place): each lane loads its element before storing to it.
 void neg_log_clamped(double* out, const double* w, std::size_t n,
                      double floor_log);
 

@@ -8,6 +8,7 @@
 #include <string_view>
 
 #include "util/build_info.hpp"
+#include "util/json_string.hpp"
 
 namespace crowdrank::trace {
 
@@ -160,39 +161,6 @@ void push_series(metrics::Series* s, double x, double y) {
 
 namespace {
 
-void json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\r':
-        os << "\\r";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
 /// Shortest round-trippable decimal ("%.17g" made json-safe; non-finite
 /// values have no JSON literal, so they serialize as null).
 void json_number(std::ostream& os, double v) {
@@ -213,7 +181,7 @@ void json_value(std::ostream& os, const AttrValue& v) {
   } else if (const auto* b = std::get_if<bool>(&v)) {
     os << (*b ? "true" : "false");
   } else {
-    json_string(os, std::get<std::string>(v));
+    write_json_string(os, std::get<std::string>(v));
   }
 }
 
@@ -223,7 +191,7 @@ void json_span_attrs(
   os << '{';
   for (std::size_t a = 0; a < attrs.size(); ++a) {
     if (a > 0) os << ',';
-    json_string(os, attrs[a].first);
+    write_json_string(os, attrs[a].first);
     os << ':';
     json_value(os, attrs[a].second);
   }
@@ -243,7 +211,7 @@ void TraceSink::write_chrome_trace(std::ostream& os) const {
         "\"args\":{\"name\":\"crowdrank\"}}";
   for (const SpanRecord& s : spans) {
     os << ",\n{\"ph\":\"X\",\"pid\":1,\"tid\":" << s.tid << ",\"name\":";
-    json_string(os, s.name);
+    write_json_string(os, s.name);
     os << ",\"ts\":";
     json_number(os, s.start_us);
     os << ",\"dur\":";
@@ -257,7 +225,7 @@ void TraceSink::write_chrome_trace(std::ostream& os) const {
   for (const auto& [name, points] : metrics_.all_series()) {
     for (const metrics::Series::Point& p : points) {
       os << ",\n{\"ph\":\"C\",\"pid\":1,\"name\":";
-      json_string(os, name);
+      write_json_string(os, name);
       os << ",\"ts\":";
       json_number(os, p.t_us);
       os << ",\"args\":{\"value\":";
@@ -320,7 +288,7 @@ void write_notes(std::ostream& os, const char* indent,
   os << "{";
   for (std::size_t i = 0; i < notes.size(); ++i) {
     os << (i == 0 ? "\n" : ",\n") << indent << "  ";
-    json_string(os, notes[i].first);
+    write_json_string(os, notes[i].first);
     os << ": ";
     json_value(os, notes[i].second);
   }
@@ -333,46 +301,46 @@ void write_notes(std::ostream& os, const char* indent,
 void RunReport::write(std::ostream& os) const {
   const BuildInfo build = build_info();
   os << "{\n  \"report\": ";
-  json_string(os, title_);
+  write_json_string(os, title_);
   os << ",\n  \"build\": {\n"
      << "    \"version\": ";
-  json_string(os, build.version);
+  write_json_string(os, build.version);
   os << ",\n    \"git\": ";
-  json_string(os, build.git_revision);
+  write_json_string(os, build.git_revision);
   os << ",\n    \"compiler\": ";
-  json_string(os, build.compiler);
+  write_json_string(os, build.compiler);
   os << ",\n    \"build_type\": ";
-  json_string(os, build.build_type);
+  write_json_string(os, build.build_type);
   os << ",\n    \"threads\": " << build.threads
      << ",\n    \"thread_source\": ";
-  json_string(os, build.thread_source);
+  write_json_string(os, build.thread_source);
   os << "\n  },\n  \"notes\": ";
   write_notes(os, "  ", notes_);
   os << ",\n  \"runs\": [";
   for (std::size_t r = 0; r < runs_.size(); ++r) {
     const Run& run = *runs_[r];
     os << (r == 0 ? "\n" : ",\n") << "    {\n      \"label\": ";
-    json_string(os, run.label_);
+    write_json_string(os, run.label_);
     os << ",\n      \"notes\": ";
     write_notes(os, "      ", run.notes_);
 
     os << ",\n      \"phases_ms\": {";
     for (std::size_t i = 0; i < run.phases_ms_.size(); ++i) {
       os << (i == 0 ? "" : ", ");
-      json_string(os, run.phases_ms_[i].first);
+      write_json_string(os, run.phases_ms_[i].first);
       os << ": ";
       json_number(os, run.phases_ms_[i].second);
     }
     os << "},\n      \"counters\": {";
     for (std::size_t i = 0; i < run.counters_.size(); ++i) {
       os << (i == 0 ? "" : ", ");
-      json_string(os, run.counters_[i].first);
+      write_json_string(os, run.counters_[i].first);
       os << ": " << run.counters_[i].second;
     }
     os << "},\n      \"gauges\": {";
     for (std::size_t i = 0; i < run.gauges_.size(); ++i) {
       os << (i == 0 ? "" : ", ");
-      json_string(os, run.gauges_[i].first);
+      write_json_string(os, run.gauges_[i].first);
       os << ": ";
       json_number(os, run.gauges_[i].second);
     }
@@ -381,7 +349,7 @@ void RunReport::write(std::ostream& os) const {
     for (std::size_t i = 0; i < run.histograms_.size(); ++i) {
       const auto& [name, snap] = run.histograms_[i];
       os << (i == 0 ? "" : ", ");
-      json_string(os, name);
+      write_json_string(os, name);
       os << ": {\"count\": " << snap.count << ", \"sum\": ";
       json_number(os, snap.sum);
       os << ", \"min\": ";
@@ -406,7 +374,7 @@ void RunReport::write(std::ostream& os) const {
     for (std::size_t i = 0; i < run.series_.size(); ++i) {
       const auto& [name, points] = run.series_[i];
       os << (i == 0 ? "" : ", ");
-      json_string(os, name);
+      write_json_string(os, name);
       os << ": [";
       for (std::size_t p = 0; p < points.size(); ++p) {
         os << (p == 0 ? "" : ", ") << "[";
@@ -422,7 +390,7 @@ void RunReport::write(std::ostream& os) const {
     for (std::size_t s = 0; s < run.spans_.size(); ++s) {
       const SpanRecord& span = run.spans_[s];
       os << (s == 0 ? "\n" : ",\n") << "        {\"name\": ";
-      json_string(os, span.name);
+      write_json_string(os, span.name);
       os << ", \"start_us\": ";
       json_number(os, span.start_us);
       os << ", \"dur_us\": ";

@@ -25,7 +25,8 @@ std::vector<std::vector<WorkerId>> assigned_workers_reference(
                                      std::pair{task, std::size_t{0}});
     CR_EXPECTS(it != listings.end() && it->first == task,
                "votes reference a task outside the assignment");
-    workers.push_back(assignment.workers_for_task(it->second));
+    const auto listed = assignment.workers_for_task(it->second);
+    workers.emplace_back(listed.begin(), listed.end());
   }
   return workers;
 }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "metrics/kendall.hpp"
@@ -101,16 +102,52 @@ TEST(Pipeline, DiagnosticsAreConsistent) {
 }
 
 TEST(Pipeline, ClosureExposedAndNormalized) {
-  const ExperimentResult r = run_experiment(base_config());
-  ASSERT_EQ(r.inference.closure.rows(), 20u);
-  ASSERT_TRUE(r.inference.closure.is_square());
+  ExperimentConfig config = base_config();
+  ClosureCapture capture;
+  config.inference.control = &capture;
+  run_experiment(config);
+  const Matrix& closure = capture.closure();
+  ASSERT_EQ(closure.rows(), 20u);
+  ASSERT_TRUE(closure.is_square());
   for (std::size_t i = 0; i < 20; ++i) {
     for (std::size_t j = i + 1; j < 20; ++j) {
-      EXPECT_NEAR(r.inference.closure(i, j) + r.inference.closure(j, i),
-                  1.0, 1e-9);
-      EXPECT_GT(r.inference.closure(i, j), 0.0);
+      EXPECT_NEAR(closure(i, j) + closure(j, i), 1.0, 1e-9);
+      EXPECT_GT(closure(i, j), 0.0);
     }
-    EXPECT_DOUBLE_EQ(r.inference.closure(i, i), 0.0);
+    EXPECT_DOUBLE_EQ(closure(i, i), 0.0);
+  }
+}
+
+/// Records, per checkpoint, whether the snapshot carried a closure.
+class ClosureSightings final : public StageControl {
+ public:
+  void checkpoint(const StageSnapshot& snapshot) override {
+    seen.emplace_back(snapshot.next, snapshot.closure != nullptr);
+  }
+  std::vector<std::pair<PipelineStage, bool>> seen;
+};
+
+TEST(Pipeline, ClosureIsInTheSnapshotAtRankSearchOnly) {
+  // SAPS writes its costs over the closure, so the pointer must be gone by
+  // Done; TAPS and Held-Karp keep the same contract. A ClosureCapture
+  // forwards every checkpoint to the control it wraps.
+  for (const RankSearchMethod search :
+       {RankSearchMethod::Saps, RankSearchMethod::Taps,
+        RankSearchMethod::HeldKarp}) {
+    ClosureSightings sightings;
+    ClosureCapture capture(&sightings);
+    ExperimentConfig config = base_config();
+    config.object_count = 8;
+    config.inference.search = search;
+    config.inference.control = &capture;
+    run_experiment(config);
+    using S = PipelineStage;
+    const std::vector<std::pair<S, bool>> want = {
+        {S::TruthDiscovery, false}, {S::Smoothing, false},
+        {S::Propagation, false},    {S::RankSearch, true},
+        {S::Done, false}};
+    EXPECT_EQ(sightings.seen, want) << static_cast<int>(search);
+    EXPECT_EQ(capture.closure().rows(), 8u);
   }
 }
 

@@ -285,7 +285,11 @@ TEST(SpectralPropagation, PerronLimitMatchesTheDoublingAcrossCells) {
     config.selection_ratio = cell.ratio;
     config.worker_quality = {cell.distribution, cell.level};
     config.seed = cell.seed;
+    ClosureCapture limit_closure;
+    config.inference.control = &limit_closure;
     const ExperimentResult limit = run_experiment(config);
+    ClosureCapture summed_closure;
+    config.inference.control = &summed_closure;
     config.inference.propagation.spectral_horizon = walk_length(cell.n);
     const ExperimentResult summed = run_experiment(config);
     const std::string where = "n = " + std::to_string(cell.n) +
@@ -295,8 +299,9 @@ TEST(SpectralPropagation, PerronLimitMatchesTheDoublingAcrossCells) {
     EXPECT_GT(limit.inference.step3.perron_iterations, 0u) << where;
     EXPECT_EQ(limit.inference.step3.doubling_steps, 0u) << where;
     EXPECT_GT(summed.inference.step3.doubling_steps, 0u) << where;
-    EXPECT_LE(Matrix::max_abs_diff(limit.inference.closure,
-                                   summed.inference.closure),
+    ASSERT_EQ(limit_closure.closure().rows(), cell.n) << where;
+    EXPECT_LE(Matrix::max_abs_diff(limit_closure.closure(),
+                                   summed_closure.closure()),
               1e-12)
         << where;
     EXPECT_EQ(limit.inference.ranking, summed.inference.ranking) << where;
@@ -309,13 +314,18 @@ TEST(SpectralPropagation, PeriodicWalkFallsBackToTheDoubling) {
   ExperimentConfig config;
   config.object_count = 100;
   config.selection_ratio = 0.02;
+  ClosureCapture limit_closure;
+  config.inference.control = &limit_closure;
   const ExperimentResult limit = run_experiment(config);
   ASSERT_EQ(limit.unique_tasks, 99u);
   EXPECT_TRUE(limit.inference.step3.perron_fallback);
   EXPECT_GT(limit.inference.step3.doubling_steps, 0u);
+  ClosureCapture summed_closure;
+  config.inference.control = &summed_closure;
   config.inference.propagation.spectral_horizon = walk_length(100);
   const ExperimentResult summed = run_experiment(config);
-  EXPECT_EQ(limit.inference.closure, summed.inference.closure);
+  ASSERT_EQ(limit_closure.closure().rows(), 100u);
+  EXPECT_EQ(limit_closure.closure(), summed_closure.closure());
   EXPECT_EQ(limit.inference.ranking, summed.inference.ranking);
   EXPECT_EQ(limit.inference.log_probability,
             summed.inference.log_probability);

@@ -236,7 +236,11 @@ TEST(SmoothingReference, AssignedWorkersTakeTheFirstListing) {
   const std::vector<Edge> tasks{{2, 1}, {0, 3}, {0, 5}, {1, 2}, {2, 3}};
   Rng rng(2);
   const HitAssignment assignment(tasks, HitConfig{1, 2}, 6, rng);
-  ASSERT_NE(assignment.workers_for_task(0), assignment.workers_for_task(3));
+  const auto workers_of = [&](std::size_t t) {
+    const auto row = assignment.workers_for_task(t);
+    return std::vector<WorkerId>(row.begin(), row.end());
+  };
+  ASSERT_NE(workers_of(0), workers_of(3));
   const VoteBatch votes{Vote{0, 2, 3, true}, Vote{1, 1, 2, false},
                         Vote{2, 0, 3, true}, Vote{3, 2, 1, true}};
   VoteIndex index;
@@ -245,8 +249,7 @@ TEST(SmoothingReference, AssignedWorkersTakeTheFirstListing) {
   const TaskWorkers rows = assigned_workers(index, assignment);
   EXPECT_EQ(as_lists(rows), assigned_workers_reference(index, assignment));
   const auto row = rows.of_task(1);
-  EXPECT_EQ(std::vector<WorkerId>(row.begin(), row.end()),
-            assignment.workers_for_task(0));
+  EXPECT_EQ(std::vector<WorkerId>(row.begin(), row.end()), workers_of(0));
 
   // A voted task the assignment never lists throws the reference's
   // message.

@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "util/error.hpp"
@@ -158,6 +162,103 @@ TEST(TaskGraph, EditedGraphEqualsOneBuiltFromItsFinalEdges) {
     for (VertexId u = 0; u < kN; ++u) {
       EXPECT_EQ(edited.has_edge(v, u), built.has_edge(v, u));
     }
+  }
+}
+
+/// Checks `g` against `reference` (canonical pairs): edge count, the
+/// degree and has_edge of every pair, and the edge list as a set.
+void expect_same_edges(const TaskGraph& g,
+                       const std::set<std::pair<VertexId, VertexId>>& ref) {
+  ASSERT_EQ(g.edge_count(), ref.size());
+  std::set<std::pair<VertexId, VertexId>> listed;
+  for (const Edge& e : g.edges()) {
+    listed.emplace(e.first, e.second);
+  }
+  EXPECT_EQ(listed, ref);
+  for (VertexId a = 0; a < g.vertex_count(); ++a) {
+    std::size_t degree = 0;
+    for (VertexId b = 0; b < g.vertex_count(); ++b) {
+      const bool want = ref.count({std::min(a, b), std::max(a, b)}) > 0;
+      ASSERT_EQ(g.has_edge(a, b), want) << a << "-" << b;
+      degree += want ? 1 : 0;
+    }
+    ASSERT_EQ(g.degree(a), degree);
+  }
+}
+
+TEST(TaskGraph, MatchesASetReferenceUnderRandomEdits) {
+  // Dense sizes drive the edge set through many doublings and keep it
+  // near its load limit, where probe runs are long and wrap the table's
+  // end; every removal is a backward-shift delete inside such runs.
+  for (const std::size_t n : {5u, 12u, 40u, 90u}) {
+    SCOPED_TRACE("n = " + std::to_string(n));
+    Rng rng(n);
+    TaskGraph g(n);
+    std::set<std::pair<VertexId, VertexId>> ref;
+    for (int step = 0; step < 20'000; ++step) {
+      const VertexId a = rng.uniform_index(n);
+      const VertexId b = rng.uniform_index(n);
+      const auto key = std::pair{std::min(a, b), std::max(a, b)};
+      // Grow toward a dense graph, then thin it out again.
+      const double add_chance = step < 10'000 ? 0.7 : 0.35;
+      if (a == b) {
+        ASSERT_FALSE(g.has_edge(a, b));
+        ASSERT_FALSE(g.remove_edge(a, b));
+      } else if (rng.bernoulli(add_chance)) {
+        ASSERT_EQ(g.add_edge(a, b), ref.insert(key).second);
+      } else {
+        ASSERT_EQ(g.remove_edge(a, b), ref.erase(key) == 1);
+      }
+      ASSERT_EQ(g.has_edge(b, a), ref.count(key) == 1);
+      if (step % 2'000 == 1'999) {
+        expect_same_edges(g, ref);
+      }
+    }
+    expect_same_edges(g, ref);
+  }
+}
+
+TEST(TaskGraph, RemovalInsideAProbeRunThatWrapsKeepsTheRestReachable) {
+  // Mirrors task_graph.cpp's layout: edge {a, b}, a < b, has key
+  // a * n + b and home slot (key * 0x9E3779B97F4A7C15) >> 60 in the first
+  // 16-slot table, which holds up to 8 edges. Edges homed on the last two
+  // slots fill them and wrap into slots 0, 1, ...
+  constexpr std::size_t kN = 64;
+  std::vector<std::pair<VertexId, VertexId>> tail;
+  for (VertexId a = 0; a < kN && tail.size() < 6; ++a) {
+    for (VertexId b = a + 1; b < kN && tail.size() < 6; ++b) {
+      const std::uint64_t key = a * kN + b;
+      if ((key * 0x9E3779B97F4A7C15ULL) >> 60 >= 14) {
+        tail.emplace_back(a, b);
+      }
+    }
+  }
+  ASSERT_EQ(tail.size(), 6u);
+  // Remove each of the six in turn from a fresh graph, then the rest in
+  // reverse insertion order.
+  for (std::size_t gone = 0; gone < tail.size(); ++gone) {
+    SCOPED_TRACE("first removal: " + std::to_string(gone));
+    TaskGraph g(kN);
+    std::set<std::pair<VertexId, VertexId>> ref;
+    for (const auto& [a, b] : tail) {
+      ASSERT_TRUE(g.add_edge(b, a));
+      ref.emplace(a, b);
+    }
+    ASSERT_TRUE(g.remove_edge(tail[gone].first, tail[gone].second));
+    ref.erase(tail[gone]);
+    expect_same_edges(g, ref);
+    for (std::size_t k = tail.size(); k-- > 0;) {
+      if (k == gone) continue;
+      ASSERT_TRUE(g.remove_edge(tail[k].second, tail[k].first));
+      ref.erase(tail[k]);
+      expect_same_edges(g, ref);
+    }
+    // The emptied table takes them back.
+    for (const auto& [a, b] : tail) {
+      ASSERT_TRUE(g.add_edge(a, b));
+      ASSERT_FALSE(g.add_edge(b, a));
+    }
+    EXPECT_EQ(g.edge_count(), tail.size());
   }
 }
 

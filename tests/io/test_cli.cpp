@@ -234,6 +234,44 @@ TEST(Cli, InferReportsBoundaryConfidence) {
   EXPECT_NE(out.find("tie threshold"), std::string::npos);
 }
 
+TEST(Cli, InferSizesStepOneByTheWorkersThatVoted) {
+  // Worker ids 7 and 4,000,000,000 are renumbered 0 and 1 in order, so
+  // step 1 sizes two workers, not four billion, and every printed figure
+  // matches the batch written with ids 0 and 1.
+  const TempDir dir;
+  const auto write_votes = [&](const std::string& name, WorkerId first,
+                               WorkerId second) {
+    VoteBatch votes;
+    for (VertexId i = 0; i < 6; ++i) {
+      for (VertexId j = i + 1; j < 6; ++j) {
+        votes.push_back({first, i, j, (i + j) % 4 != 0});
+        votes.push_back({second, i, j, (i * j) % 3 != 1});
+      }
+    }
+    save_votes(dir.file(name), votes);
+    return dir.file(name);
+  };
+  const std::string sparse = write_votes("sparse.csv", 7, 4'000'000'000);
+  const std::string dense = write_votes("dense.csv", 0, 1);
+  std::string sparse_out;
+  std::string dense_out;
+  ASSERT_EQ(run({"infer", "--votes", sparse}, &sparse_out), 0);
+  ASSERT_EQ(run({"infer", "--votes", dense}, &dense_out), 0);
+  EXPECT_NE(sparse_out.find("from 30 votes by 2 workers"), std::string::npos)
+      << sparse_out;
+  const auto line = [](const std::string& text, const std::string& key) {
+    const std::size_t at = text.find(key);
+    return at == std::string::npos
+               ? std::string()
+               : text.substr(at, text.find('\n', at) - at);
+  };
+  for (const char* key :
+       {"ranking:", "log preference probability:", "boundary confidence:"}) {
+    EXPECT_FALSE(line(dense_out, key).empty()) << key;
+    EXPECT_EQ(line(sparse_out, key), line(dense_out, key)) << key;
+  }
+}
+
 TEST(Cli, VersionPrintsBuildInfo) {
   for (const char* spelling : {"version", "--version"}) {
     std::string out;

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
+#include <string>
 
 #include "obs/json.hpp"
 #include "util/error.hpp"
+#include "util/trace.hpp"
 
 namespace crowdrank::io {
 namespace {
@@ -131,6 +134,28 @@ TEST(JobRecord, ControlBytesRoundTripAsValidJson) {
                  Error)
         << bad;
   }
+  // JSON forbids a raw byte below 0x20 inside a string, as json.loads
+  // does: both readers reject it and name its offset.
+  const auto error_of = [](const auto& parse) {
+    try {
+      parse();
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  const std::string raw_jobs = "{\"votes\": \"a\x01.csv\"}\n";
+  EXPECT_NE(error_of([&] { parse_job_records(raw_jobs); })
+                .find("raw control byte 0x01 at offset 12"),
+            std::string::npos)
+      << error_of([&] { parse_job_records(raw_jobs); });
+  const std::string raw_result = "{\"reason\": \"bad\x01\"}";
+  EXPECT_NE(error_of([&] { obs::parse_json(raw_result); })
+                .find("json offset 15: raw control byte 0x01"),
+            std::string::npos)
+      << error_of([&] { obs::parse_json(raw_result); });
+  EXPECT_THROW(obs::parse_json("{\"a\x1f\": 1}"), Error);
+  EXPECT_THROW(parse_job_records("{\"votes\": \"a\tb\"}\n"), Error);
 
   service::JobResult failed;
   failed.outcome = service::JobOutcome::Failed;
@@ -138,6 +163,63 @@ TEST(JobRecord, ControlBytesRoundTripAsValidJson) {
   const std::string line = format_job_result(failed);
   EXPECT_TRUE(no_control_byte(line)) << line;
   EXPECT_EQ(obs::parse_json(line).string_at("reason"), record.fail_reason);
+}
+
+TEST(JobRecord, EveryControlByteRoundTripsThroughEveryWriter) {
+  // Every byte below 0x20, the quote and the backslash, written by the
+  // trace, run-report and serve writers (one escaper,
+  // util/json_string.hpp), must read back intact with obs::parse_json.
+  std::string text;
+  for (int c = 0; c < 0x20; ++c) text += static_cast<char>(c);
+  text += "\"\\";
+  const auto parse = [](const std::string& json) {
+    EXPECT_TRUE(std::none_of(json.begin(), json.end(), [](char c) {
+      return c != '\n' && static_cast<unsigned char>(c) < 0x20;
+    })) << json;
+    return obs::parse_json(json);
+  };
+
+  trace::TraceSink sink;
+  {
+    const trace::ScopedSink scoped(&sink);
+    trace::Span span("escape");
+    span.set_attr("text", text);
+  }
+  std::ostringstream chrome;
+  sink.write_chrome_trace(chrome);
+  const obs::JsonValue trace_doc = parse(chrome.str());
+  const obs::JsonValue* events = trace_doc.find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  ASSERT_EQ(events->items.size(), 2u);
+  EXPECT_EQ(events->items[1].find("args")->string_at("text"), text);
+
+  trace::RunReport report(text);
+  report.note(text, text);
+  report.add_run(text).note("text", text);
+  std::ostringstream report_json;
+  report.write(report_json);
+  const obs::JsonValue report_doc = parse(report_json.str());
+  EXPECT_EQ(report_doc.string_at("report"), text);
+  EXPECT_EQ(report_doc.find("notes")->string_at(text), text);
+  const obs::JsonValue& run = report_doc.find("runs")->items.at(0);
+  EXPECT_EQ(run.string_at("label"), text);
+  EXPECT_EQ(run.find("notes")->string_at("text"), text);
+
+  JobRecord record;
+  record.votes_path = text;
+  record.fail_before = "smoothing";
+  record.fail_reason = text;
+  const std::string jobs_line = format_job_record(record);
+  EXPECT_EQ(parse(jobs_line).string_at("fail_reason"), text);
+  const auto parsed = parse_job_records(jobs_line + "\n");
+  ASSERT_EQ(parsed.size(), 1u);
+  EXPECT_EQ(parsed[0].votes_path, text);
+  EXPECT_EQ(parsed[0].fail_reason, text);
+
+  service::JobResult failed;
+  failed.outcome = service::JobOutcome::Failed;
+  failed.reason = text;
+  EXPECT_EQ(parse(format_job_result(failed)).string_at("reason"), text);
 }
 
 TEST(JobRecord, FormatsStructuredResults) {

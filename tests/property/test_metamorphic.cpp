@@ -106,17 +106,21 @@ TEST(Metamorphic, ObjectRelabelingIsEquivariant) {
   InferenceConfig config;
   config.saps.iterations = 1;  // Step 4 output not compared
   config.saps.restarts = 1;
+  ClosureCapture capture;
+  config.control = &capture;
   const InferenceEngine engine(config);
   Rng rng_a(7);
-  const auto base = engine.infer(w.votes, w.n, w.m, rng_a);
+  engine.infer(w.votes, w.n, w.m, rng_a);
+  const Matrix base = capture.closure();
   Rng rng_b(7);
-  const auto renamed = engine.infer(relabeled, w.n, w.m, rng_b);
+  engine.infer(relabeled, w.n, w.m, rng_b);
+  const Matrix& renamed = capture.closure();
+  ASSERT_EQ(base.rows(), w.n);
 
   for (VertexId i = 0; i < w.n; ++i) {
     for (VertexId j = 0; j < w.n; ++j) {
       if (i == j) continue;
-      EXPECT_NEAR(renamed.closure(sigma_vec[i], sigma_vec[j]),
-                  base.closure(i, j), 1e-9)
+      EXPECT_NEAR(renamed(sigma_vec[i], sigma_vec[j]), base(i, j), 1e-9)
           << i << "," << j;
     }
   }
@@ -133,15 +137,20 @@ TEST(Metamorphic, GlobalVoteInversionReversesTheClosure) {
   InferenceConfig config;
   config.saps.iterations = 1;
   config.saps.restarts = 1;
+  ClosureCapture capture;
+  config.control = &capture;
   const InferenceEngine engine(config);
   Rng rng_a(8);
-  const auto base = engine.infer(w.votes, w.n, w.m, rng_a);
+  engine.infer(w.votes, w.n, w.m, rng_a);
+  const Matrix base = capture.closure();
   Rng rng_b(8);
-  const auto flipped = engine.infer(inverted, w.n, w.m, rng_b);
+  engine.infer(inverted, w.n, w.m, rng_b);
+  const Matrix& flipped = capture.closure();
+  ASSERT_EQ(base.rows(), w.n);
   for (VertexId i = 0; i < w.n; ++i) {
     for (VertexId j = 0; j < w.n; ++j) {
       if (i == j) continue;
-      EXPECT_NEAR(flipped.closure(i, j), base.closure(j, i), 1e-9);
+      EXPECT_NEAR(flipped(i, j), base(j, i), 1e-9);
     }
   }
 }

@@ -375,6 +375,80 @@ TEST(HardeningTest, MatchesTheReferenceUnderEveryPolicy) {
     }
   }
 
+  // One worker's votes on two tasks that share a first object, interleaved
+  // in batch order: its groups on (0, 1) and (0, 2) stay apart, so the
+  // agreeing (0, 2) repeats are duplicates and only (0, 1) conflicts. A
+  // second worker's votes on the same tasks open groups of their own.
+  {
+    const VoteBatch votes{
+        Vote{5, 0, 1, true},  Vote{5, 2, 0, false}, Vote{6, 0, 2, true},
+        Vote{5, 1, 0, true},  Vote{5, 0, 2, true},  Vote{6, 1, 0, false},
+        Vote{5, 0, 2, true},  Vote{5, 1, 2, true},  Vote{6, 2, 0, false}};
+    HardeningReport report;
+    const HardenedBatch batch = harden_votes(votes, 3, {}, &report);
+    EXPECT_EQ(report.dropped_conflicting, 2u);
+    EXPECT_EQ(report.dropped_duplicate, 3u);
+    EXPECT_EQ(batch.votes.size(), 4u);
+    for (unsigned bits = 0; bits < 32; ++bits) {
+      SCOPED_TRACE("one bucket/" + std::to_string(bits));
+      expect_same_as_reference(votes, 0, policy_from_bits(bits));
+      expect_same_as_reference(votes, 3, policy_from_bits(bits));
+    }
+  }
+
+  // Object ids >= n that the policy keeps, in the same first-object
+  // bucket as in-range votes, repeated and flipped, with ids far apart so
+  // their order of first appearance differs from their order by value.
+  {
+    const VoteBatch votes{
+        Vote{0, 2, 9, true},    Vote{0, 2, 3, true},   Vote{1, 9, 2, false},
+        Vote{0, 3, 2, true},    Vote{1, 2, 7, false},  Vote{0, 9, 2, true},
+        Vote{1, 2, 3, false},   Vote{2, 9, 7, true},   Vote{2, 7, 9, false},
+        Vote{2, 9, 7, false},   Vote{1, 7, 2, true},   Vote{0, 1, 2, true},
+        Vote{3, kTopVertex, 9, true}, Vote{3, 9, kTopVertex, true}};
+    HardeningPolicy keep_out_of_range;
+    keep_out_of_range.drop_out_of_range = false;
+    keep_out_of_range.restrict_to_largest_component = false;
+    HardeningReport report;
+    const HardenedBatch batch =
+        harden_votes(votes, 5, keep_out_of_range, &report);
+    EXPECT_GT(report.dropped_conflicting, 0u);
+    EXPECT_GT(report.dropped_duplicate, 0u);
+    EXPECT_TRUE(std::any_of(batch.votes.begin(), batch.votes.end(),
+                            [](const Vote& v) { return v.i == 9; }));
+    for (unsigned bits = 0; bits < 32; ++bits) {
+      SCOPED_TRACE("kept out of range/" + std::to_string(bits));
+      expect_same_as_reference(votes, 5, policy_from_bits(bits));
+    }
+  }
+
+  // 2^17 distinct worker ids, from 0 up and from UINT64_MAX down, each
+  // with one answer and a third of them with a second one on the same
+  // task, agreeing or not, so the worker table and the per-worker marks
+  // span far more than one cache.
+  {
+    constexpr std::size_t kWide = std::size_t{1} << 17;
+    Rng wide_rng(17);
+    VoteBatch votes;
+    for (std::size_t k = 0; k < kWide; ++k) {
+      const WorkerId worker = k % 2 == 0 ? k / 2 : kTopWorker - k / 2;
+      const VertexId i = wide_rng.uniform_index(400);
+      const VertexId j = wide_rng.uniform_index(400);
+      votes.push_back(Vote{worker, i, j, wide_rng.bernoulli(0.5)});
+      if (wide_rng.bernoulli(1.0 / 3.0)) {
+        votes.push_back(Vote{worker, j, i, wide_rng.bernoulli(0.5)});
+      }
+    }
+    HardeningReport report;
+    harden_votes(votes, 400, {}, &report);
+    EXPECT_GT(report.dropped_conflicting, 1000u);
+    EXPECT_GT(report.dropped_duplicate, 1000u);
+    for (const unsigned bits : {0u, 12u, 31u}) {
+      SCOPED_TRACE("2^17 workers/" + std::to_string(bits));
+      expect_same_as_reference(votes, 400, policy_from_bits(bits));
+    }
+  }
+
   // One batch of 120k votes from 2 x 200 workers, so both tables grow
   // through many sizes.
   Rng rng(77);

@@ -7,8 +7,10 @@
 #include <cmath>
 #include <numeric>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "sample_reference.hpp"
 #include "util/error.hpp"
 
 namespace crowdrank {
@@ -189,6 +191,31 @@ TEST(Rng, SampleWithoutReplacementFullPopulation) {
 TEST(Rng, SampleWithoutReplacementRejectsOversample) {
   Rng rng(1);
   EXPECT_THROW(rng.sample_without_replacement(5, 6), Error);
+}
+
+TEST(Rng, SampleWithoutReplacementMatchesFloydOverASet) {
+  // Sizes around the switch from a scan of the picks to the flat set,
+  // each against several populations, both overloads.
+  constexpr std::size_t kScan = Rng::kScanPicks;
+  for (const std::size_t n : {1u, 17u, 18u, 40u, 1000u, 100000u}) {
+    for (const std::size_t k :
+         {std::size_t{0}, std::size_t{1}, std::size_t{3}, kScan, kScan + 1,
+          n / 2, n}) {
+      if (k > n) continue;
+      for (std::uint64_t seed = 0; seed < 5; ++seed) {
+        SCOPED_TRACE("n = " + std::to_string(n) + ", k = " +
+                     std::to_string(k) + ", seed " + std::to_string(seed));
+        Rng rng(seed);
+        Rng ref_rng(seed);
+        const auto want = floyd_sample_reference(ref_rng, n, k);
+        ASSERT_EQ(rng.sample_without_replacement(n, k), want);
+        std::vector<std::size_t> out(k);
+        rng.sample_without_replacement(n, out);
+        ASSERT_EQ(out, floyd_sample_reference(ref_rng, n, k));
+        EXPECT_EQ(rng(), ref_rng());
+      }
+    }
+  }
 }
 
 TEST(Rng, SampleWithoutReplacementIsUnbiased) {
