@@ -4,10 +4,11 @@
 // against bench/baselines/BENCH_pipeline_smoke.json. Three rows:
 //
 //  * kernel_saps_simd_n100: step 4's log-cost fill (SapsCostCache), which
-//    every rank job runs, timed with the simd dispatch forced to each
-//    backend. The fills must be bitwise-identical, and the row's
-//    speedup_floor of 1.5 holds the AVX2 win. Skipped on hosts without
-//    AVX2, where a scalar-vs-scalar ratio would gate on noise.
+//    every rank job runs, timed over a copy of one closure (an 80 KB copy
+//    per call) with the simd dispatch forced to each backend. The fills
+//    must be bitwise-identical, and the row's speedup_floor of 1.5 holds
+//    the AVX2 win. Skipped on hosts without AVX2, where a scalar-vs-scalar
+//    ratio would gate on noise.
 //  * large_n3000: run_experiment at n = 3000 on a degree-16 budget with
 //    the auto horizon, three times the n of perfbench's paper_n1000. The
 //    bench fails if step 3 falls back from the Perron limit there; the
