@@ -1,7 +1,7 @@
 // The perf checks the end-to-end benchmark (perfbench/, BENCHMARK.json)
 // cannot make. Writes BENCH_pipeline.json (the shared trace::RunReport
 // format, stamped with build info), which tools/check_bench.py ratchets
-// against bench/baselines/BENCH_pipeline_smoke.json. Three rows:
+// against bench/baselines/BENCH_pipeline_smoke.json. Four rows:
 //
 //  * kernel_saps_simd_n100: step 4's log-cost fill (SapsCostCache), which
 //    every rank job runs, timed over a copy of one closure (an 80 KB copy
@@ -16,6 +16,11 @@
 //  * telemetry_overhead: one service stream with the telemetry plane
 //    (flight recorder and snapshot exporter) on and off. The bench fails
 //    if the telemetry-on stream exceeds the 3% budget.
+//  * pool_overlap: 50 regions of the kernel pool at two lanes, each of two
+//    1-ms chunks. Lanes that run side by side finish a region in ~1 ms,
+//    and lanes queued on one CPU in ~2 ms. The bench fails if the median
+//    region reaches 1.5 ms where the process may run on two CPUs or more,
+//    and reports the row as skipped elsewhere.
 //
 // The timed runs execute with no trace sink attached and take their step
 // times from the engine's stage checkpoints (bench::StepClock). Set
@@ -30,8 +35,13 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "bench/common.hpp"
 #include "core/saps_kernel.hpp"
@@ -287,6 +297,64 @@ bool run_telemetry_overhead(trace::RunReport& report) {
   return ok;
 }
 
+/// CPUs this process may run on.
+std::size_t allowed_cpus() {
+#if defined(__linux__)
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return static_cast<std::size_t>(CPU_COUNT(&set));
+  }
+#endif
+  return std::max(std::thread::hardware_concurrency(), 1u);
+}
+
+/// The pool_overlap row. Returns false when the median region reaches
+/// 1.5 ms on a host with two allowed CPUs or more.
+bool run_pool_overlap(trace::RunReport& report) {
+  constexpr std::size_t kRegions = 50;
+  constexpr double kLimitMs = 1.5;
+  const std::size_t width = thread_count();
+  set_thread_count(2);
+  std::vector<double> region_ms;
+  for (std::size_t r = 0; r < kRegions; ++r) {
+    const Stopwatch watch;
+    parallel_for(0, 2, 1, [](std::size_t, std::size_t) {
+      const auto until = std::chrono::steady_clock::now() +
+                         std::chrono::milliseconds(1);
+      while (std::chrono::steady_clock::now() < until) {
+      }
+    });
+    region_ms.push_back(watch.elapsed_millis());
+  }
+  set_thread_count(width);
+  std::nth_element(region_ms.begin(), region_ms.begin() + kRegions / 2,
+                   region_ms.end());
+  const double median_ms = region_ms[kRegions / 2];
+  const std::size_t cpus = allowed_cpus();
+  const bool skipped = cpus < 2;
+  const bool ok = skipped || median_ms < kLimitMs;
+  std::cout << "\npool overlap (2 lanes, " << kRegions
+            << " regions of two 1-ms chunks, " << cpus
+            << " allowed CPUs): median region "
+            << TableWriter::fmt(median_ms, 3) << " ms, "
+            << (skipped ? "skipped (one CPU)"
+                        : ok ? "under the 1.5 ms limit"
+                             : "NOT under the 1.5 ms limit")
+            << "\n";
+
+  trace::RunReport::Run& run = report.add_run("pool_overlap");
+  run.note("allowed_cpus", static_cast<std::int64_t>(cpus));
+  run.note("median_region_ms", median_ms);
+  run.note("skipped", skipped);
+  run.note("pool_overlap_ok", ok);
+  if (!ok) {
+    std::cerr << "ERROR: two pool lanes did not run side by side (median "
+                 "region "
+              << median_ms << " ms)\n";
+  }
+  return ok;
+}
+
 /// The untimed traced rerun of large_n3000, written to `path`. Returns
 /// false when it recorded no `infer` span.
 bool run_traced(const char* path, trace::RunReport& report) {
@@ -317,7 +385,8 @@ int main() {
   using namespace crowdrank;
   bench::banner("Pipeline perf",
                 "the perf checks perfbench cannot make: the AVX2 SAPS fill, "
-                "n = 3000 at the auto horizon, and the telemetry overhead");
+                "n = 3000 at the auto horizon, the telemetry overhead and "
+                "two pool lanes running side by side");
 
   // Numbers published from an uncommitted tree are not reproducible from
   // the stamped revision; say so loudly up front (the stamp itself still
@@ -333,6 +402,7 @@ int main() {
   bool ok = run_saps_simd(report);
   ok = run_large_n(report) && ok;
   ok = run_telemetry_overhead(report) && ok;
+  ok = run_pool_overlap(report) && ok;
   if (const char* trace_path = std::getenv("CROWDRANK_TRACE")) {
     ok = run_traced(trace_path, report) && ok;
   }

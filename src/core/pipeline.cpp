@@ -156,17 +156,35 @@ InferenceResult InferenceEngine::infer(const VoteBatch& votes,
                                        std::size_t worker_count,
                                        const HitAssignment& assignment,
                                        Rng& rng) const {
-  return infer_impl(votes, object_count, worker_count, &assignment, rng);
+  return infer_impl(votes, nullptr, object_count, worker_count, &assignment,
+                    rng);
 }
 
 InferenceResult InferenceEngine::infer(const VoteBatch& votes,
                                        std::size_t object_count,
                                        std::size_t worker_count,
                                        Rng& rng) const {
-  return infer_impl(votes, object_count, worker_count, nullptr, rng);
+  return infer_impl(votes, nullptr, object_count, worker_count, nullptr, rng);
+}
+
+InferenceResult InferenceEngine::infer(VoteBatch&& votes,
+                                       std::size_t object_count,
+                                       std::size_t worker_count,
+                                       const HitAssignment& assignment,
+                                       Rng& rng) const {
+  return infer_impl(votes, &votes, object_count, worker_count, &assignment,
+                    rng);
+}
+
+InferenceResult InferenceEngine::infer(VoteBatch&& votes,
+                                       std::size_t object_count,
+                                       std::size_t worker_count,
+                                       Rng& rng) const {
+  return infer_impl(votes, &votes, object_count, worker_count, nullptr, rng);
 }
 
 InferenceResult InferenceEngine::infer_impl(const VoteBatch& votes,
+                                            VoteBatch* release,
                                             std::size_t object_count,
                                             std::size_t worker_count,
                                             const HitAssignment* assignment,
@@ -205,38 +223,44 @@ InferenceResult InferenceEngine::infer_impl(const VoteBatch& votes,
     }
   };
 
-  // Step 1: truth discovery of the direct pairwise preferences.
-  checkpoint(PipelineStage::TruthDiscovery);
+  // Steps 1 and 2. The vote index and each task's workers have no reader
+  // after step 2, so they end with this block, before step 3 allocates the
+  // closure; a released batch ends as soon as step 1 has indexed it.
   TruthDiscoveryResult step1;
-  VoteIndex index;
-  {
-    trace::Span span("step1_truth_discovery");
-    step1 = discover_truth(votes, object_count, worker_count,
-                           config_.truth_discovery, &index);
-    if (span.active()) {
-      span.set_attr("iterations", step1.iterations);
-      span.set_attr("converged", step1.converged);
-      span.set_attr("tasks", step1.truths.size());
-      span.set_attr("contested_tasks", step1.contested_tasks);
-      span.set_attr("full_passes", step1.full_passes);
-    }
-  }
-  if (validate) {
-    analysis::check_truth_discovery(step1, object_count, worker_count);
-  }
-  snapshot.truth = &step1;
-  checkpoint(PipelineStage::Smoothing);
-
-  // Wire each discovered task to its workers, in truths[] order (smoothing
-  // consults those workers' qualities).
-  const TaskWorkers task_workers = assignment != nullptr
-                                       ? assigned_workers(index, *assignment)
-                                       : voting_workers(index);
-
-  // Step 2: preference smoothing of the 1-edges, straight from step 1's
-  // truths. A task has at most one 1-edge and smoothing softens each one,
-  // so the smoothed count is the 1-edge count.
   const PreferenceGraph smoothed = [&] {
+    // Step 1: truth discovery of the direct pairwise preferences.
+    checkpoint(PipelineStage::TruthDiscovery);
+    VoteIndex index;
+    {
+      trace::Span span("step1_truth_discovery");
+      step1 = discover_truth(votes, object_count, worker_count,
+                             config_.truth_discovery, &index);
+      if (span.active()) {
+        span.set_attr("iterations", step1.iterations);
+        span.set_attr("converged", step1.converged);
+        span.set_attr("tasks", step1.truths.size());
+        span.set_attr("contested_tasks", step1.contested_tasks);
+        span.set_attr("full_passes", step1.full_passes);
+      }
+    }
+    if (release != nullptr) {
+      *release = VoteBatch();
+    }
+    if (validate) {
+      analysis::check_truth_discovery(step1, object_count, worker_count);
+    }
+    snapshot.truth = &step1;
+    checkpoint(PipelineStage::Smoothing);
+
+    // Wire each discovered task to its workers, in truths[] order
+    // (smoothing consults those workers' qualities).
+    const TaskWorkers task_workers =
+        assignment != nullptr ? assigned_workers(index, *assignment)
+                              : voting_workers(index);
+
+    // Step 2: preference smoothing of the 1-edges, straight from step 1's
+    // truths. A task has at most one 1-edge and smoothing softens each
+    // one, so the smoothed count is the 1-edge count.
     trace::Span span("step2_smoothing");
     PreferenceGraph graph =
         smooth_preferences(object_count, step1, task_workers,
@@ -370,13 +394,13 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   const auto workers =
       sample_worker_pool(config.worker_pool_size, config.worker_quality, rng);
   const SimulatedCrowd crowd(truth, workers);
-  const VoteBatch votes = crowd.collect(assignment, rng);
+  VoteBatch votes = crowd.collect(assignment, rng);
 
   // Result inference (§V).
   const InferenceEngine engine(config.inference);
   InferenceResult inference =
-      engine.infer(votes, config.object_count, config.worker_pool_size,
-                   assignment, rng);
+      engine.infer(std::move(votes), config.object_count,
+                   config.worker_pool_size, assignment, rng);
 
   ExperimentResult result{truth, std::move(inference),
                           assignment_result.stats, 0.0, l,

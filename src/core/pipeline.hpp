@@ -102,6 +102,10 @@ struct InferenceResult {
 ///  * Smoothing consults each task's workers: the HitAssignment's list for
 ///    that task, or, without an assignment, its voters in first-seen
 ///    order. Both come from one flat index of the batch (`VoteIndex`).
+///  * Each stage's working set ends with its last reader: the index and
+///    the task workers when step 2 returns, before step 3 allocates the
+///    n x n closure, and a batch passed by rvalue once step 1 has indexed
+///    it.
 /// `rng` drives SAPS and (if configured) sampled smoothing.
 class InferenceEngine {
  public:
@@ -124,9 +128,20 @@ class InferenceEngine {
   InferenceResult infer(const VoteBatch& votes, std::size_t object_count,
                         std::size_t worker_count, Rng& rng) const;
 
+  /// The two runs above over a batch the engine takes: it is released
+  /// (left empty) as soon as step 1 has indexed it, so steps 2-4 allocate
+  /// into the memory it held. Bitwise-identical to the const& overloads.
+  InferenceResult infer(VoteBatch&& votes, std::size_t object_count,
+                        std::size_t worker_count,
+                        const HitAssignment& assignment, Rng& rng) const;
+  InferenceResult infer(VoteBatch&& votes, std::size_t object_count,
+                        std::size_t worker_count, Rng& rng) const;
+
  private:
-  /// `assignment` null: each task's workers are its voters.
-  InferenceResult infer_impl(const VoteBatch& votes, std::size_t object_count,
+  /// `assignment` null: each task's workers are its voters. `release`
+  /// non-null: it is `votes` itself, emptied once step 1 has indexed it.
+  InferenceResult infer_impl(const VoteBatch& votes, VoteBatch* release,
+                             std::size_t object_count,
                              std::size_t worker_count,
                              const HitAssignment* assignment, Rng& rng) const;
 

@@ -18,6 +18,10 @@ namespace {
 /// that small closures (n <= 128) fill inline with zero dispatch cost.
 constexpr std::size_t kFillGrain = 1 << 14;
 
+/// Weights per pool task of `weight_difference_order`, in whole rows of
+/// v, so a search over fewer than 2^15 weights ranks inline.
+constexpr std::size_t kOrderGrain = 1 << 15;
+
 /// The safe_log floor the cost fill bakes in; must equal the default
 /// `floor_log` of math::safe_log so cost() == -safe_log(w) stays exact
 /// (tests/core/test_saps_kernel.cpp pins the equality element-wise).
@@ -143,17 +147,22 @@ Path weight_difference_order(const Matrix& weights) {
   CR_EXPECTS(weights.is_square(),
              "weight-difference order needs a square matrix");
   const std::size_t n = weights.rows();
-  // Row u adds its term to every v's sum, so each v still sums over
-  // ascending u (skipping u == v) in the same order as a per-v scan, and
-  // the n running sums are independent instead of one serial chain.
+  // Blocks of v run on the pool. In a block, row u adds its term to every
+  // v's sum, so each v sums over ascending u (skipping u == v) in the
+  // order of a per-v scan at any block size and thread count, and the
+  // block's running sums are independent instead of one serial chain.
   const std::span<const double> w = weights.data();
   std::vector<double> diff(n, 0.0);
-  for (VertexId u = 0; u < n; ++u) {
-    for (VertexId v = 0; v < n; ++v) {
-      if (u == v) continue;
-      diff[v] += w[v * n + u] - w[u * n + v];  // w(v, u) - w(u, v)
+  const std::size_t rows_per_task = std::max<std::size_t>(
+      kOrderGrain / std::max<std::size_t>(n, 1), 1);
+  parallel_for(0, n, rows_per_task, [&](std::size_t v0, std::size_t v1) {
+    for (VertexId u = 0; u < n; ++u) {
+      for (VertexId v = v0; v < v1; ++v) {
+        if (u == v) continue;
+        diff[v] += w[v * n + u] - w[u * n + v];  // w(v, u) - w(u, v)
+      }
     }
-  }
+  });
   Path order(n);
   std::iota(order.begin(), order.end(), VertexId{0});
   std::stable_sort(order.begin(), order.end(), [&](VertexId a, VertexId b) {

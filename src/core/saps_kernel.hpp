@@ -91,7 +91,9 @@ inline bool saps_metropolis_accept(double u, double x) {
 /// Algorithm 2's weight-difference ranking: every vertex v by descending
 /// sum over u != v of w(v, u) - w(u, v), taken in ascending u, ties kept
 /// in id order. `saps_search` builds it once per search and every
-/// WeightDifferenceRanking restart starts from a copy.
+/// WeightDifferenceRanking restart starts from a copy. Blocks of v run on
+/// the pool, each v's sum in the same order: the same bits at any thread
+/// count.
 Path weight_difference_order(const Matrix& weights);
 
 /// Restart-chain initial path (Algorithm 2 line 3), routed through the

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <utility>
 
 #include "util/error.hpp"
@@ -74,8 +76,11 @@ TaskWorkers assigned_workers(const VoteIndex& index,
   rows.offsets.reserve(index.tasks.size() + 1);
   rows.workers.reserve(index.task_votes.size());
   for (const std::size_t p : listing_of) {
-    const std::span<const WorkerId> workers = assignment.workers_for_task(p);
-    rows.workers.insert(rows.workers.end(), workers.begin(), workers.end());
+    for (const WorkerId k : assignment.workers_for_task(p)) {
+      CR_EXPECTS(k <= std::numeric_limits<std::uint32_t>::max(),
+                 "assigned worker id does not fit in 32 bits");
+      rows.workers.push_back(static_cast<std::uint32_t>(k));
+    }
     rows.offsets.push_back(rows.workers.size());
   }
   return rows;
@@ -159,7 +164,7 @@ PreferenceGraph smooth_preferences(std::size_t object_count,
     const bool forward_one = w_ij == 1.0;
     const bool backward_one = w_ji == 1.0;
     if (forward_one || backward_one) {
-      const std::span<const WorkerId> workers = task_workers.of_task(t);
+      const std::span<const std::uint32_t> workers = task_workers.of_task(t);
       CR_EXPECTS(!workers.empty(), "a crowdsourced task must have workers");
       double err_sum = 0.0;
       for (const WorkerId k : workers) {

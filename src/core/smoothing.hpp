@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -58,20 +59,22 @@ struct SmoothingStats {
 };
 
 /// The workers of each step-1 task in flat rows: the workers of truths[t]
-/// are `workers[offsets[t] .. offsets[t + 1])`.
+/// are `workers[offsets[t] .. offsets[t + 1])`. Worker ids are 4 bytes,
+/// as in step 1's rows.
 struct TaskWorkers {
   std::vector<std::size_t> offsets{0};  ///< size tasks + 1
-  std::vector<WorkerId> workers;
+  std::vector<std::uint32_t> workers;
 
   std::size_t task_count() const { return offsets.size() - 1; }
-  std::span<const WorkerId> of_task(std::size_t t) const {
+  std::span<const std::uint32_t> of_task(std::size_t t) const {
     return {workers.data() + offsets[t], offsets[t + 1] - offsets[t]};
   }
 };
 
 /// Workers of each task of `index` as the assignment lists them; a task
 /// the assignment lists twice takes its first listing. Throws when a task
-/// is not in the assignment.
+/// is not in the assignment, and when a listed worker id does not fit in
+/// 32 bits.
 TaskWorkers assigned_workers(const VoteIndex& index,
                              const HitAssignment& assignment);
 

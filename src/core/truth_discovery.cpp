@@ -38,11 +38,13 @@ struct ContestedRows {
 /// Checks every vote in batch order and groups the batch; `contested`
 /// (optional) receives the contested rows. Throws when `votes` is empty
 /// or a vote names an out-of-range object or worker or compares an
-/// object with itself.
+/// object with itself, and when a worker id may not fit in 32 bits.
 VoteIndex index_votes(const VoteBatch& votes, std::size_t object_count,
                       std::size_t worker_count,
                       ContestedRows* contested = nullptr) {
   CR_EXPECTS(!votes.empty(), "truth discovery needs at least one vote");
+  CR_EXPECTS(worker_count <= std::size_t{1} << 32,
+             "truth discovery takes at most 2^32 workers");
   for (const Vote& v : votes) {
     CR_EXPECTS(v.i < object_count && v.j < object_count,
                "vote references an out-of-range object");
@@ -73,12 +75,14 @@ VoteIndex index_votes(const VoteBatch& votes, std::size_t object_count,
   // Rows by task and by worker, in batch order. x^k is 1 when the worker
   // prefers the task's first (smaller) object.
   const auto x_of = [&](std::size_t vid) {
-    return votes[vid].prefers_i == (votes[vid].i < votes[vid].j) ? 1.0 : 0.0;
+    return votes[vid].prefers_i == (votes[vid].i < votes[vid].j) ? 1.0f
+                                                                 : 0.0f;
   };
   const auto task_of = [&](std::size_t vid) { return vote_task[vid]; };
   const auto worker_of = [&](std::size_t vid) { return votes[vid].worker; };
   const auto seen_from_task = [&](std::size_t vid) {
-    return VoteIndex::TaskVote{votes[vid].worker, x_of(vid)};
+    return VoteIndex::TaskVote{static_cast<std::uint32_t>(votes[vid].worker),
+                               x_of(vid)};
   };
   const auto seen_from_worker = [&](std::size_t vid) {
     return VoteIndex::WorkerVote{vote_task[vid], x_of(vid)};

@@ -39,6 +39,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -71,18 +72,21 @@ struct TruthDiscoveryConfig {
 
 /// Votes grouped by task and by worker in flat rows (CSR: row r spans
 /// [offsets[r], offsets[r + 1]) of its vote array). Every row lists its
-/// votes in batch order, so a sum over a row adds in batch order.
+/// votes in batch order, so a sum over a row adds in batch order. An entry
+/// is 8 bytes: ids fit in 32 bits (`discover_truth` takes at most 2^32
+/// workers and fewer than 2^32 - 1 votes), and x^k is exactly 0 or 1, so
+/// its float widens to the same double in every Eq. 4/5 sum.
 struct VoteRows {
   /// A vote seen from its task: its worker and x^k in {0, 1}, 1 when the
   /// worker prefers the task's first (smaller) object.
   struct TaskVote {
-    WorkerId worker;
-    double x;
+    std::uint32_t worker;
+    float x;
   };
   /// A vote seen from its worker: its task row and x^k.
   struct WorkerVote {
-    std::size_t task;
-    double x;
+    std::uint32_t task;
+    float x;
   };
 
   std::vector<std::size_t> task_offsets;
@@ -148,8 +152,9 @@ struct TruthDiscoveryResult {
 
 /// Runs Step 1. `worker_count` sizes the quality vector (workers with no
 /// votes keep the neutral prior quality 1 but influence nothing).
-/// Throws when `votes` is empty or references out-of-range ids, and when
-/// it holds 2^32 - 1 votes or more or object_count exceeds 2^32 - 1.
+/// Throws when `votes` is empty or references out-of-range ids, when it
+/// holds 2^32 - 1 votes or more or object_count exceeds 2^32 - 1, and
+/// when worker_count exceeds 2^32.
 /// `index` (optional) receives the grouping of `votes` that step 1 ran
 /// on.
 TruthDiscoveryResult discover_truth(const VoteBatch& votes,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -973,7 +974,9 @@ int run_cli(const std::vector<std::string>& argv, std::ostream& out,
     }
     err << "unknown command '" << command << "'\n\n" << cli_usage();
     return 1;
-  } catch (const Error& e) {
+  } catch (const std::exception& e) {
+    // crowdrank::Error and whatever else a command lets escape, such as
+    // std::bad_alloc when a shape flag asks for more memory than there is.
     err << "error: " << e.what() << "\n";
     return 1;
   }

@@ -19,7 +19,9 @@ namespace crowdrank::io {
 
 /// Executes one CLI invocation (argv[0] ignored; argv[1] is the
 /// subcommand). Writes human output to `out` and errors to `err`.
-/// Returns the process exit code (0 success, 1 usage/runtime error).
+/// Returns the process exit code (0 success, 1 usage/runtime error): a
+/// std::exception a command throws, std::bad_alloc included, ends as one
+/// `error: ...` line on `err` and exit code 1.
 int run_cli(const std::vector<std::string>& argv, std::ostream& out,
             std::ostream& err);
 

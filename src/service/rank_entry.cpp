@@ -147,11 +147,13 @@ RankOutcome run_ranking(const RankParams& params, Rng& rng) {
     inference.control = &tracker;
     inference.check_invariants |= params.check_invariants;
     const InferenceEngine engine(inference);
+    // The engine releases the job's batch once step 1 has indexed it.
     out.inference =
         params.assignment != nullptr
-            ? engine.infer(votes, object_count, worker_count,
+            ? engine.infer(std::move(votes), object_count, worker_count,
                            *params.assignment, rng)
-            : engine.infer(votes, object_count, worker_count, rng);
+            : engine.infer(std::move(votes), object_count, worker_count,
+                           rng);
 
     out.ranking.order.assign(out.inference->ranking.order().begin(),
                              out.inference->ranking.order().end());

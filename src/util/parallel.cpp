@@ -8,6 +8,11 @@
 #include <thread>
 #include <utility>
 
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 #include "util/error.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
@@ -38,6 +43,53 @@ constexpr std::uint32_t range_next(std::uint64_t pack) {
 constexpr std::uint32_t range_end(std::uint64_t pack) {
   return static_cast<std::uint32_t>(pack & 0xffffffffu);
 }
+
+// Lane placement. The caller wakes the worker lanes, and Linux tends to
+// queue a woken thread on the waker's CPU, behind the caller's own lane;
+// from then on the lane's previous CPU is busy at every wake, so it never
+// leaves, and every region runs on one CPU. So `run` records the caller's
+// CPU, and a lane that starts draining on it narrows its affinity mask by
+// that CPU, which moves it to another allowed CPU at once, and restores
+// the old mask when its drain ends. A no-op off Linux, when the lane runs
+// elsewhere, and when one CPU is allowed.
+#if defined(__linux__)
+/// The CPU the calling thread runs on, or -1 where that is unknown.
+int current_cpu() { return sched_getcpu(); }
+
+class LeaveCallerCpu {
+ public:
+  explicit LeaveCallerCpu(int caller_cpu) {
+    if (caller_cpu < 0 || caller_cpu >= CPU_SETSIZE ||
+        sched_getcpu() != caller_cpu ||
+        pthread_getaffinity_np(pthread_self(), sizeof(saved_), &saved_) !=
+            0 ||
+        CPU_COUNT(&saved_) < 2 || !CPU_ISSET(caller_cpu, &saved_)) {
+      return;
+    }
+    cpu_set_t narrowed = saved_;
+    CPU_CLR(caller_cpu, &narrowed);
+    narrowed_ = pthread_setaffinity_np(pthread_self(), sizeof(narrowed),
+                                       &narrowed) == 0;
+  }
+  LeaveCallerCpu(const LeaveCallerCpu&) = delete;
+  LeaveCallerCpu& operator=(const LeaveCallerCpu&) = delete;
+  ~LeaveCallerCpu() {
+    if (narrowed_) {
+      pthread_setaffinity_np(pthread_self(), sizeof(saved_), &saved_);
+    }
+  }
+
+ private:
+  cpu_set_t saved_{};
+  bool narrowed_ = false;
+};
+#else
+int current_cpu() { return -1; }
+
+struct LeaveCallerCpu {
+  explicit LeaveCallerCpu(int /*caller_cpu*/) {}
+};
+#endif
 
 }  // namespace
 
@@ -73,6 +125,9 @@ struct ThreadPool::State {
   /// The region caller's trace sink; each worker lane installs it while
   /// it drains, so tasks record where the caller's run records.
   trace::TraceSink* sink CR_GUARDED_BY(mutex) = nullptr;
+  /// The CPU the region's caller ran on when it posted the region (-1
+  /// where unknown); worker lanes leave it (LeaveCallerCpu).
+  int caller_cpu CR_GUARDED_BY(mutex) = -1;
   std::size_t active_workers CR_GUARDED_BY(mutex) = 0;
   bool stopping CR_GUARDED_BY(mutex) = false;
 
@@ -264,9 +319,11 @@ void ThreadPool::worker_loop(std::size_t lane) {
     }
     const auto* task = s.task;
     trace::TraceSink* const sink = s.sink;
+    const int caller_cpu = s.caller_cpu;
     lock.unlock();
 
     {
+      const LeaveCallerCpu leave(caller_cpu);
       const trace::ScopedSink region_sink(sink);
       t_in_region = true;
       drain_timed(*task, lane);
@@ -311,6 +368,7 @@ void ThreadPool::run(std::size_t count,
     MutexLock lock(s.mutex);
     s.task = &task;
     s.sink = ts;
+    s.caller_cpu = current_cpu();
     const std::size_t lanes_needed = s.workers.size() + 1;
     if (s.lane_count.load(std::memory_order_relaxed) != lanes_needed) {
       s.lanes =

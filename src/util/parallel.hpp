@@ -57,7 +57,9 @@ class ThreadPool {
   /// idle lanes steal the upper half of the fullest lane's remainder, so
   /// callers must not depend on task->thread mapping. The first exception
   /// thrown by any task is rethrown on the caller after the region drains.
-  /// Nested calls (from a pool worker) run inline.
+  /// Nested calls (from a pool worker) run inline. On Linux a worker lane
+  /// woken onto the caller's CPU moves off it for the region, so the
+  /// lanes run side by side instead of queueing on one CPU.
   void run(std::size_t count, const std::function<void(std::size_t)>& task);
 
   /// True when the current thread is executing inside a parallel region.

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <utility>
@@ -14,6 +15,7 @@
 
 #include "core/pipeline.hpp"
 #include "core/saps.hpp"
+#include "core/saps_kernel.hpp"
 #include "core/truth_discovery.hpp"
 #include "crowdrank.hpp"
 #include "saps_reference.hpp"
@@ -338,6 +340,118 @@ TEST_F(DeterminismTest, TruthDiscoveryMatchesTheReferenceAcrossThreadCounts) {
         << "threads = " << threads;
     EXPECT_GT(got.contested_tasks, 2 * std::size_t{512});
     EXPECT_LT(got.full_passes, got.iterations);
+  }
+}
+
+TEST_F(DeterminismTest, MovedBatchInferenceMatchesTheConstOverload) {
+  // infer(VoteBatch&&) releases the batch once step 1 has indexed it and
+  // is otherwise the const& run: the same ranking, log-probability,
+  // step-1 truths and qualities, and the same draws from the caller's
+  // Rng, with and without an assignment, at 1 and 4 threads. The batch
+  // holds more than 2^14 votes, so step 1's passes fan out on the pool.
+  const std::size_t n = 120;
+  const std::size_t pool = 30;
+  Rng rng(31);
+  const TaskAssignment plan = generate_task_assignment(n, 6000, rng);
+  const std::vector<Edge> edges(plan.graph.edges().begin(),
+                                plan.graph.edges().end());
+  const HitAssignment hits(edges, {5, 3}, pool, rng);
+  const auto workers = sample_worker_pool(
+      pool, {QualityDistribution::Gaussian, QualityLevel::Medium}, rng);
+  const VoteBatch votes =
+      SimulatedCrowd(Ranking::identity(n), workers).collect(hits, rng);
+  ASSERT_GT(votes.size(), std::size_t{1} << 14);
+
+  const auto same_bits = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  };
+  const InferenceEngine engine;
+  for (const bool with_assignment : {false, true}) {
+    set_thread_count(1);
+    Rng want_rng(5);
+    const InferenceResult want =
+        with_assignment ? engine.infer(votes, n, pool, hits, want_rng)
+                        : engine.infer(votes, n, pool, want_rng);
+    for (const std::size_t threads : {1, 4}) {
+      set_thread_count(threads);
+      SCOPED_TRACE(testing::Message() << "threads = " << threads
+                                      << ", assignment = " << with_assignment);
+      VoteBatch moved = votes;
+      Rng got_rng(5);
+      const InferenceResult got =
+          with_assignment
+              ? engine.infer(std::move(moved), n, pool, hits, got_rng)
+              : engine.infer(std::move(moved), n, pool, got_rng);
+      // NOLINTNEXTLINE(bugprone-use-after-move): the engine empties it.
+      EXPECT_TRUE(moved.empty());
+      EXPECT_EQ(moved.capacity(), 0u);
+      EXPECT_EQ(got.ranking, want.ranking);
+      EXPECT_TRUE(same_bits(got.log_probability, want.log_probability));
+      Rng want_next = want_rng;
+      EXPECT_EQ(got_rng(), want_next());
+      ASSERT_EQ(got.step1.truths.size(), want.step1.truths.size());
+      for (std::size_t t = 0; t < got.step1.truths.size(); ++t) {
+        EXPECT_EQ(got.step1.truths[t].task, want.step1.truths[t].task);
+        EXPECT_TRUE(same_bits(got.step1.truths[t].x, want.step1.truths[t].x))
+            << "truth " << t;
+      }
+      EXPECT_TRUE(std::ranges::equal(got.step1.worker_quality,
+                                     want.step1.worker_quality, same_bits));
+      EXPECT_TRUE(std::ranges::equal(got.step1.worker_weight,
+                                     want.step1.worker_weight, same_bits));
+      EXPECT_EQ(got.one_edge_count, want.one_edge_count);
+    }
+  }
+}
+
+TEST_F(DeterminismTest, WeightDifferenceOrderMatchesTheSerialScanAcrossThreads) {
+  // Blocks of v run on the pool; each v must still sum over ascending u,
+  // so the order equals a serial per-vertex scan. Uniform weights give
+  // inexact sums; quarter-step weights give equal sums, so ties are
+  // checked too. In the cancelling matrix, each vertex a (three, in
+  // different pool tasks) adds +1, 1e-16 and -1 over ascending u, which
+  // sums to 0 and ties it with the zero rows, while the reverse order
+  // leaves 2^-53 and moves it. Both sizes split into several pool tasks.
+  for (const std::size_t n : {300, 700}) {
+    Rng rng(4000 + n);
+    Matrix uniform(n, n, 0.0);
+    Matrix quarters(n, n, 0.0);
+    Matrix cancelling(n, n, 0.0);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = i + 1; j < n; ++j) {
+        uniform(i, j) = rng.uniform();
+        uniform(j, i) = 1.0 - uniform(i, j);
+        quarters(i, j) = 0.25 * static_cast<double>(rng.uniform_index(5));
+        quarters(j, i) = 1.0 - quarters(i, j);
+      }
+    }
+    for (const std::size_t a : {std::size_t{5}, n / 2, n - 5}) {
+      cancelling(a, a - 2) = 1.0;
+      cancelling(a, a - 1) = 1e-16;
+      cancelling(a + 2, a) = 1.0;
+    }
+    const std::pair<const char*, const Matrix*> cases[] = {
+        {"uniform", &uniform},
+        {"quarters", &quarters},
+        {"cancelling", &cancelling}};
+    for (const auto& [name, m] : cases) {
+      std::vector<double> diff(n, 0.0);
+      for (VertexId v = 0; v < n; ++v) {
+        for (VertexId u = 0; u < n; ++u) {
+          if (u != v) diff[v] += (*m)(v, u) - (*m)(u, v);
+        }
+      }
+      Path expected(n);
+      std::iota(expected.begin(), expected.end(), VertexId{0});
+      std::stable_sort(
+          expected.begin(), expected.end(),
+          [&](VertexId a, VertexId b) { return diff[a] > diff[b]; });
+      for (const std::size_t threads : {1, 4}) {
+        set_thread_count(threads);
+        EXPECT_EQ(weight_difference_order(*m), expected)
+            << "n = " << n << ", " << name << ", threads = " << threads;
+      }
+    }
   }
 }
 

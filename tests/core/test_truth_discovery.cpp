@@ -12,6 +12,10 @@
 namespace crowdrank {
 namespace {
 
+// Step 1's rows hold one 8-byte entry per vote and view.
+static_assert(sizeof(VoteRows::TaskVote) == 8);
+static_assert(sizeof(VoteRows::WorkerVote) == 8);
+
 Vote vote(WorkerId k, VertexId i, VertexId j, bool prefers_i) {
   return Vote{k, i, j, prefers_i};
 }
@@ -187,6 +191,13 @@ TEST(TruthDiscovery, QualityWeightingOffIsPlainAveraging) {
       EXPECT_GT(t.x, 0.4);
     }
   }
+}
+
+TEST(TruthDiscovery, RefusesMoreWorkersThanThirtyTwoBitIdsName) {
+  // The rows keep 4-byte worker ids, so 2^32 workers is the most step 1
+  // takes; the check runs before any per-worker array is sized.
+  const VoteBatch votes{vote(0, 0, 1, true), vote(1, 0, 1, false)};
+  EXPECT_THROW(discover_truth(votes, 2, (std::size_t{1} << 32) + 1), Error);
 }
 
 TEST(MajorityVoteTruth, SimpleAverages) {

@@ -35,9 +35,9 @@ TruthDiscoveryResult discover_truth_reference(
       g.tasks.push_back(task);
       by_task.emplace_back();
     }
-    const double x = v.prefers_i == (v.i < v.j) ? 1.0 : 0.0;
-    by_task[it->second].push_back({v.worker, x});
-    by_worker[v.worker].push_back({it->second, x});
+    const float x = v.prefers_i == (v.i < v.j) ? 1.0f : 0.0f;
+    by_task[it->second].push_back({static_cast<std::uint32_t>(v.worker), x});
+    by_worker[v.worker].push_back({static_cast<std::uint32_t>(it->second), x});
   }
   g.task_offsets.push_back(0);
   for (const auto& row : by_task) {

@@ -10,8 +10,9 @@ that report into a CI gate:
     may not regress past `--tolerance` (default 3.0x — wide enough to
     absorb runner-to-runner variance, tight enough to catch a kernel
     silently falling off its fast path);
-  * correctness booleans (`identical`, `telemetry_overhead_ok`) must be
-    true, exactly as the baseline recorded them;
+  * correctness booleans (`identical`, `telemetry_overhead_ok`,
+    `pool_overlap_ok`) must be true, exactly as the baseline recorded
+    them;
   * rows whose baseline carries a `speedup_floor` note must keep their
     current `speedup` at or above 0.9x that floor (the 0.9 absorbs
     run-to-run jitter; the floor itself encodes the expectation, e.g.
@@ -47,7 +48,7 @@ import sys
 # current > baseline * tolerance + NOISE_FLOOR_MS.
 NOISE_FLOOR_MS = 0.5
 
-BOOLEAN_KEYS = {"identical", "telemetry_overhead_ok"}
+BOOLEAN_KEYS = {"identical", "telemetry_overhead_ok", "pool_overlap_ok"}
 EXACT_INT_KEYS = {"n"}
 ACCURACY_TOLERANCE = 0.05
 
