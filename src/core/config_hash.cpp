@@ -19,8 +19,6 @@ void hash_append(StableHash& hash, const SmoothingConfig& config) {
 void hash_append(StableHash& hash, const PropagationConfig& config) {
   hash.add_u32(static_cast<std::uint32_t>(config.mode));
   hash.add_u32(static_cast<std::uint32_t>(config.aggregation));
-  // fill_threshold deliberately excluded: it selects between
-  // bitwise-identical sparse and dense kernels (DESIGN.md §7c).
   hash.add_u64(config.spectral_horizon);
   hash.add_u64(config.max_length);
   hash.add_double(config.alpha);

@@ -11,10 +11,8 @@
 //  * Output-affecting tunables are hashed, always. That includes fields
 //    like `propagation.spectral_horizon` (changes which pairs receive
 //    evidence) and every Step-4 move toggle.
-//  * Observe-only and representation-only fields are excluded:
-//    `control` and `check_invariants` never change a ranking (DESIGN.md
-//    pins this), and `propagation.fill_threshold` only picks between
-//    bitwise-identical sparse/dense kernels (§7c). A trace sink is no
+//  * Observe-only fields are excluded: `control` and `check_invariants`
+//    never change a ranking (DESIGN.md pins this). A trace sink is no
 //    config field at all (callers install one with trace::ScopedSink), so
 //    a traced run shares cache entries with an untraced one.
 //
@@ -41,8 +39,8 @@ void hash_append(StableHash& hash, const SapsConfig& config);
 void hash_append(StableHash& hash, const TapsConfig& config);
 
 /// The output-affecting subset of a full InferenceConfig (prefixed with
-/// kInferenceConfigHashSchema). Excludes control/check_invariants and
-/// propagation.fill_threshold per the rules above.
+/// kInferenceConfigHashSchema). Excludes control/check_invariants per the
+/// rules above.
 void hash_append(StableHash& hash, const InferenceConfig& config);
 
 }  // namespace crowdrank

@@ -103,10 +103,6 @@ std::vector<ConfigError> InferenceConfig::validate() const {
             propagation.completeness_floor < 0.5,
         "propagation.completeness_floor", "must lie in (0, 0.5)");
   check(errors,
-        propagation.fill_threshold >= 0.0 &&
-            propagation.fill_threshold <= 1.0,
-        "propagation.fill_threshold", "must lie in [0, 1]");
-  check(errors,
         propagation.spectral_horizon == 0 ||
             propagation.spectral_horizon >= 2,
         "propagation.spectral_horizon", "must be 0 (auto) or at least 2");

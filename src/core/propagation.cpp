@@ -34,6 +34,13 @@ constexpr std::size_t kPerronPoolEdges = std::size_t{1} << 15;
 /// Rows per pool task in a power-iteration pass.
 constexpr std::size_t kPerronRowGrain = 64;
 
+/// Stored-entry fill of the doubling state past which it leaves the CSR
+/// kernels and finishes densely. Below ~15-25% fill the Gustavson
+/// CSR x CSR product does strictly less work than the blocked dense
+/// kernel; past it the dense kernel's constant factor wins. The kernels
+/// agree bit for bit, so this picks the speed, never the closure.
+constexpr double kDensifyFill = 0.20;
+
 /// The dense n x n weight matrix of a CSR graph, for the BoundedWalks and
 /// ExactPaths engines, which are dense by nature: the one place this file
 /// materializes a pre-closure graph densely.
@@ -54,13 +61,13 @@ Matrix dense_weights(const CsrAdjacency& adj) {
 ///
 /// Sparse-first hybrid: the doubling starts on the smoothed graph's CSR
 /// view and runs on SparseMatrix kernels while the state's fill stays
-/// under config.fill_threshold; the moment a step would run past it the
+/// at or under kDensifyFill; the moment a step would run past it the
 /// state densifies once and the loop finishes on the blocked dense Matrix
 /// kernels. The sparse kernels accumulate every output element in the
 /// same ascending-k order as the dense ones, so where the representation
-/// switches is unobservable in the result — any threshold (including 0,
-/// dense from the start: the pinned oracle) produces a bitwise-identical
-/// sum. Diagnostics land in `stats` and the propagation.* trace metrics.
+/// switches is unobservable in the result: the sum is bitwise-identical
+/// to the dense-from-step-one doubling pinned under tests/core/.
+/// Diagnostics land in `stats` and the propagation.* trace metrics.
 Matrix spectral_walk_sum(const PreferenceGraph& smoothed,
                          const PropagationConfig& config,
                          PropagationStats& stats) {
@@ -126,7 +133,7 @@ Matrix spectral_walk_sum(const PreferenceGraph& smoothed,
   double lp = std::log(w_max);
   std::size_t length = 1;
   std::size_t step = 0;
-  bool sparse = config.fill_threshold > 0.0;
+  bool sparse = true;
 
   // The one sanctioned dense-materialization point of the hybrid: both
   // state matrices cross to the dense representation together, exactly
@@ -149,10 +156,6 @@ Matrix spectral_walk_sum(const PreferenceGraph& smoothed,
     stats.densify_step = step + 1;
   };
 
-  if (!sparse) {
-    densify();  // fill_threshold == 0: the dense oracle, from step one
-  }
-
   while (length < target) {
     // S(2m) = S(m) + W^m * S(m)  ==>  (up to global scale)
     // s' = p_hat * s_hat + e^{-lp} * s_hat.
@@ -164,7 +167,7 @@ Matrix spectral_walk_sum(const PreferenceGraph& smoothed,
       const double fill =
           std::max(s_sparse.fill_ratio(), p_sparse.fill_ratio());
       trace::push_series(trace_fill, static_cast<double>(length), fill);
-      if (fill > config.fill_threshold) {
+      if (fill > kDensifyFill) {
         densify();
       }
     }
@@ -387,8 +390,6 @@ Matrix propagate_preferences(const PreferenceGraph& smoothed,
   const std::size_t n = smoothed.vertex_count();
 
   if (config.mode == PropagationMode::SpectralLimit) {
-    CR_EXPECTS(config.fill_threshold >= 0.0 && config.fill_threshold <= 1.0,
-               "fill threshold must be in [0, 1]");
     CR_EXPECTS(config.spectral_horizon == 0 || config.spectral_horizon >= 2,
                "spectral horizon must be 0 (auto) or >= 2");
     // Both engines sum walks from the direct (k = 1) term on, and the

@@ -47,11 +47,11 @@ enum class PropagationMode {
   ///  * Doubling (S(2m) = S(m) + W^m S(m)) with per-step
   ///    max-renormalization so nothing overflows: the fallback, and the
   ///    only engine for an explicit horizon. It runs sparse-first on CSR
-  ///    kernels while the state's fill stays under fill_threshold, then
+  ///    kernels while the state's fill stays at or under 20%, then
   ///    densifies once and finishes on the blocked dense kernels —
   ///    O(flops performed) in the sparse regime, O(log L * n^3) once
   ///    dense; both phases are bitwise-identical to the all-dense
-  ///    formulation.
+  ///    formulation (the oracle under tests/core/).
   SpectralLimit,
 };
 
@@ -74,16 +74,6 @@ enum class PathAggregation {
 struct PropagationConfig {
   PropagationMode mode = PropagationMode::BoundedWalks;
   PathAggregation aggregation = PathAggregation::Sum;
-  /// SpectralLimit only: stored-entry fill ratio of the doubling state at
-  /// which the hybrid abandons the CSR kernels and finishes densely.
-  /// Below ~15-25% fill the Gustavson CSR x CSR product does strictly
-  /// less work than the blocked dense kernel; past it the dense kernel's
-  /// constant factor wins. 0 forces dense from the first step (the
-  /// equivalence oracle the sparse path is pinned against); 1 keeps the
-  /// loop sparse throughout. Representation choice only — the sparse and
-  /// dense kernels are bitwise-identical on the same operands, so any
-  /// threshold yields the same closure (DESIGN.md §7c).
-  double fill_threshold = 0.20;
   /// SpectralLimit only: walk-length horizon of the sum. 0 (the default)
   /// sums to L, the power of two >= max(max_length, n), and takes the sum
   /// from its Perron limit, falling back to the doubling where the limit

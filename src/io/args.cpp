@@ -8,28 +8,14 @@ namespace crowdrank::io {
 
 Args::Args(int argc, const char* const* argv, int start,
            const std::set<std::string>& known_options,
-           const std::set<std::string>& known_flags,
-           const std::map<std::string, std::string>& aliases) {
-  std::set<std::string> seen_via_alias;
+           const std::set<std::string>& known_flags) {
   for (int i = start; i < argc; ++i) {
     const std::string token = argv[i];
     if (token.rfind("--", 0) != 0) {
       positionals_.push_back(token);
       continue;
     }
-    std::string key = token.substr(2);
-    if (const auto alias = aliases.find(key); alias != aliases.end()) {
-      key = alias->second;
-      if (values_.contains(key) || flags_.contains(key)) {
-        throw Error("option --" + alias->first +
-                    " conflicts with its canonical spelling --" + key);
-      }
-      seen_via_alias.insert(key);
-    } else if (seen_via_alias.contains(key)) {
-      throw Error("option --" + key +
-                  " conflicts with an alias given earlier for the same "
-                  "option");
-    }
+    const std::string key = token.substr(2);
     if (known_flags.contains(key)) {
       flags_.insert(key);
       continue;

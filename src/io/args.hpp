@@ -18,15 +18,11 @@ namespace crowdrank::io {
 class Args {
  public:
   /// Parses argv[start..). `known_options` lists every valid --key that
-  /// takes a value; `known_flags` every valid boolean --flag. `aliases`
-  /// maps hidden back-compat spellings onto their canonical key (alias ->
-  /// canonical); an alias is rewritten before validation and never needs
-  /// to appear in the known sets. Throws crowdrank::Error on unknown
-  /// options, a missing value, or an alias/canonical conflict.
+  /// takes a value; `known_flags` every valid boolean --flag. Throws
+  /// crowdrank::Error on unknown options or a missing value.
   Args(int argc, const char* const* argv, int start,
        const std::set<std::string>& known_options,
-       const std::set<std::string>& known_flags,
-       const std::map<std::string, std::string>& aliases = {});
+       const std::set<std::string>& known_flags);
 
   bool has(const std::string& key) const;
   bool flag(const std::string& key) const;

@@ -50,23 +50,8 @@ std::vector<const char*> to_argv(const std::vector<std::string>& args) {
 // -- the shared parser table --------------------------------------------
 //
 // Every command draws its options from these groups, so one concept is
-// spelled one way everywhere, and the canonical spellings match the
-// crowdrank::api / config field names (--object-count <-> object_count).
-// Historical spellings keep working as hidden aliases; they are rewritten
-// onto the canonical key before validation and stay out of the usage text.
-
-const std::map<std::string, std::string>& flag_aliases() {
-  static const std::map<std::string, std::string> aliases{
-      {"objects", "object-count"},
-      {"workers", "worker-count"},
-      {"pool", "worker-pool"},
-      {"replication", "workers-per-task"},
-      {"ratio", "selection-ratio"},
-      {"target", "target-accuracy"},
-      {"reward", "reward-per-comparison"},
-  };
-  return aliases;
-}
+// spelled one way everywhere, and the spellings match the crowdrank::api /
+// config field names (--object-count <-> object_count).
 
 std::set<std::string> merge(std::initializer_list<std::set<std::string>>
                                 groups) {
@@ -86,17 +71,15 @@ const std::set<std::string> kCrowdOptions{"worker-pool", "workers-per-task",
 /// Budget selection.
 const std::set<std::string> kBudgetOptions{"selection-ratio", "budget"};
 /// Inference pipeline knobs.
-const std::set<std::string> kInferenceOptions{
-    "search", "saps-iterations", "propagation-fill-threshold",
-    "propagation-horizon"};
+const std::set<std::string> kInferenceOptions{"search", "saps-iterations",
+                                              "propagation-horizon"};
 /// Observability outputs.
 const std::set<std::string> kObservabilityOptions{"trace", "metrics"};
 
 Args parse_args(const std::vector<const char*>& raw,
                 const std::set<std::string>& options,
                 const std::set<std::string>& flags = {}) {
-  return Args(static_cast<int>(raw.size()), raw.data(), 2, options, flags,
-              flag_aliases());
+  return Args(static_cast<int>(raw.size()), raw.data(), 2, options, flags);
 }
 
 WorkerPoolConfig parse_quality(const Args& args) {
@@ -179,11 +162,8 @@ InferenceConfig inference_from_args(const Args& args) {
   config.search = parse_search(args);
   config.saps.iterations =
       args.get_size("saps-iterations", config.saps.iterations);
-  // Sparse-first propagation knobs (SpectralLimit mode; see DESIGN.md §7c):
-  // the fill ratio past which the doubling densifies, and an optional
-  // truncated walk-length horizon for very large n.
-  config.propagation.fill_threshold = args.get_double(
-      "propagation-fill-threshold", config.propagation.fill_threshold);
+  // An optional truncated walk-length horizon for very large n
+  // (SpectralLimit mode; see DESIGN.md §7c).
   config.propagation.spectral_horizon = args.get_size(
       "propagation-horizon", config.propagation.spectral_horizon);
   if (const auto errors = config.validate(); !errors.empty()) {
@@ -898,26 +878,22 @@ std::string cli_usage() {
       << "            [--votes-out F] [--truth-out F] [--tasks-out F]\n"
       << "  infer     --votes F [--object-count N] [--worker-count M]\n"
       << "            [--search saps|taps|heldkarp] [--saps-iterations I]\n"
-      << "            [--propagation-fill-threshold T] "
-         "[--propagation-horizon H]\n"
-      << "            [--seed S] [--ranking-out F] [--check-invariants]\n"
+      << "            [--propagation-horizon H] [--seed S]\n"
+      << "            [--ranking-out F] [--check-invariants]\n"
       << "            [--trace F.json] [--metrics F.json]\n"
       << "            (CROWDRANK_TRACE=F.json substitutes for --trace;\n"
       << "             CROWDRANK_CHECK_INVARIANTS=1 for --check-invariants)\n"
       << "  index     --votes F --artifacts DIR [--object-count N]\n"
       << "            [--worker-count M] [--search ...] "
          "[--saps-iterations I]\n"
-      << "            [--propagation-fill-threshold T] "
-         "[--propagation-horizon H]\n"
-      << "            [--seed S]\n"
+      << "            [--propagation-horizon H] [--seed S]\n"
       << "            (ranks and persists the result as one framed file,\n"
       << "             DIR/<key>.crart, named by its content key)\n"
       << "  query     --votes F --artifacts DIR [--object-count N]\n"
       << "            [--worker-count M] [--search ...] "
          "[--saps-iterations I]\n"
-      << "            [--propagation-fill-threshold T] "
-         "[--propagation-horizon H]\n"
-      << "            [--seed S] [--ranking-out F]\n"
+      << "            [--propagation-horizon H] [--seed S]\n"
+      << "            [--ranking-out F]\n"
       << "            (serves the stored result without running inference;\n"
       << "             exit 2 when DIR holds no result for this work)\n"
       << "  serve     --jobs F.jsonl [--results F.jsonl]\n"

@@ -11,9 +11,9 @@
 // the outcome, stage, degradation counts, timing, and (when ranked) the
 // ranking itself — machine-readable end to end.
 //
-// The parser is a deliberately minimal flat-JSON reader (string, integer,
-// and boolean values; no nesting) so the CLI carries no JSON dependency;
-// malformed lines fail loudly with their line number.
+// Each line is read by obs::parse_json, the project's one JSON reader;
+// the job-level checks (known keys, no duplicates, value types, the
+// required `votes`) are made here, and every error names its line.
 #pragma once
 
 #include <cstddef>
@@ -27,7 +27,9 @@ namespace crowdrank::io {
 
 /// One parsed jobs-file line.
 struct JobRecord {
-  /// Caller-chosen id echoed into the result line (0 = line number).
+  /// Caller-chosen id echoed into the result line. Without one, the
+  /// record's 1-based position among the file's records (blank lines
+  /// skipped).
   std::uint64_t id = 0;
   std::string votes_path;  ///< votes.csv for this job (required)
   std::size_t object_count = 0;

@@ -35,7 +35,7 @@ class Parser {
   explicit Parser(const std::string& text) : text_(text) {}
 
   JsonValue parse_document() {
-    JsonValue value = parse_value();
+    JsonValue value = parse_value(0);
     skip_ws();
     if (pos_ != text_.size()) {
       fail("trailing content after JSON value");
@@ -85,14 +85,19 @@ class Parser {
     return false;
   }
 
-  JsonValue parse_value() {
+  /// `depth`: the containers around this value.
+  JsonValue parse_value(std::size_t depth) {
     skip_ws();
     JsonValue value;
     switch (peek()) {
       case '{':
-        return parse_object();
       case '[':
-        return parse_array();
+        if (depth == kMaxJsonDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxJsonDepth) +
+               " levels");
+        }
+        return peek() == '{' ? parse_object(depth + 1)
+                             : parse_array(depth + 1);
       case '"':
         value.kind = JsonValue::Kind::String;
         value.string = parse_string();
@@ -116,7 +121,7 @@ class Parser {
     }
   }
 
-  JsonValue parse_object() {
+  JsonValue parse_object(std::size_t depth) {
     JsonValue value;
     value.kind = JsonValue::Kind::Object;
     expect('{');
@@ -130,7 +135,7 @@ class Parser {
       std::string key = parse_string();
       skip_ws();
       expect(':');
-      value.members.emplace_back(std::move(key), parse_value());
+      value.members.emplace_back(std::move(key), parse_value(depth));
       skip_ws();
       if (peek() == ',') {
         ++pos_;
@@ -141,7 +146,7 @@ class Parser {
     }
   }
 
-  JsonValue parse_array() {
+  JsonValue parse_array(std::size_t depth) {
     JsonValue value;
     value.kind = JsonValue::Kind::Array;
     expect('[');
@@ -151,7 +156,7 @@ class Parser {
       return value;
     }
     while (true) {
-      value.items.push_back(parse_value());
+      value.items.push_back(parse_value(depth));
       skip_ws();
       if (peek() == ',') {
         ++pos_;
@@ -230,6 +235,7 @@ class Parser {
       pos_ = start;
       fail("invalid number");
     }
+    value.string.assign(text_, start, pos_ - start);
     return value;
   }
 

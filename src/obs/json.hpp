@@ -1,14 +1,16 @@
-// Minimal JSON value model + recursive-descent parser. The exporters
-// write strings with util/json_string's escaper.
+// Minimal JSON value model + recursive-descent parser: the project's one
+// JSON reader. The exporters write strings with util/json_string's
+// escaper.
 //
-// The telemetry plane writes nested JSON (snapshot lines, postmortems)
-// that `crowdrank top`, the exporter tests, and tools read back; the
-// flat-object reader in io/job_record.cpp cannot represent it, and the
-// project carries no external JSON dependency by design. This parser
-// covers the full JSON grammar the exporters emit (objects, arrays,
-// strings with the exporter's escape set, numbers, booleans, null) and
-// fails loudly with a byte offset on anything malformed. Object members
-// keep insertion order so round-trip tests can compare deterministically.
+// It reads back what the telemetry plane writes (snapshot lines,
+// postmortems) for `crowdrank top`, the exporter tests and tools, and
+// each line of a `crowdrank serve` jobs file (io/job_record.cpp); the
+// project carries no external JSON dependency by design. It covers the
+// full JSON grammar the exporters emit (objects, arrays, strings with
+// the exporter's escape set, numbers, booleans, null), nests at most
+// kMaxJsonDepth containers deep, and fails loudly with a byte offset on
+// anything malformed. Object members keep insertion order (duplicates
+// included) so round-trip tests can compare deterministically.
 #pragma once
 
 #include <cstddef>
@@ -18,6 +20,10 @@
 
 namespace crowdrank::obs {
 
+/// Arrays and objects nest at most this deep; deeper input is an error,
+/// not a stack overflow. The exporters write a handful of levels.
+inline constexpr std::size_t kMaxJsonDepth = 64;
+
 /// One parsed JSON value. A tagged struct rather than a std::variant so
 /// the recursive members need no indirection gymnastics.
 struct JsonValue {
@@ -26,6 +32,8 @@ struct JsonValue {
   Kind kind = Kind::Null;
   bool boolean = false;
   double number = 0.0;
+  /// String: the decoded text. Number: the literal as written, so an
+  /// integer above 2^53 still converts exactly (std::from_chars).
   std::string string;
   std::vector<JsonValue> items;  ///< Array elements
   std::vector<std::pair<std::string, JsonValue>> members;  ///< Object

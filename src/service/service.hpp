@@ -23,6 +23,10 @@
 //  * Results are deterministic per job (content depends only on the job
 //    and its seed, never on worker count or interleaving), and `drain()`
 //    reports them in submission order.
+//  * Memory is bounded by the results not yet claimed: `wait(id)` hands a
+//    job's result out once and drops its ticket, and `drain()` claims
+//    every result no `wait` took. A long-lived service whose caller waits
+//    on each job therefore holds only the jobs in flight.
 //
 // Each executor thread holds a `InlineRegion`, so the engine's internal
 // parallel kernels run inline on the job's own lane: throughput scales by
@@ -99,6 +103,8 @@ struct ServiceStats {
   std::size_t shed = 0;      ///< subset of rejected: evicted by ShedOldest
   std::size_t failed = 0;
   std::size_t queue_depth = 0;  ///< currently queued (not running)
+  /// Tickets held: submitted jobs whose result is not yet claimed.
+  std::size_t retained = 0;
 };
 
 class RankingService {
@@ -120,13 +126,18 @@ class RankingService {
 
   /// Requests cancellation. Queued jobs settle as Cancelled without
   /// running; a running job stops at its next stage checkpoint. Returns
-  /// false when the job is unknown or already finished.
+  /// false when the job is unknown, already finished or already claimed.
   bool cancel(std::uint64_t id);
 
-  /// Blocks until the job finishes and returns its result.
+  /// Blocks until the job finishes and returns its result, claiming it:
+  /// the service drops the ticket, so each result is handed out once. A
+  /// second `wait` on the same id, or one after `drain` claimed it,
+  /// throws crowdrank::Error.
   JobResult wait(std::uint64_t id);
 
-  /// Waits for every job submitted so far; results in submission order.
+  /// Waits for every job submitted so far whose result is not yet claimed
+  /// and claims those results, in submission order. Results a `wait`
+  /// already took are not repeated.
   std::vector<JobResult> drain();
 
   ServiceStats stats() const;

@@ -1,5 +1,5 @@
 // Build identification: version, git revision, compiler, build type (all
-// stamped at configure time via the generated crowdrank/version.hpp) plus
+// stamped at build time via the generated crowdrank/version.hpp) plus
 // the runtime thread-count resolution. Exposed by `crowdrank --version`
 // and stamped into every trace::RunReport so perf numbers are always
 // attributable to an exact build.

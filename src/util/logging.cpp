@@ -2,51 +2,19 @@
 
 #include <iostream>
 
-namespace crowdrank {
+#include "util/mutex.hpp"
 
-Logger& Logger::instance() {
-  static Logger logger;
-  return logger;
+namespace crowdrank::detail {
+
+WarnLine::~WarnLine() {
+  // One lock per line: concurrent lanes may warn freely without tearing a
+  // line apart. This is the single sanctioned raw-stderr write in src/ —
+  // everything else routes through log_warn so the format stays in one
+  // place.
+  static Mutex write_mutex;
+  const MutexLock lock(write_mutex);
+  std::cerr << "[WARN ] "  // lint:allow(stderr-outside-logger)
+            << stream_.str() << '\n';
 }
 
-void Logger::write(LogLevel level, const std::string& message) {
-  if (!enabled(level)) {
-    return;
-  }
-  const char* prefix = "?";
-  switch (level) {
-    case LogLevel::Debug:
-      prefix = "DEBUG";
-      break;
-    case LogLevel::Info:
-      prefix = "INFO ";
-      break;
-    case LogLevel::Warn:
-      prefix = "WARN ";
-      break;
-    case LogLevel::Error:
-      prefix = "ERROR";
-      break;
-    case LogLevel::Off:
-      return;
-  }
-  // One lock per line: concurrent lanes may log freely without tearing a
-  // line apart or interleaving partial messages. This is the single
-  // sanctioned raw-stderr write in src/ — everything else routes through
-  // the logger so log level and formatting stay centralized.
-  MutexLock lock(write_mutex_);
-  std::cerr << '[' << prefix  // lint:allow(stderr-outside-logger)
-            << "] " << message << '\n';
-}
-
-namespace detail {
-
-LogLine::~LogLine() {
-  if (Logger::instance().enabled(level_)) {
-    Logger::instance().write(level_, stream_.str());
-  }
-}
-
-}  // namespace detail
-
-}  // namespace crowdrank
+}  // namespace crowdrank::detail

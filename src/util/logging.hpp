@@ -1,81 +1,40 @@
-// Minimal leveled logger.
+// Line-atomic warnings on stderr.
 //
-// The library itself is silent by default (Core Guidelines: libraries should
-// not write to stdout); benches and examples raise the level to Info to
-// narrate progress. The logger is a process-wide singleton and is safe to
-// use from concurrent pipeline lanes: `write` emits each message under a
-// mutex as a single line, so lines from different threads never interleave
-// mid-message (the TSan suite covers concurrent logging).
+// The library is silent except for warnings (Core Guidelines: libraries
+// should not write to stdout): an environment variable it cannot honour,
+// a telemetry file it cannot write. `log_warn()` builds one message and
+// writes it as a single "[WARN ] ..." line under a process-wide mutex, so
+// lines from concurrent pipeline lanes never interleave mid-message (the
+// TSan suite covers concurrent logging).
 #pragma once
 
-#include <atomic>
 #include <sstream>
-#include <string>
-
-#include "util/mutex.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace crowdrank {
 
-enum class LogLevel { Debug = 0, Info = 1, Warn = 2, Error = 3, Off = 4 };
-
-/// Global log configuration + sink (stderr).
-class Logger {
- public:
-  static Logger& instance();
-
-  void set_level(LogLevel level) {
-    level_.store(level, std::memory_order_relaxed);
-  }
-  LogLevel level() const { return level_.load(std::memory_order_relaxed); }
-
-  bool enabled(LogLevel level) const {
-    return static_cast<int>(level) >= static_cast<int>(this->level());
-  }
-
-  /// Writes one line with a level prefix to stderr. Mutex-guarded: the
-  /// whole line is emitted atomically with respect to other write() calls.
-  /// Must not be called with the write mutex already held (re-entrant
-  /// logging from inside the sink would self-deadlock).
-  void write(LogLevel level, const std::string& message)
-      CR_EXCLUDES(write_mutex_);
-
- private:
-  Logger() = default;
-  /// Serializes the stderr sink; no data member is guarded (the stream is
-  /// process-global), the capability only scopes the line-atomic write.
-  Mutex write_mutex_;
-  std::atomic<LogLevel> level_{LogLevel::Warn};
-};
-
 namespace detail {
-/// Stream-style one-shot message builder: emits on destruction.
-class LogLine {
+/// Stream-style one-shot message builder: writes its line on destruction.
+/// Must not be used while another WarnLine of this thread is being
+/// written (re-entrant logging from inside the sink would self-deadlock).
+class WarnLine {
  public:
-  explicit LogLine(LogLevel level) : level_(level) {}
-  LogLine(const LogLine&) = delete;
-  LogLine& operator=(const LogLine&) = delete;
-  ~LogLine();
+  WarnLine() = default;
+  WarnLine(const WarnLine&) = delete;
+  WarnLine& operator=(const WarnLine&) = delete;
+  ~WarnLine();
 
   template <typename T>
-  LogLine& operator<<(const T& value) {
-    if (Logger::instance().enabled(level_)) {
-      stream_ << value;
-    }
+  WarnLine& operator<<(const T& value) {
+    stream_ << value;
     return *this;
   }
 
  private:
-  LogLevel level_;
   std::ostringstream stream_;
 };
 }  // namespace detail
 
-inline detail::LogLine log_debug() {
-  return detail::LogLine(LogLevel::Debug);
-}
-inline detail::LogLine log_info() { return detail::LogLine(LogLevel::Info); }
-inline detail::LogLine log_warn() { return detail::LogLine(LogLevel::Warn); }
-inline detail::LogLine log_error() { return detail::LogLine(LogLevel::Error); }
+/// `log_warn() << "x = " << 1;` writes "[WARN ] x = 1" to stderr.
+inline detail::WarnLine log_warn() { return detail::WarnLine(); }
 
 }  // namespace crowdrank

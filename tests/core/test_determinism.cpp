@@ -18,6 +18,7 @@
 #include "core/saps_kernel.hpp"
 #include "core/truth_discovery.hpp"
 #include "crowdrank.hpp"
+#include "propagation_reference.hpp"
 #include "saps_reference.hpp"
 #include "truth_discovery_reference.hpp"
 #include "util/matrix.hpp"
@@ -89,7 +90,7 @@ TEST_F(DeterminismTest,
   // The sparse-first hybrid adds two parallel kernels to the hot path
   // (Gustavson CSR x CSR and its fused carry variant) plus a mid-loop
   // representation handoff; the closure must not depend on the thread
-  // count at any fill threshold.
+  // count.
   Rng rng(29);
   std::vector<WeightedEdge> edges;
   const auto has_edge = [&edges](VertexId from, VertexId to) {
@@ -114,19 +115,87 @@ TEST_F(DeterminismTest,
   // The doubling's own length for n = 60: keeps the run on the doubling
   // whether or not the auto horizon's Perron limit would hold here.
   config.spectral_horizon = 64;
-  for (const double threshold : {0.15, 1.0}) {
-    config.fill_threshold = threshold;
-    set_thread_count(1);
-    PropagationStats serial_stats;
-    const Matrix serial = propagate_preferences(g, config, &serial_stats);
-    for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+  set_thread_count(1);
+  PropagationStats serial_stats;
+  const Matrix serial = propagate_preferences(g, config, &serial_stats);
+  EXPECT_GT(serial_stats.sparse_flops, 0u);
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+    set_thread_count(threads);
+    PropagationStats stats;
+    const Matrix parallel = propagate_preferences(g, config, &stats);
+    EXPECT_EQ(serial, parallel) << "threads = " << threads;
+    EXPECT_EQ(stats.densify_step, serial_stats.densify_step);
+    EXPECT_EQ(stats.sparse_flops, serial_stats.sparse_flops);
+  }
+}
+
+TEST_F(DeterminismTest, DoublingEqualsTheDenseOracle) {
+  // Step 3's doubling runs on CSR kernels until the state's fill passes
+  // 20%, then densely. Wherever it switches (at step 1, at a later step,
+  // or never), its closure is the all-dense recurrence's
+  // (propagation_reference.hpp) bit for bit, at 1 and at 4 threads.
+  const auto chain = [](std::size_t n, double forward) {
+    std::vector<WeightedEdge> edges;
+    for (VertexId i = 0; i + 1 < n; ++i) {
+      edges.push_back({i, i + 1, forward});
+      edges.push_back({i + 1, i, 1.0 - forward});
+    }
+    return PreferenceGraph(n, edges);
+  };
+  Rng rng(37);
+  std::vector<WeightedEdge> half_full;
+  for (VertexId i = 0; i < 24; ++i) {
+    for (VertexId j = i + 1; j < 24; ++j) {
+      if (rng.bernoulli(0.5)) {
+        const double w = rng.uniform(0.55, 0.95);
+        half_full.push_back({i, j, w});
+        half_full.push_back({j, i, 1.0 - w});
+      }
+    }
+  }
+  enum class Dense { AtStepOne, Later, Never };
+  struct Case {
+    const char* name;
+    PreferenceGraph graph;
+    std::size_t horizon;
+    Dense dense;
+  };
+  const std::vector<Case> cases = {
+      {"half-full 24", PreferenceGraph(24, half_full), 32, Dense::AtStepOne},
+      {"33-chain", chain(33, 0.85), 64, Dense::Later},
+      {"40-chain at horizon 4", chain(40, 0.95), 4, Dense::Never},
+  };
+  for (const Case& c : cases) {
+    PropagationConfig config;
+    config.mode = PropagationMode::SpectralLimit;
+    config.spectral_horizon = c.horizon;
+    const Matrix oracle = dense_doubling_closure(c.graph, config);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       set_thread_count(threads);
       PropagationStats stats;
-      const Matrix parallel = propagate_preferences(g, config, &stats);
-      EXPECT_EQ(serial, parallel)
-          << "threads = " << threads << ", threshold = " << threshold;
-      EXPECT_EQ(stats.densify_step, serial_stats.densify_step);
-      EXPECT_EQ(stats.sparse_flops, serial_stats.sparse_flops);
+      const Matrix closure = propagate_preferences(c.graph, config, &stats);
+      EXPECT_EQ(closure, oracle) << c.name << ", threads = " << threads;
+      EXPECT_EQ(stats.doubling_steps,
+                static_cast<std::size_t>(std::countr_zero(c.horizon)))
+          << c.name;
+      switch (c.dense) {
+        case Dense::AtStepOne:
+          EXPECT_EQ(stats.densify_step, 1u) << c.name;
+          EXPECT_EQ(stats.sparse_flops, 0u) << c.name;
+          EXPECT_DOUBLE_EQ(stats.fill_ratio, 1.0) << c.name;
+          break;
+        case Dense::Later:
+          EXPECT_GT(stats.densify_step, 1u) << c.name;
+          EXPECT_GT(stats.sparse_flops, 0u) << c.name;
+          EXPECT_DOUBLE_EQ(stats.fill_ratio, 1.0) << c.name;
+          break;
+        case Dense::Never:
+          EXPECT_EQ(stats.densify_step, 0u) << c.name;
+          EXPECT_GT(stats.sparse_flops, 0u) << c.name;
+          EXPECT_GT(stats.fill_ratio, 0.0) << c.name;
+          EXPECT_LT(stats.fill_ratio, 1.0) << c.name;
+          break;
+      }
     }
   }
 }

@@ -148,51 +148,6 @@ TEST(SpectralPropagation, ClosureHamiltonianAlways) {
   }
 }
 
-TEST(SpectralPropagation, SparseHybridMatchesDenseOracleBitwise) {
-  // The fill threshold picks a *representation*, never a result: the
-  // sparse kernels accumulate in the dense kernels' order, so all-dense
-  // (0.0, the pinned oracle), the hybrid default, and all-sparse (1.0)
-  // closures must agree bit for bit on the same graph.
-  const auto g = smoothed_chain(33, 0.85);
-  PropagationConfig dense_oracle = doubling(33);
-  dense_oracle.fill_threshold = 0.0;
-  PropagationStats dense_stats;
-  const Matrix expected =
-      propagate_preferences(g, dense_oracle, &dense_stats);
-  EXPECT_EQ(dense_stats.densify_step, 1u);
-  EXPECT_EQ(dense_stats.sparse_flops, 0u);
-  EXPECT_DOUBLE_EQ(dense_stats.fill_ratio, 1.0);
-
-  for (const double threshold : {0.10, 0.20, 1.0}) {
-    PropagationConfig hybrid = doubling(33);
-    hybrid.fill_threshold = threshold;
-    PropagationStats stats;
-    const Matrix closure = propagate_preferences(g, hybrid, &stats);
-    EXPECT_EQ(closure, expected) << "threshold = " << threshold;
-    EXPECT_GT(stats.sparse_flops, 0u) << "threshold = " << threshold;
-    EXPECT_EQ(stats.doubling_steps, dense_stats.doubling_steps);
-  }
-
-  // All-sparse never densifies; the chain's closure fills up, so a small
-  // threshold must densify at some step after the first.
-  PropagationConfig all_sparse = doubling(33);
-  all_sparse.fill_threshold = 1.0;
-  PropagationStats sparse_stats;
-  propagate_preferences(g, all_sparse, &sparse_stats);
-  EXPECT_EQ(sparse_stats.densify_step, 0u);
-  EXPECT_GT(sparse_stats.fill_ratio, 0.0);
-
-  // The 33-chain starts at fill 64/1089 ~ 0.06, and one doubling puts the
-  // state past 0.10 — so this threshold runs step 1 sparse and densifies
-  // at a later step, exercising the mid-loop handoff.
-  PropagationConfig tight = doubling(33);
-  tight.fill_threshold = 0.10;
-  PropagationStats tight_stats;
-  propagate_preferences(g, tight, &tight_stats);
-  EXPECT_GT(tight_stats.densify_step, 1u);
-  EXPECT_GT(tight_stats.sparse_flops, 0u);
-}
-
 TEST(SpectralPropagation, HorizonTruncatesTheWalkSum) {
   // A 40-chain with horizon 4 covers only pairs within graph distance 4:
   // the endpoints (39 hops apart) fall back to the uninformative prior,
@@ -220,11 +175,8 @@ TEST(SpectralPropagation, HorizonTruncatesTheWalkSum) {
   EXPECT_EQ(propagate_preferences(g, wide, nullptr), full);
 }
 
-TEST(SpectralPropagation, RejectsInvalidHybridKnobs) {
+TEST(SpectralPropagation, RejectsAHorizonOfOne) {
   const auto g = smoothed_chain(4);
-  PropagationConfig bad_threshold = spectral();
-  bad_threshold.fill_threshold = 1.5;
-  EXPECT_THROW(propagate_preferences(g, bad_threshold, nullptr), Error);
   PropagationConfig bad_horizon = spectral();
   bad_horizon.spectral_horizon = 1;
   EXPECT_THROW(propagate_preferences(g, bad_horizon, nullptr), Error);

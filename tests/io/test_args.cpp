@@ -62,28 +62,5 @@ TEST(Args, RequiredAccessors) {
   EXPECT_THROW(args.require_string("votes"), Error);
 }
 
-TEST(Args, AliasesRewriteOntoCanonicalKeys) {
-  const std::map<std::string, std::string> aliases{
-      {"objects", "object-count"}, {"quick", "fast"}};
-  std::vector<const char*> argv{"prog", "cmd", "--objects", "50",
-                                "--quick"};
-  const Args args(static_cast<int>(argv.size()), argv.data(), 2,
-                  {"object-count"}, {"fast"}, aliases);
-  EXPECT_TRUE(args.has("object-count"));
-  EXPECT_EQ(args.get_size("object-count", 0), 50u);
-  EXPECT_FALSE(args.has("objects"));  // only the canonical key exists
-  EXPECT_TRUE(args.flag("fast"));
-}
-
-TEST(Args, AliasConflictingWithCanonicalThrows) {
-  const std::map<std::string, std::string> aliases{
-      {"objects", "object-count"}};
-  std::vector<const char*> argv{"prog",           "cmd", "--object-count",
-                                "10",             "--objects", "12"};
-  EXPECT_THROW(Args(static_cast<int>(argv.size()), argv.data(), 2,
-                    {"object-count"}, {}, aliases),
-               Error);
-}
-
 }  // namespace
 }  // namespace crowdrank::io

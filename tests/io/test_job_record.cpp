@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "obs/json.hpp"
 #include "util/error.hpp"
@@ -58,6 +60,96 @@ TEST(JobRecord, MalformedLinesFailWithLineNumber) {
   expect_error("{\"votes\": \"a.csv\", \"votes\": \"b.csv\"}\n",
                "duplicate key");
   expect_error("{\"votes\": \"a.csv\"} trailing\n", "trailing content");
+}
+
+TEST(JobRecord, AcceptedAndRejectedLines) {
+  // One table for the jobs-file edge: each accepted text parses to the
+  // listed ids, seeds and paths; each rejected one throws an Error naming
+  // its line (and, for a raw control byte, its offset in that line).
+  struct Accepted {
+    std::string text;
+    std::vector<std::uint64_t> ids;
+    std::vector<std::uint64_t> seeds;
+    std::vector<std::string> votes;
+  };
+  constexpr std::uint64_t kMax = 18446744073709551615u;
+  const std::vector<Accepted> accepted = {
+      {"{\"id\": 0, \"votes\": \"a.csv\", \"seed\": 0}\n", {0}, {0}, {"a.csv"}},
+      {"{\"id\": 18446744073709551615, \"votes\": \"a.csv\", "
+       "\"seed\": 18446744073709551615}\n",
+       {kMax}, {kMax}, {"a.csv"}},
+      {"{\"votes\": \"a.csv\", \"seed\": 007}", {1}, {7}, {"a.csv"}},
+      {"{\"votes\": \"a.csv\", \"seed\": 5}\r\n{\"votes\": \"b.csv\"}\r\n",
+       {1, 2}, {5, 1}, {"a.csv", "b.csv"}},
+      {"\n  \n\t\n\r\n{\"votes\": \"b.csv\"}\n\n", {1}, {1}, {"b.csv"}},
+      {"  {\"votes\":\"a\\u0041\\\\\\\".csv\",\"id\":3}  \n", {3}, {1},
+       {"aA\\\".csv"}},
+  };
+  for (const Accepted& row : accepted) {
+    SCOPED_TRACE(row.text);
+    std::vector<JobRecord> records;
+    ASSERT_NO_THROW(records = parse_job_records(row.text));
+    ASSERT_EQ(records.size(), row.ids.size());
+    for (std::size_t k = 0; k < records.size(); ++k) {
+      EXPECT_EQ(records[k].id, row.ids[k]);
+      EXPECT_EQ(records[k].seed, row.seeds[k]);
+      EXPECT_EQ(records[k].votes_path, row.votes[k]);
+    }
+  }
+
+  struct Rejected {
+    std::string text;
+    std::vector<std::string> needles;  ///< each must appear in the error
+  };
+  const std::vector<Rejected> rejected = {
+      {"{\"votes\": \"a.csv\", \"id\": 18446744073709551616}\n",
+       {"jobs line 1", "key \"id\": invalid integer"}},
+      {"{\"votes\": \"a.csv\", \"seed\": 1e3}\n",
+       {"jobs line 1", "key \"seed\": invalid integer '1e3'"}},
+      {"{\"votes\": \"a.csv\", \"seed\": -1}\n",
+       {"jobs line 1", "key \"seed\": invalid integer '-1'"}},
+      {"{\"votes\": \"a.csv\", \"seed\": 1.5}\n",
+       {"jobs line 1", "key \"seed\": invalid integer '1.5'"}},
+      {"{\"votes\": \"a.csv\", \"seed\": true}\n",
+       {"jobs line 1", "key \"seed\""}},
+      {"{\"votes\": \"a.csv\", \"seed\": [1, 2]}\n", {"jobs line 1"}},
+      {"{\"votes\": \"a.csv\", \"extra\": {\"a\": 1}}\n", {"jobs line 1"}},
+      {"{\"votes\": {\"path\": \"a.csv\"}}\n", {"jobs line 1"}},
+      {"{\"votes\": [\"a.csv\"]}\n", {"jobs line 1"}},
+      {"{\"votes\": \"a.csv\", \"votes\": \"b.csv\"}\n",
+       {"jobs line 1", "duplicate key \"votes\""}},
+      {"{\"votes\": \"a.csv\", \"seed\": 1, \"seed\": 1}\n",
+       {"jobs line 1", "duplicate key \"seed\""}},
+      {"{\"votes\": \"a.csv\", \"bogus\": 1}\n",
+       {"jobs line 1", "unknown key \"bogus\""}},
+      {"{\"seed\": 3}\n", {"jobs line 1", "missing required key \"votes\""}},
+      {"{}\n", {"jobs line 1", "missing required key \"votes\""}},
+      {"{\"votes\": \"a.csv\"}\r\n{\"bogus\": 1}\r\n",
+       {"jobs line 2", "unknown key \"bogus\""}},
+      {"{\"votes\": \"a.csv\"}\n\n{\"votes\": \"b.csv\", \"seed\": x}\n",
+       {"jobs line 3"}},
+      {"[1]\n", {"jobs line 1"}},
+      {"{\"votes\": \"a.csv\"} trailing\n", {"jobs line 1"}},
+      {"{\"votes\": \"a.csv\"\n", {"jobs line 1"}},
+      {"{\"votes\": \"a\x01.csv\"}\n",
+       {"jobs line 1", "raw control byte 0x01", "offset 12"}},
+      {"{\"votes\": \"a\tb\"}\n",
+       {"jobs line 1", "raw control byte 0x09", "offset 12"}},
+      {"{\"votes\": \"a.csv\"}\n{\"votes\": \"b\x1f\"}\n",
+       {"jobs line 2", "raw control byte 0x1f", "offset 12"}},
+  };
+  for (const Rejected& row : rejected) {
+    SCOPED_TRACE(row.text);
+    try {
+      parse_job_records(row.text);
+      ADD_FAILURE() << "accepted";
+    } catch (const Error& e) {
+      for (const std::string& needle : row.needles) {
+        EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+            << e.what() << " lacks " << needle;
+      }
+    }
+  }
 }
 
 TEST(JobRecord, FormatParseRoundTrip) {
@@ -135,7 +227,8 @@ TEST(JobRecord, ControlBytesRoundTripAsValidJson) {
         << bad;
   }
   // JSON forbids a raw byte below 0x20 inside a string, as json.loads
-  // does: both readers reject it and name its offset.
+  // does: the reader rejects it and names its offset, and a jobs file
+  // names the line too.
   const auto error_of = [](const auto& parse) {
     try {
       parse();
@@ -146,7 +239,7 @@ TEST(JobRecord, ControlBytesRoundTripAsValidJson) {
   };
   const std::string raw_jobs = "{\"votes\": \"a\x01.csv\"}\n";
   EXPECT_NE(error_of([&] { parse_job_records(raw_jobs); })
-                .find("raw control byte 0x01 at offset 12"),
+                .find("jobs line 1: json offset 12: raw control byte 0x01"),
             std::string::npos)
       << error_of([&] { parse_job_records(raw_jobs); });
   const std::string raw_result = "{\"reason\": \"bad\x01\"}";

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "obs/json.hpp"
+#include "util/error.hpp"
 #include "util/metrics.hpp"
 
 namespace crowdrank::obs {
@@ -187,6 +188,37 @@ TEST(ExpositionTest, EmptySnapshotStillSerializesValidJson) {
   EXPECT_TRUE(root.find("counters")->members.empty());
   ASSERT_NE(root.find("events"), nullptr);
   EXPECT_TRUE(root.find("events")->items.empty());
+}
+
+TEST(ExpositionTest, ParserCapsNestingDepth) {
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  JsonValue deepest = parse_json(nested(kMaxJsonDepth));
+  for (std::size_t level = 1; level < kMaxJsonDepth; ++level) {
+    ASSERT_EQ(deepest.items.size(), 1u);
+    const JsonValue inner = deepest.items[0];
+    deepest = inner;
+  }
+  EXPECT_TRUE(deepest.is_array());
+  EXPECT_TRUE(deepest.items.empty());
+  EXPECT_THROW(parse_json(nested(kMaxJsonDepth + 1)), Error);
+  EXPECT_THROW(parse_json("{\"a\": " + nested(kMaxJsonDepth) + "}"), Error);
+  // One line an appender could leave behind: a throw, not a stack
+  // overflow.
+  EXPECT_THROW(parse_json(std::string(200000, '[')), Error);
+}
+
+TEST(ExpositionTest, ParserKeepsEachNumbersLiteral) {
+  const JsonValue doc =
+      parse_json("[18446744073709551615, 007, -1.5e3, 0]");
+  ASSERT_EQ(doc.items.size(), 4u);
+  EXPECT_EQ(doc.items[0].string, "18446744073709551615");
+  EXPECT_EQ(doc.items[1].string, "007");
+  EXPECT_DOUBLE_EQ(doc.items[1].number, 7.0);
+  EXPECT_EQ(doc.items[2].string, "-1.5e3");
+  EXPECT_DOUBLE_EQ(doc.items[2].number, -1500.0);
+  EXPECT_EQ(doc.items[3].string, "0");
 }
 
 }  // namespace

@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -24,6 +26,7 @@
 #include "obs/json.hpp"
 #include "obs/telemetry.hpp"
 #include "service/api.hpp"
+#include "util/error.hpp"
 #include "util/trace.hpp"
 
 namespace crowdrank::service {
@@ -351,6 +354,58 @@ TEST(ServiceTest, DrainReturnsSubmissionOrder) {
     EXPECT_EQ(results[k].id, ids[k]);
     EXPECT_EQ(results[k].outcome, JobOutcome::Completed);
   }
+}
+
+TEST(ServiceTest, EachResultIsClaimedOnce) {
+  RankingService svc;
+  std::vector<std::uint64_t> ids;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    RankingJob job = clean_job();
+    job.seed = seed;
+    ids.push_back(svc.submit(std::move(job)));
+  }
+  EXPECT_EQ(svc.wait(ids[1]).id, ids[1]);
+  EXPECT_THROW(svc.wait(ids[1]), Error);
+  // drain claims the rest, in submission order, and nothing twice.
+  const std::vector<JobResult> rest = svc.drain();
+  ASSERT_EQ(rest.size(), 3u);
+  EXPECT_EQ(rest[0].id, ids[0]);
+  EXPECT_EQ(rest[1].id, ids[2]);
+  EXPECT_EQ(rest[2].id, ids[3]);
+  EXPECT_TRUE(svc.drain().empty());
+  EXPECT_THROW(svc.wait(ids[0]), Error);
+  EXPECT_FALSE(svc.cancel(ids[0]));
+  EXPECT_EQ(svc.stats().retained, 0u);
+  EXPECT_EQ(svc.stats().completed, 4u);
+}
+
+TEST(ServiceTest, RetainedTicketsStayWithinTheJobsInFlight) {
+  // A caller that waits on each job keeps the service's memory flat: the
+  // tickets held never outnumber the jobs in flight.
+  ServiceConfig config;
+  config.worker_count = 2;
+  RankingService svc(config);
+  constexpr std::size_t kJobs = 10000;
+  constexpr std::size_t kInFlight = 4;
+  std::deque<std::uint64_t> in_flight;
+  std::size_t submitted = 0;
+  std::size_t most_retained = 0;
+  while (submitted < kJobs || !in_flight.empty()) {
+    while (submitted < kJobs && in_flight.size() < kInFlight) {
+      RankingJob job = clean_job(3);
+      job.seed = submitted++;
+      job.inference.saps.iterations = 1;  // the service is under test
+      in_flight.push_back(svc.submit(std::move(job)));
+    }
+    ASSERT_EQ(svc.wait(in_flight.front()).outcome, JobOutcome::Completed);
+    in_flight.pop_front();
+    const std::size_t retained = svc.stats().retained;
+    ASSERT_LE(retained, in_flight.size());
+    most_retained = std::max(most_retained, retained);
+  }
+  EXPECT_EQ(most_retained, kInFlight - 1);
+  EXPECT_EQ(svc.stats().completed, kJobs);
+  EXPECT_TRUE(svc.drain().empty());
 }
 
 // ---------------------------------------------------------------------

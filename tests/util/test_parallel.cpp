@@ -129,34 +129,29 @@ TEST_F(ParallelTest, ConfiguredThreadCountIsPositive) {
 }
 
 TEST_F(ParallelTest, ConcurrentLogWritesNeverInterleaveMidLine) {
-  // Logger::write is mutex-guarded (util/logging.hpp); lines written from
-  // every pool lane at once must come out whole. Capture stderr via an
-  // rdbuf swap, fan out writers, then check each captured line verbatim.
-  // This test (in the TSan preset's suite) also gives the sanitizer a
-  // concurrent-logging workload to chew on.
+  // log_warn writes each line under a mutex (util/logging.hpp); lines
+  // written from every pool lane at once must come out whole. Capture
+  // stderr via an rdbuf swap, fan out writers, then check each captured
+  // line verbatim. This test (in the TSan preset's suite) also gives the
+  // sanitizer a concurrent-logging workload to chew on.
   set_thread_count(4);
-  Logger& logger = Logger::instance();
-  const LogLevel old_level = logger.level();
-  logger.set_level(LogLevel::Info);
 
   std::ostringstream captured;
   std::streambuf* old_buf = std::cerr.rdbuf(captured.rdbuf());
   parallel_for(0, 64, 1, [&](std::size_t b, std::size_t e) {
     for (std::size_t i = b; i < e; ++i) {
-      logger.write(LogLevel::Info,
-                   "message-" + std::to_string(i) + "-payload");
+      log_warn() << "message-" << i << "-payload";
     }
   });
   std::cerr.rdbuf(old_buf);
-  logger.set_level(old_level);
 
   std::istringstream lines(captured.str());
   std::string line;
   std::size_t count = 0;
   while (std::getline(lines, line)) {
     ++count;
-    // "[INFO ] message-<i>-payload" with nothing spliced into the middle.
-    ASSERT_EQ(line.rfind("[INFO ] message-", 0), 0u) << line;
+    // "[WARN ] message-<i>-payload" with nothing spliced into the middle.
+    ASSERT_EQ(line.rfind("[WARN ] message-", 0), 0u) << line;
     ASSERT_EQ(line.substr(line.size() - 8), "-payload") << line;
   }
   EXPECT_EQ(count, 64u);

@@ -1,6 +1,7 @@
 // Unit tests for error contracts, table rendering, timers, and logging.
 #include <gtest/gtest.h>
 
+#include <iostream>
 #include <sstream>
 #include <string>
 
@@ -80,25 +81,12 @@ TEST(Timer, StopwatchAdvances) {
   EXPECT_GT(w.elapsed_millis(), 0.0);
 }
 
-TEST(Logging, LevelGating) {
-  Logger& logger = Logger::instance();
-  const LogLevel saved = logger.level();
-  logger.set_level(LogLevel::Warn);
-  EXPECT_FALSE(logger.enabled(LogLevel::Debug));
-  EXPECT_FALSE(logger.enabled(LogLevel::Info));
-  EXPECT_TRUE(logger.enabled(LogLevel::Warn));
-  EXPECT_TRUE(logger.enabled(LogLevel::Error));
-  logger.set_level(LogLevel::Off);
-  EXPECT_FALSE(logger.enabled(LogLevel::Error));
-  logger.set_level(saved);
-}
-
-TEST(Logging, StreamBuilderDoesNotThrow) {
-  Logger& logger = Logger::instance();
-  const LogLevel saved = logger.level();
-  logger.set_level(LogLevel::Off);
-  EXPECT_NO_THROW(log_info() << "value: " << 42);
-  logger.set_level(saved);
+TEST(Logging, WarnWritesOneLine) {
+  std::ostringstream captured;
+  std::streambuf* old_buf = std::cerr.rdbuf(captured.rdbuf());
+  log_warn() << "value: " << 42;
+  std::cerr.rdbuf(old_buf);
+  EXPECT_EQ(captured.str(), "[WARN ] value: 42\n");
 }
 
 }  // namespace

@@ -20,10 +20,10 @@ quietly break that promise, so this script bans them in src/:
                     containers or smart pointers ('= delete' is fine).
   stderr-outside-logger
                     writing std::cerr / fprintf(stderr, ...) directly —
-                    diagnostics in src/ go through util/logging.hpp so
-                    level filtering and line-atomic output hold
-                    everywhere; the logger's own sink
-                    (src/util/logging.cpp) carries the one lint:allow.
+                    diagnostics in src/ go through util/logging.hpp's
+                    log_warn so line-atomic output holds everywhere; its
+                    own sink (src/util/logging.cpp) carries the one
+                    lint:allow.
   raw-intrinsics    including <immintrin.h> or naming _mm*/__m128/__m256/
                     __m512 vector types and intrinsics outside the simd
                     layer (src/util/simd.hpp, src/util/kernels_avx2.cpp).
