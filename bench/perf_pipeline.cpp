@@ -13,9 +13,10 @@
 //    the auto horizon, three times the n of perfbench's paper_n1000. The
 //    bench fails if step 3 falls back from the Perron limit there; the
 //    ratchet holds its wall times and accuracy.
-//  * telemetry_overhead: one service stream with the telemetry plane
-//    (flight recorder and snapshot exporter) on and off. The bench fails
-//    if the telemetry-on stream exceeds the 3% budget.
+//  * telemetry_overhead: the same jobs through a service with the
+//    telemetry plane (flight recorder and snapshot exporter) on and one
+//    with it off, in alternating pairs of short blocks. The bench fails if
+//    the median pair puts telemetry-on over the 3% budget.
 //  * pool_overlap: 50 regions of the kernel pool at two lanes, each of two
 //    1-ms chunks. Lanes that run side by side finish a region in ~1 ms,
 //    and lanes queued on one CPU in ~2 ms. The bench fails if the median
@@ -28,6 +29,7 @@
 // the bench fails if that run records no `infer` span.
 #include <algorithm>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -227,72 +229,145 @@ VoteBatch make_batch(std::size_t n, std::size_t workers, Rng& rng) {
   return votes;
 }
 
-/// Wall milliseconds of a `job_count`-job stream through a one-executor
-/// service, with `telemetry` attached when it is not null.
-double serve_ms(const VoteBatch& votes, std::size_t object_count,
-                std::size_t job_count, obs::Telemetry* telemetry) {
-  service::ServiceConfig config;
-  config.worker_count = 1;
-  config.queue_capacity = job_count;
-  config.telemetry = telemetry;
-  service::RankingService svc(config);
+/// Wall milliseconds to submit `job_count` jobs, seeded from `seed` up,
+/// to `svc` and drain them.
+double block_ms(service::RankingService& svc, const VoteBatch& votes,
+                std::size_t object_count, std::size_t job_count,
+                std::uint64_t seed) {
   const Stopwatch wall;
   for (std::size_t k = 0; k < job_count; ++k) {
     service::RankingJob job;
     job.votes = votes;
     job.object_count = object_count;
-    job.seed = k + 1;
+    job.seed = seed + k;
     svc.submit(std::move(job));
   }
   svc.drain();
   return wall.elapsed_millis();
 }
 
-/// The telemetry_overhead row: the same 40-job stream with the full
-/// observability plane on (flight recorder plus snapshot exporter at a
-/// service-realistic period) and off, best of two each to shave scheduler
-/// noise. The additive floor keeps the 3% band meaningful on a stream
-/// short enough that two back-to-back runs jitter by more than the budget.
-/// Returns false when the telemetry-on stream exceeds it.
+/// Pins the calling thread to the CPU it is running on until the scope
+/// ends, then restores its CPU mask. Threads it starts meanwhile inherit
+/// the one CPU. A no-op off Linux.
+class PinToCurrentCpu {
+ public:
+  PinToCurrentCpu() {
+#if defined(__linux__)
+    const int cpu = sched_getcpu();
+    if (cpu >= 0 && sched_getaffinity(0, sizeof(saved_), &saved_) == 0) {
+      cpu_set_t one;
+      CPU_ZERO(&one);
+      CPU_SET(cpu, &one);
+      pinned_ = sched_setaffinity(0, sizeof(one), &one) == 0;
+    }
+#endif
+  }
+  ~PinToCurrentCpu() {
+#if defined(__linux__)
+    if (pinned_) {
+      sched_setaffinity(0, sizeof(saved_), &saved_);
+    }
+#endif
+  }
+  PinToCurrentCpu(const PinToCurrentCpu&) = delete;
+  PinToCurrentCpu& operator=(const PinToCurrentCpu&) = delete;
+
+ private:
+#if defined(__linux__)
+  cpu_set_t saved_{};
+  bool pinned_ = false;
+#endif
+};
+
+/// The upper median of `values`.
+double median_of(std::vector<double> values) {
+  const auto mid =
+      values.begin() + static_cast<std::ptrdiff_t>(values.size() / 2);
+  std::nth_element(values.begin(), mid, values.end());
+  return *mid;
+}
+
+/// The telemetry_overhead row: two one-executor services, one with the
+/// full observability plane attached (flight recorder plus snapshot
+/// exporter at a service-realistic period), fed the same 2-job blocks in
+/// 80 alternating pairs (off then on, then on then off). A host-wide slow
+/// spell outlasts a pair by far, so it scales both halves alike and leaves
+/// the pair's on/off ratio alone, and the median ratio discards the pairs
+/// a shorter spike hit. Both executors and the exporter run on the
+/// caller's CPU: on separate CPUs, a CPU the host keeps busy (disk
+/// writeback, say) slowed one service for a whole run, by up to 25%. So
+/// the median moves by a point or two from run to run, and the 3% budget
+/// resolves a per-job cost that a whole-stream comparison loses in its
+/// run-to-run spread. The exporter thread runs through both halves, so the
+/// row prices the per-job hooks. Returns false when the median pair puts
+/// telemetry-on over the budget.
 bool run_telemetry_overhead(trace::RunReport& report) {
   namespace fs = std::filesystem;
   constexpr std::size_t n = 16;
-  constexpr std::size_t job_count = 40;
-  constexpr int kReps = 2;
+  constexpr std::size_t kBlockJobs = 2;
+  constexpr std::size_t kPairs = 80;
+  constexpr double kBudgetPct = 3.0;
   Rng rng(2024);
   const VoteBatch votes = make_batch(n, 8, rng);
   const fs::path dir =
       fs::temp_directory_path() / "crowdrank_bench_telemetry";
   fs::remove_all(dir);
-  double off_ms = 0.0;
-  double on_ms = 0.0;
-  for (int rep = 0; rep < kReps; ++rep) {
-    const double off = serve_ms(votes, n, job_count, nullptr);
-    off_ms = rep == 0 ? off : std::min(off_ms, off);
-    obs::TelemetryConfig config;
-    config.directory = (dir / ("rep_" + std::to_string(rep))).string();
-    config.period = std::chrono::milliseconds(50);
-    obs::Telemetry telemetry(std::move(config), /*executor_count=*/1);
-    const double on = serve_ms(votes, n, job_count, &telemetry);
-    on_ms = rep == 0 ? on : std::min(on_ms, on);
+  std::vector<double> off_ms;
+  std::vector<double> on_ms;
+  std::vector<double> ratios;
+  {
+    const PinToCurrentCpu pin;
+    obs::TelemetryConfig telemetry_config;
+    telemetry_config.directory = dir.string();
+    telemetry_config.period = std::chrono::milliseconds(50);
+    obs::Telemetry telemetry(std::move(telemetry_config),
+                             /*executor_count=*/1);
+    service::ServiceConfig off_config;
+    off_config.worker_count = 1;
+    off_config.queue_capacity = kBlockJobs;
+    service::ServiceConfig on_config = off_config;
+    on_config.telemetry = &telemetry;
+    // Declared after the telemetry plane, so both stop before it does.
+    service::RankingService off_svc(off_config);
+    service::RankingService on_svc(on_config);
+    // One untimed block each starts the executors and warms the caches.
+    std::uint64_t seed = 1;
+    block_ms(off_svc, votes, n, kBlockJobs, seed);
+    block_ms(on_svc, votes, n, kBlockJobs, seed);
+    for (std::size_t p = 0; p < kPairs; ++p) {
+      seed += kBlockJobs;
+      const bool on_first = p % 2 == 1;
+      const double first = block_ms(on_first ? on_svc : off_svc, votes, n,
+                                    kBlockJobs, seed);
+      const double second = block_ms(on_first ? off_svc : on_svc, votes, n,
+                                     kBlockJobs, seed);
+      off_ms.push_back(on_first ? second : first);
+      on_ms.push_back(on_first ? first : second);
+      ratios.push_back(on_ms.back() / off_ms.back());
+    }
   }
   fs::remove_all(dir);
-  const double overhead_pct = 100.0 * (on_ms - off_ms) / off_ms;
-  const bool ok = on_ms <= off_ms * 1.03 + 50.0;
-  std::cout << "\ntelemetry overhead (" << job_count
-            << " jobs, 1 executor, best of " << kReps << "): off "
-            << TableWriter::fmt(off_ms, 1) << " ms, on "
-            << TableWriter::fmt(on_ms, 1) << " ms ("
-            << TableWriter::fmt(overhead_pct, 2) << "%), "
-            << (ok ? "within" : "EXCEEDS") << " the 3% budget\n";
+  const double overhead_pct = 100.0 * (median_of(ratios) - 1.0);
+  const bool ok = overhead_pct <= kBudgetPct;
+  std::cout << "\ntelemetry overhead (" << kPairs << " alternating pairs of "
+            << kBlockJobs << "-job blocks, 1 executor): median block off "
+            << TableWriter::fmt(median_of(off_ms), 2) << " ms, on "
+            << TableWriter::fmt(median_of(on_ms), 2)
+            << " ms, median pair " << TableWriter::fmt(overhead_pct, 2)
+            << "%, " << (ok ? "within" : "EXCEEDS") << " the "
+            << kBudgetPct << "% budget\n";
 
   trace::RunReport::Run& run = report.add_run("telemetry_overhead");
-  run.note("wall_off_ms", off_ms);
-  run.note("wall_on_ms", on_ms);
+  run.note("pairs", static_cast<std::int64_t>(kPairs));
+  run.note("block_jobs", static_cast<std::int64_t>(kBlockJobs));
+  run.note("budget_pct", kBudgetPct);
+  run.note("wall_off_ms", median_of(off_ms));
+  run.note("wall_on_ms", median_of(on_ms));
   run.note("overhead_pct", overhead_pct);
   run.note("telemetry_overhead_ok", ok);
   if (!ok) {
-    std::cerr << "ERROR: telemetry overhead exceeds the 3% budget\n";
+    std::cerr << "ERROR: telemetry overhead exceeds the " << kBudgetPct
+              << "% budget\n";
   }
   return ok;
 }
@@ -327,9 +402,7 @@ bool run_pool_overlap(trace::RunReport& report) {
     region_ms.push_back(watch.elapsed_millis());
   }
   set_thread_count(width);
-  std::nth_element(region_ms.begin(), region_ms.begin() + kRegions / 2,
-                   region_ms.end());
-  const double median_ms = region_ms[kRegions / 2];
+  const double median_ms = median_of(std::move(region_ms));
   const std::size_t cpus = allowed_cpus();
   const bool skipped = cpus < 2;
   const bool ok = skipped || median_ms < kLimitMs;

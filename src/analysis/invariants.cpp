@@ -214,77 +214,6 @@ void check_preference_graph(const CsrAdjacency& graph) {
   }
 }
 
-void check_sparse_matrix(const SparseMatrix& matrix) {
-  constexpr const char* kStage = "sparse_matrix";
-  note_check(kStage);
-  const std::span<const std::size_t> row_ptr = matrix.row_ptr();
-  const std::span<const std::uint32_t> cols = matrix.col_indices();
-  const std::span<const double> values = matrix.values();
-  if (row_ptr.size() != matrix.rows() + 1 || row_ptr.front() != 0 ||
-      row_ptr.back() != values.size() || cols.size() != values.size()) {
-    fail(kStage, "CSR arrays disagree with the declared shape");
-  }
-  for (std::size_t i = 0; i < matrix.rows(); ++i) {
-    const std::size_t begin = row_ptr[i];
-    const std::size_t end = row_ptr[i + 1];
-    if (end < begin) {
-      std::ostringstream os;
-      os << "row_ptr not monotone at row " << i;
-      fail(kStage, os.str());
-    }
-    for (std::size_t e = begin; e < end; ++e) {
-      if (cols[e] >= matrix.cols() ||
-          (e > begin && cols[e - 1] >= cols[e])) {
-        std::ostringstream os;
-        os << "row " << i << " columns not strictly ascending valid "
-           << "indices at entry " << e - begin;
-        fail(kStage, os.str());
-      }
-      if (!std::isfinite(values[e]) || values[e] == 0.0) {
-        std::ostringstream os;
-        os << "stored value " << values[e] << " at "
-           << pair_str(i, cols[e]) << " is zero or non-finite";
-        fail(kStage, os.str());
-      }
-    }
-  }
-}
-
-void check_sparse_dense_consistency(const SparseMatrix& sparse,
-                                    const Matrix& dense) {
-  constexpr const char* kStage = "sparse_dense_consistency";
-  note_check(kStage);
-  if (dense.rows() != sparse.rows() || dense.cols() != sparse.cols()) {
-    fail(kStage, "dense shape disagrees with the sparse matrix");
-  }
-  const std::span<const std::size_t> row_ptr = sparse.row_ptr();
-  const std::span<const std::uint32_t> cols = sparse.col_indices();
-  const std::span<const double> values = sparse.values();
-  for (std::size_t i = 0; i < sparse.rows(); ++i) {
-    std::size_t e = row_ptr[i];
-    const std::size_t end = row_ptr[i + 1];
-    for (std::size_t j = 0; j < sparse.cols(); ++j) {
-      const bool stored = e < end && cols[e] == j;
-      const double expected = stored ? values[e] : 0.0;
-      if (dense(i, j) != expected) {
-        std::ostringstream os;
-        os << "dense entry " << dense(i, j) << " at " << pair_str(i, j)
-           << (stored ? " disagrees with stored value "
-                      : " should be absent, expected ")
-           << expected;
-        fail(kStage, os.str());
-      }
-      if (stored) ++e;
-    }
-    if (e != end) {
-      std::ostringstream os;
-      os << "row " << i << " has stored entries the dense scan never "
-         << "visited";
-      fail(kStage, os.str());
-    }
-  }
-}
-
 void check_smoothing(const PreferenceGraph& direct,
                      const PreferenceGraph& smoothed,
                      const SmoothingConfig& config) {

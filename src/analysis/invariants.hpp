@@ -36,7 +36,6 @@
 #include "metrics/ranking.hpp"
 #include "util/error.hpp"
 #include "util/matrix.hpp"
-#include "util/sparse_matrix.hpp"
 
 namespace crowdrank::analysis {
 
@@ -85,17 +84,6 @@ void check_truth_discovery(const TruthDiscoveryResult& step1,
 /// stored weight lies in (0, 1]. Takes the CSR itself (a graph passes
 /// `out_csr()`) so tests can corrupt a detached copy.
 void check_preference_graph(const CsrAdjacency& graph);
-
-/// SparseMatrix structural invariants (the sparse-first propagation state,
-/// checked at the densify boundary): row_ptr spans [0, nnz] monotonically
-/// with rows + 1 slots, per-row column indices strictly ascending and in
-/// range, every stored value finite and nonzero.
-void check_sparse_matrix(const SparseMatrix& matrix);
-
-/// Cross-representation check: `dense` holds exactly the sparse matrix's
-/// stored entries (bit-equal values) and 0.0 everywhere else.
-void check_sparse_dense_consistency(const SparseMatrix& sparse,
-                                    const Matrix& dense);
 
 /// Step 2 (§V-B): smoothing touched exactly the 1-edges. For every
 /// 1-edge of `direct` the smoothed pair carries total mass 1 with the

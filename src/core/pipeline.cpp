@@ -94,8 +94,8 @@ std::vector<ConfigError> InferenceConfig::validate() const {
         "smoothing.min_mass", "must not exceed smoothing.max_mass");
   check(errors, smoothing.max_mass < 0.5, "smoothing.max_mass",
         "must stay below 0.5 so the forward direction stays preferred");
-  check(errors, propagation.max_length >= 1, "propagation.max_length",
-        "must be at least 1");
+  check(errors, propagation.max_length >= 2, "propagation.max_length",
+        "must be at least 2 (indirect paths have length >= 2)");
   check(errors, propagation.alpha >= 0.0 && propagation.alpha <= 1.0,
         "propagation.alpha", "must lie in [0, 1]");
   check(errors,
@@ -291,10 +291,7 @@ InferenceResult InferenceEngine::infer_impl(const VoteBatch& votes,
                     result.step3.pairs_without_evidence);
       span.set_attr("complete", result.step3.complete);
       if (config_.propagation.mode == PropagationMode::SpectralLimit) {
-        span.set_attr("fill_ratio", result.step3.fill_ratio);
-        span.set_attr("densify_step", result.step3.densify_step);
         span.set_attr("doubling_steps", result.step3.doubling_steps);
-        span.set_attr("sparse_flops", result.step3.sparse_flops);
         span.set_attr("perron_iterations", result.step3.perron_iterations);
         span.set_attr("perron_ratio", result.step3.perron_ratio);
         span.set_attr("perron_fallback", result.step3.perron_fallback);

@@ -6,11 +6,9 @@
 #include <limits>
 #include <vector>
 
-#include "analysis/invariants.hpp"
 #include "graph/transitive_closure.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
-#include "util/sparse_matrix.hpp"
 #include "util/trace.hpp"
 
 namespace crowdrank {
@@ -34,15 +32,9 @@ constexpr std::size_t kPerronPoolEdges = std::size_t{1} << 15;
 /// Rows per pool task in a power-iteration pass.
 constexpr std::size_t kPerronRowGrain = 64;
 
-/// Stored-entry fill of the doubling state past which it leaves the CSR
-/// kernels and finishes densely. Below ~15-25% fill the Gustavson
-/// CSR x CSR product does strictly less work than the blocked dense
-/// kernel; past it the dense kernel's constant factor wins. The kernels
-/// agree bit for bit, so this picks the speed, never the closure.
-constexpr double kDensifyFill = 0.20;
-
-/// The dense n x n weight matrix of a CSR graph, for the BoundedWalks and
-/// ExactPaths engines, which are dense by nature: the one place this file
+/// The dense n x n weight matrix of a CSR graph: the doubling's starting
+/// state, and the direct matrix of the BoundedWalks and ExactPaths
+/// engines, which are dense by nature. The one place this file
 /// materializes a pre-closure graph densely.
 Matrix dense_weights(const CsrAdjacency& adj) {
   const std::size_t n = adj.vertex_count();
@@ -58,16 +50,9 @@ Matrix dense_weights(const CsrAdjacency& adj) {
 /// S = sum_{k=1..L} W^k by doubling, max-renormalized each step (only the
 /// entry *ratios* of S survive, which is all the pair-normalized closure
 /// needs). L = smallest power of two >= the configured target length.
-///
-/// Sparse-first hybrid: the doubling starts on the smoothed graph's CSR
-/// view and runs on SparseMatrix kernels while the state's fill stays
-/// at or under kDensifyFill; the moment a step would run past it the
-/// state densifies once and the loop finishes on the blocked dense Matrix
-/// kernels. The sparse kernels accumulate every output element in the
-/// same ascending-k order as the dense ones, so where the representation
-/// switches is unobservable in the result: the sum is bitwise-identical
-/// to the dense-from-step-one doubling pinned under tests/core/.
-/// Diagnostics land in `stats` and the propagation.* trace metrics.
+/// Runs on the blocked dense Matrix kernels from the first step: the
+/// recurrence pinned under tests/core/ as the oracle. Diagnostics land in
+/// `stats` and the propagation.* trace metrics.
 Matrix spectral_walk_sum(const PreferenceGraph& smoothed,
                          const PropagationConfig& config,
                          PropagationStats& stats) {
@@ -78,31 +63,15 @@ Matrix spectral_walk_sum(const PreferenceGraph& smoothed,
 
   // Per-doubling-step trace: the log-scale of W^m ("residual" of the power
   // iteration — how far the high-order terms have decayed), the carry
-  // factor that re-injects S(m), a count of the full-matrix max scans, and
-  // the sparse state's fill per step. Pure observation of existing state.
+  // factor that re-injects S(m), and a count of the full-matrix max scans.
+  // Pure observation of existing state.
   metrics::Counter* trace_steps = trace::counter("propagation.power_steps");
   metrics::Counter* trace_scans =
       trace::counter("propagation.renormalize_scans");
   metrics::Series* trace_lp = trace::series("propagation.lp");
   metrics::Series* trace_carry = trace::series("propagation.carry");
-  metrics::Series* trace_fill = trace::series("propagation.fill_ratio");
 
-  const bool validate = analysis::invariant_checks_enabled();
-
-  // The smoothed graph's CSR is the natural sparse starting point — no
-  // dense scan, no conversion beyond an O(m) copy.
-  const CsrAdjacency& adj = smoothed.out_csr();
-  SparseMatrix s_sparse = SparseMatrix::from_csr(
-      n, n, adj.row_ptr, adj.neighbors, adj.weights);
-
-  const double w_max = s_sparse.max_value();
-  if (trace_scans != nullptr) trace_scans->add(1);
-  if (w_max <= 0.0) {
-    // Edgeless graph: no evidence anywhere.
-    return Matrix(n, n, 0.0);  // lint:allow(dense-in-propagation)
-  }
-
-  const auto renormalize_dense = [&](Matrix& m) {
+  const auto renormalize = [&](Matrix& m) {
     // Parallel exact max-reduce + parallel scale; both are element-disjoint
     // or rounding-free, so the pass is bitwise-stable at any thread count.
     const double max_entry = m.max_value();
@@ -112,49 +81,18 @@ Matrix spectral_walk_sum(const PreferenceGraph& smoothed,
     if (trace_scans != nullptr) trace_scans->add(1);
     return max_entry;
   };
-  const auto renormalize_sparse = [&](SparseMatrix& m) {
-    // Same scan over the stored entries only: absent entries are zeros,
-    // which the dense reduce floors away and the dense scale maps to
-    // 0.0 * s == 0.0 — bit-for-bit the dense pass.
-    const double max_entry = m.max_value();
-    if (max_entry > 0.0) {
-      m *= 1.0 / max_entry;
-    }
-    if (trace_scans != nullptr) trace_scans->add(1);
-    return max_entry;
-  };
 
-  // Invariants: s_hat ∝ S(m), p_hat = W^m / e^{lp} with max entry 1 —
-  // held in exactly one representation at a time.
-  renormalize_sparse(s_sparse);
-  SparseMatrix p_sparse = s_sparse;
-  Matrix s_dense;
-  Matrix p_dense;
+  // Invariants: s_hat ∝ S(m), p_hat = W^m / e^{lp} with max entry 1.
+  Matrix s = dense_weights(smoothed.out_csr());
+  const double w_max = renormalize(s);
+  if (w_max <= 0.0) {
+    return s;  // edgeless graph: no evidence anywhere
+  }
+  stats.fill_ratio = 1.0;
+  Matrix p = s;
   double lp = std::log(w_max);
   std::size_t length = 1;
   std::size_t step = 0;
-  bool sparse = true;
-
-  // The one sanctioned dense-materialization point of the hybrid: both
-  // state matrices cross to the dense representation together, exactly
-  // once per run (tools/crowdrank_lint.py bans dense Matrix construction
-  // in this file everywhere else).
-  const auto densify = [&] {
-    if (validate) {
-      analysis::check_sparse_matrix(s_sparse);
-      analysis::check_sparse_matrix(p_sparse);
-    }
-    s_dense = s_sparse.to_dense();  // lint:allow(dense-in-propagation)
-    p_dense = p_sparse.to_dense();  // lint:allow(dense-in-propagation)
-    if (validate) {
-      analysis::check_sparse_dense_consistency(s_sparse, s_dense);
-      analysis::check_sparse_dense_consistency(p_sparse, p_dense);
-    }
-    s_sparse = SparseMatrix();
-    p_sparse = SparseMatrix();
-    sparse = false;
-    stats.densify_step = step + 1;
-  };
 
   while (length < target) {
     // S(2m) = S(m) + W^m * S(m)  ==>  (up to global scale)
@@ -163,57 +101,26 @@ Matrix spectral_walk_sum(const PreferenceGraph& smoothed,
       // W^m is vanishingly small against S(m): the sum has converged.
       break;
     }
-    if (sparse) {
-      const double fill =
-          std::max(s_sparse.fill_ratio(), p_sparse.fill_ratio());
-      trace::push_series(trace_fill, static_cast<double>(length), fill);
-      if (fill > kDensifyFill) {
-        densify();
-      }
-    }
     // On the final doubling step p_hat is dead after the s update — the
     // loop exits and only s_hat survives — so its squaring (the single
-    // most expensive multiply of the step) is skipped. Applies to both
-    // representations alike; no result bit depends on it.
+    // most expensive multiply of the step) is skipped. No result bit
+    // depends on it.
     const bool last = length * 2 >= target;
-    const bool carry = lp < 700.0;  // outside this band one term dominates
     ++step;
-    if (sparse) {
-      std::uint64_t flops = 0;
-      // The carry add is fused into the product's row pass, mirroring the
-      // dense fused kernel (per element: product terms first, then
-      // + carry * s_hat).
-      SparseMatrix next =
-          carry ? SparseMatrix::multiply_add_scaled(
-                      p_sparse, s_sparse, std::exp(-lp), s_sparse, &flops)
-                : SparseMatrix::multiply(p_sparse, s_sparse, &flops);
-      stats.sparse_flops += flops;
-      renormalize_sparse(next);
-      s_sparse = std::move(next);
-      if (!last) {
-        SparseMatrix p_next =
-            SparseMatrix::multiply(p_sparse, p_sparse, &flops);
-        stats.sparse_flops += flops;
-        const double scale = renormalize_sparse(p_next);
-        p_sparse = std::move(p_next);
-        lp = 2.0 * lp + std::log(std::max(scale, 1e-300));
-      }
-    } else {
-      // The carry add is fused into the product's parallel pass: each row
-      // task applies `+ carry * s_hat` right after producing its rows,
-      // while they are cache-hot, instead of a second full sweep.
-      Matrix next =
-          carry ? Matrix::multiply_add_scaled(p_dense, s_dense,
-                                              std::exp(-lp), s_dense)
-                : Matrix::multiply(p_dense, s_dense);
-      renormalize_dense(next);
-      s_dense = std::move(next);
-      if (!last) {
-        Matrix p_next = Matrix::multiply(p_dense, p_dense);
-        const double scale = renormalize_dense(p_next);
-        p_dense = std::move(p_next);
-        lp = 2.0 * lp + std::log(std::max(scale, 1e-300));
-      }
+    // The carry add is fused into the product's parallel pass: each row
+    // task applies `+ carry * s_hat` right after producing its rows,
+    // while they are cache-hot, instead of a second full sweep. Outside
+    // the carry band one term dominates.
+    Matrix next = lp < 700.0
+                      ? Matrix::multiply_add_scaled(p, s, std::exp(-lp), s)
+                      : Matrix::multiply(p, s);
+    renormalize(next);
+    s = std::move(next);
+    if (!last) {
+      Matrix p_next = Matrix::multiply(p, p);
+      const double scale = renormalize(p_next);
+      p = std::move(p_next);
+      lp = 2.0 * lp + std::log(std::max(scale, 1e-300));
     }
     length *= 2;
 
@@ -228,11 +135,8 @@ Matrix spectral_walk_sum(const PreferenceGraph& smoothed,
     }
   }
   stats.doubling_steps = step;
-  stats.fill_ratio = sparse ? s_sparse.fill_ratio() : 1.0;
-  if (sparse) {
-    return s_sparse.to_dense();  // lint:allow(dense-in-propagation)
-  }
-  return s_dense;
+  stats.densify_step = step > 0 ? 1 : 0;
+  return s;
 }
 
 struct PowerStep {
@@ -420,8 +324,6 @@ Matrix propagate_preferences(const PreferenceGraph& smoothed,
     // One sink snapshot for all (see trace::counter).
     if (trace::TraceSink* sink = trace::sink()) {
       metrics::Registry& registry = sink->metrics();
-      registry.counter("propagation.densify_step").add(local.densify_step);
-      registry.counter("propagation.sparse_flops").add(local.sparse_flops);
       registry.counter("propagation.perron_iterations")
           .add(local.perron_iterations);
       registry.counter("propagation.perron_fallback")
@@ -439,9 +341,8 @@ Matrix propagate_preferences(const PreferenceGraph& smoothed,
     return closure;
   }
 
-  // The bounded-walks / exact-paths engines are inherently dense (they
-  // blend against the dense direct matrix pairwise); the sparse-first
-  // mandate covers only the SpectralLimit branch above.
+  // The bounded-walks / exact-paths engines blend against the dense
+  // direct matrix pairwise.
   const CsrAdjacency& adj = smoothed.out_csr();
   const Matrix direct = dense_weights(adj);
   Matrix indirect =

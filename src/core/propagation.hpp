@@ -46,12 +46,8 @@ enum class PropagationMode {
   ///    is set.
   ///  * Doubling (S(2m) = S(m) + W^m S(m)) with per-step
   ///    max-renormalization so nothing overflows: the fallback, and the
-  ///    only engine for an explicit horizon. It runs sparse-first on CSR
-  ///    kernels while the state's fill stays at or under 20%, then
-  ///    densifies once and finishes on the blocked dense kernels —
-  ///    O(flops performed) in the sparse regime, O(log L * n^3) once
-  ///    dense; both phases are bitwise-identical to the all-dense
-  ///    formulation (the oracle under tests/core/).
+  ///    only engine for an explicit horizon. It runs on the blocked dense
+  ///    kernels from the first step, O(log L * n^3).
   SpectralLimit,
 };
 
@@ -82,9 +78,8 @@ struct PropagationConfig {
   /// explicit horizon always runs the doubling: setting it to L
   /// reproduces the doubling's closure for the auto horizon bit for bit,
   /// the oracle the Perron limit is tested against. A small horizon
-  /// (e.g. 4 with a degree-16 budget) truncates the sum after covering
-  /// every pair within that graph distance, keeping very large n inside
-  /// the doubling's sparse phase. Must be 0 or >= 2.
+  /// truncates the sum after covering every pair within that graph
+  /// distance. Must be 0 or >= 2.
   std::size_t spectral_horizon = 0;
   /// Maximum transitive path/walk length considered (paper: up to n-1).
   /// Longer horizons push W^k toward its dominant-eigenvector structure, so
@@ -106,13 +101,14 @@ struct PropagationConfig {
 struct PropagationStats {
   std::size_t pairs_without_evidence = 0;  ///< pairs defaulted to 0.5 / 0.5
   bool complete = false;                   ///< closure is a complete digraph
-  // Sparse-first doubling diagnostics (SpectralLimit mode; zero
-  // otherwise). Mirrored into the propagation.* trace metrics so RunReport
-  // / BENCH output shows where the hybrid switched representation.
-  double fill_ratio = 0.0;       ///< doubling-state fill when the loop ended
-  std::size_t densify_step = 0;  ///< 1-based step run dense first; 0 = all-sparse
+  // Doubling diagnostics (SpectralLimit mode; zero otherwise).
   std::size_t doubling_steps = 0;  ///< doubling steps executed
-  std::uint64_t sparse_flops = 0;  ///< flops spent in the CSR kernels
+  // The doubling's state is dense from step one, so these read as a dense
+  // run: fill 1.0 once the doubling holds a state, step 1 run dense once a
+  // step runs, and no sparse flops. perfbench's step-3 figures read them.
+  double fill_ratio = 0.0;
+  std::size_t densify_step = 0;
+  std::uint64_t sparse_flops = 0;
   // Perron-limit diagnostics (SpectralLimit with the auto horizon; zero
   // otherwise): how fast the batch's walk mixes, i.e. how rankable it is.
   std::size_t perron_iterations = 0;  ///< power-iteration steps run

@@ -71,8 +71,7 @@ const std::set<std::string> kCrowdOptions{"worker-pool", "workers-per-task",
 /// Budget selection.
 const std::set<std::string> kBudgetOptions{"selection-ratio", "budget"};
 /// Inference pipeline knobs.
-const std::set<std::string> kInferenceOptions{"search", "saps-iterations",
-                                              "propagation-horizon"};
+const std::set<std::string> kInferenceOptions{"search", "saps-iterations"};
 /// Observability outputs.
 const std::set<std::string> kObservabilityOptions{"trace", "metrics"};
 
@@ -162,10 +161,6 @@ InferenceConfig inference_from_args(const Args& args) {
   config.search = parse_search(args);
   config.saps.iterations =
       args.get_size("saps-iterations", config.saps.iterations);
-  // An optional truncated walk-length horizon for very large n
-  // (SpectralLimit mode; see DESIGN.md §7c).
-  config.propagation.spectral_horizon = args.get_size(
-      "propagation-horizon", config.propagation.spectral_horizon);
   if (const auto errors = config.validate(); !errors.empty()) {
     throw Error("invalid inference config: " + format_config_errors(errors));
   }
@@ -306,16 +301,10 @@ int cmd_infer(const std::vector<std::string>& argv, std::ostream& out) {
   out << "log preference probability: " << result.log_probability << "\n";
   // How rankable the batch is: how fast its walk mixes, and whether step 3
   // fell back from the Perron limit to the doubling.
-  if (config.propagation.spectral_horizon > 0) {
-    out << "propagation: walk sum to horizon "
-        << config.propagation.spectral_horizon << "\n";
-  } else {
-    out << "propagation: " << result.step3.perron_iterations
-        << " Perron iterations, residual ratio " << result.step3.perron_ratio
-        << (result.step3.perron_fallback ? ", fell back to the doubling"
-                                         : "")
-        << "\n";
-  }
+  out << "propagation: " << result.step3.perron_iterations
+      << " Perron iterations, residual ratio " << result.step3.perron_ratio
+      << (result.step3.perron_fallback ? ", fell back to the doubling" : "")
+      << "\n";
   const RankingConfidence confidence =
       ranking_confidence(capture.closure(), result.ranking);
   const auto tied =
@@ -878,22 +867,20 @@ std::string cli_usage() {
       << "            [--votes-out F] [--truth-out F] [--tasks-out F]\n"
       << "  infer     --votes F [--object-count N] [--worker-count M]\n"
       << "            [--search saps|taps|heldkarp] [--saps-iterations I]\n"
-      << "            [--propagation-horizon H] [--seed S]\n"
-      << "            [--ranking-out F] [--check-invariants]\n"
+      << "            [--seed S] [--ranking-out F] [--check-invariants]\n"
       << "            [--trace F.json] [--metrics F.json]\n"
       << "            (CROWDRANK_TRACE=F.json substitutes for --trace;\n"
       << "             CROWDRANK_CHECK_INVARIANTS=1 for --check-invariants)\n"
       << "  index     --votes F --artifacts DIR [--object-count N]\n"
       << "            [--worker-count M] [--search ...] "
          "[--saps-iterations I]\n"
-      << "            [--propagation-horizon H] [--seed S]\n"
+      << "            [--seed S]\n"
       << "            (ranks and persists the result as one framed file,\n"
       << "             DIR/<key>.crart, named by its content key)\n"
       << "  query     --votes F --artifacts DIR [--object-count N]\n"
       << "            [--worker-count M] [--search ...] "
          "[--saps-iterations I]\n"
-      << "            [--propagation-horizon H] [--seed S]\n"
-      << "            [--ranking-out F]\n"
+      << "            [--seed S] [--ranking-out F]\n"
       << "            (serves the stored result without running inference;\n"
       << "             exit 2 when DIR holds no result for this work)\n"
       << "  serve     --jobs F.jsonl [--results F.jsonl]\n"

@@ -10,11 +10,13 @@ namespace crowdrank::service {
 
 namespace {
 
-/// Records the last stage the engine entered (for Failed reporting) and
-/// forwards checkpoints to any caller-supplied controller.
+/// Records the last stage the job entered (for Failed reporting) and
+/// forwards checkpoints to any caller-supplied controller. It starts at
+/// `first`, the stage that runs before the engine's first checkpoint.
 class StageTracker final : public StageControl {
  public:
-  explicit StageTracker(StageControl* inner) : inner_(inner) {}
+  StageTracker(StageControl* inner, PipelineStage first)
+      : inner_(inner), last_(first) {}
 
   void checkpoint(const StageSnapshot& snapshot) override {
     if (snapshot.next != PipelineStage::Done) {
@@ -29,7 +31,7 @@ class StageTracker final : public StageControl {
 
  private:
   StageControl* inner_;
-  PipelineStage last_ = PipelineStage::TruthDiscovery;
+  PipelineStage last_;
 };
 
 void apply_cached(const CachedResult& cached, RankOutcome& out) {
@@ -106,7 +108,9 @@ RankOutcome run_ranking(const RankParams& params, Rng& rng) {
   }
 
   // -- cold path: the historical validate-already-done harden -> infer --
-  StageTracker tracker(params.control);
+  StageTracker tracker(params.control, params.repair
+                                           ? PipelineStage::Hardening
+                                           : PipelineStage::TruthDiscovery);
   try {
     VoteBatch hardened;
     std::vector<VertexId> object_map;  // compact -> original (empty = id)

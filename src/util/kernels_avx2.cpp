@@ -246,53 +246,6 @@ void gemm_accum(double* out, std::size_t out_stride, std::size_t rows,
   }
 }
 
-void spmm_row_accum(double* out, const double* vals,
-                    const std::uint32_t* idx, std::size_t nnz,
-                    const double* b, std::size_t b_stride, std::size_t w) {
-  // gemm_row over an index-compacted entry list: 16-wide ymm strips whose
-  // accumulators stay live across the whole entry loop; the b row is
-  // addressed through idx[e] instead of a dense k walk, so there is no
-  // zero-test branch at all. Per element the chain is ascending-e
-  // mul-then-add, identical to the scalar reference.
-  std::size_t j = 0;
-  for (; j + 16 <= w; j += 16) {
-    __m256d t0 = _mm256_loadu_pd(out + j);
-    __m256d t1 = _mm256_loadu_pd(out + j + 4);
-    __m256d t2 = _mm256_loadu_pd(out + j + 8);
-    __m256d t3 = _mm256_loadu_pd(out + j + 12);
-    for (std::size_t e = 0; e < nnz; ++e) {
-      const __m256d av = _mm256_set1_pd(vals[e]);
-      const double* row =
-          b + static_cast<std::size_t>(idx[e]) * b_stride + j;
-      t0 = _mm256_add_pd(t0, _mm256_mul_pd(av, _mm256_loadu_pd(row)));
-      t1 = _mm256_add_pd(t1, _mm256_mul_pd(av, _mm256_loadu_pd(row + 4)));
-      t2 = _mm256_add_pd(t2, _mm256_mul_pd(av, _mm256_loadu_pd(row + 8)));
-      t3 = _mm256_add_pd(t3, _mm256_mul_pd(av, _mm256_loadu_pd(row + 12)));
-    }
-    _mm256_storeu_pd(out + j, t0);
-    _mm256_storeu_pd(out + j + 4, t1);
-    _mm256_storeu_pd(out + j + 8, t2);
-    _mm256_storeu_pd(out + j + 12, t3);
-  }
-  for (; j + 4 <= w; j += 4) {
-    __m256d t = _mm256_loadu_pd(out + j);
-    for (std::size_t e = 0; e < nnz; ++e) {
-      const double* row =
-          b + static_cast<std::size_t>(idx[e]) * b_stride + j;
-      t = _mm256_add_pd(t, _mm256_mul_pd(_mm256_set1_pd(vals[e]),
-                                         _mm256_loadu_pd(row)));
-    }
-    _mm256_storeu_pd(out + j, t);
-  }
-  for (; j < w; ++j) {
-    double t = out[j];
-    for (std::size_t e = 0; e < nnz; ++e) {
-      t += vals[e] * b[static_cast<std::size_t>(idx[e]) * b_stride + j];
-    }
-    out[j] = t;
-  }
-}
-
 void add(double* out, const double* x, std::size_t n) {
   std::size_t j = 0;
   for (; j + 4 <= n; j += 4) {

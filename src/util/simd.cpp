@@ -27,9 +27,6 @@ void axpy(double* out, const double* x, double a, std::size_t n);
 void gemm_accum(double* out, std::size_t out_stride, std::size_t rows,
                 const double* a, std::size_t a_stride, const double* b,
                 std::size_t k_len, std::size_t b_stride, std::size_t w);
-void spmm_row_accum(double* out, const double* vals,
-                    const std::uint32_t* idx, std::size_t nnz,
-                    const double* b, std::size_t b_stride, std::size_t w);
 void add(double* out, const double* x, std::size_t n);
 void scale(double* x, double a, std::size_t n);
 double max0(const double* x, std::size_t n);
@@ -171,45 +168,6 @@ void gemm_accum(double* out, std::size_t out_stride, std::size_t rows,
       }
       out_row[j] = t;
     }
-  }
-}
-
-void spmm_row_accum(double* out, const double* vals,
-                    const std::uint32_t* idx, std::size_t nnz,
-                    const double* b, std::size_t b_stride, std::size_t w) {
-#ifndef CROWDRANK_NO_AVX2
-  if (use_avx2()) {
-    avx2::spmm_row_accum(out, vals, idx, nnz, b, b_stride, w);
-    return;
-  }
-#endif
-  // 8-wide strips with a local accumulator block the compiler keeps in
-  // SSE2 registers across the entry loop; per output element the chain is
-  // ascending-e `t += vals[e] * b_row[j]`, independent of the strip
-  // grouping.
-  std::size_t j = 0;
-  for (; j + 8 <= w; j += 8) {
-    double t[8];
-    for (std::size_t u = 0; u < 8; ++u) {
-      t[u] = out[j + u];
-    }
-    for (std::size_t e = 0; e < nnz; ++e) {
-      const double a = vals[e];
-      const double* row = b + static_cast<std::size_t>(idx[e]) * b_stride + j;
-      for (std::size_t u = 0; u < 8; ++u) {
-        t[u] += a * row[u];
-      }
-    }
-    for (std::size_t u = 0; u < 8; ++u) {
-      out[j + u] = t[u];
-    }
-  }
-  for (; j < w; ++j) {
-    double t = out[j];
-    for (std::size_t e = 0; e < nnz; ++e) {
-      t += vals[e] * b[static_cast<std::size_t>(idx[e]) * b_stride + j];
-    }
-    out[j] = t;
   }
 }
 

@@ -37,7 +37,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 namespace crowdrank::simd {
 
@@ -88,23 +87,6 @@ void axpy(double* out, const double* x, double a, std::size_t n);
 void gemm_accum(double* out, std::size_t out_stride, std::size_t rows,
                 const double* a, std::size_t a_stride, const double* b,
                 std::size_t k_len, std::size_t b_stride, std::size_t w);
-
-/// Compacted (CSR-row) counterpart of gemm_accum: one output row
-/// accumulated against nnz indexed rows of a dense b. For each j in
-/// [0, w):
-///   t = out[j];
-///   for e ascending in [0, nnz):
-///     t += vals[e] * b[idx[e] * b_stride + j];
-///   out[j] = t;
-/// Per output element this is the same ascending-k chain as one axpy per
-/// stored entry (CSR column indices ascend), but the output strip lives
-/// in registers across the whole entry loop instead of being re-loaded
-/// per term, and there is no zero-test branch to mispredict on — the
-/// entry list is already compacted. The sparse staged-dense product
-/// regime is the caller.
-void spmm_row_accum(double* out, const double* vals,
-                    const std::uint32_t* idx, std::size_t nnz,
-                    const double* b, std::size_t b_stride, std::size_t w);
 
 /// out[j] += x[j]
 void add(double* out, const double* x, std::size_t n);

@@ -242,74 +242,6 @@ TEST(CsrInvariant, FiresOnTruncatedShape) {
   EXPECT_TRUE(mentions(msg, "CSR shape")) << msg;
 }
 
-// -------------------------------------------- sparse propagation state
-// SparseMatrix::from_csr validates only what it can cheaply (shape,
-// column range) and trusts the rest of its contract — exactly the gap the
-// densify-boundary validators cover. The corruptions below are legal
-// inputs to from_csr but violate that contract.
-
-TEST(SparseMatrixInvariant, AcceptsHealthyMatrix) {
-  Matrix dense(3, 3, 0.0);
-  dense(0, 1) = 0.5;
-  dense(1, 2) = 0.25;
-  dense(2, 0) = 1.0;
-  const SparseMatrix sparse = SparseMatrix::from_dense(dense);
-  EXPECT_NO_THROW(analysis::check_sparse_matrix(sparse));
-  EXPECT_NO_THROW(analysis::check_sparse_dense_consistency(sparse, dense));
-}
-
-TEST(SparseMatrixInvariant, FiresOnUnsortedColumns) {
-  const std::vector<std::size_t> row_ptr{0, 2};
-  const std::vector<std::size_t> col_idx{2, 0};  // descending
-  const std::vector<double> values{0.5, 0.25};
-  const SparseMatrix corrupt =
-      SparseMatrix::from_csr(1, 3, row_ptr, col_idx, values);
-  const std::string msg =
-      violation([&] { analysis::check_sparse_matrix(corrupt); });
-  EXPECT_TRUE(mentions(msg, "ascending")) << msg;
-}
-
-TEST(SparseMatrixInvariant, FiresOnStoredZero) {
-  const std::vector<std::size_t> row_ptr{0, 1};
-  const std::vector<std::size_t> col_idx{1};
-  const std::vector<double> values{0.0};  // stored entries must be nonzero
-  const SparseMatrix corrupt =
-      SparseMatrix::from_csr(1, 2, row_ptr, col_idx, values);
-  const std::string msg =
-      violation([&] { analysis::check_sparse_matrix(corrupt); });
-  EXPECT_TRUE(mentions(msg, "zero or non-finite")) << msg;
-}
-
-TEST(SparseMatrixInvariant, FiresOnNonMonotoneRowPtr) {
-  const std::vector<std::size_t> row_ptr{0, 1, 0, 1};
-  const std::vector<std::size_t> col_idx{0};
-  const std::vector<double> values{0.5};
-  const SparseMatrix corrupt =
-      SparseMatrix::from_csr(3, 2, row_ptr, col_idx, values);
-  EXPECT_THROW(analysis::check_sparse_matrix(corrupt),
-               analysis::InvariantError);
-}
-
-TEST(SparseDenseInvariant, FiresOnDivergedEntry) {
-  Matrix dense(2, 2, 0.0);
-  dense(0, 1) = 0.5;
-  const SparseMatrix sparse = SparseMatrix::from_dense(dense);
-  dense(0, 1) = 0.75;  // dense view drifts from the sparse snapshot
-  const std::string msg = violation(
-      [&] { analysis::check_sparse_dense_consistency(sparse, dense); });
-  EXPECT_TRUE(mentions(msg, "disagrees with stored value")) << msg;
-}
-
-TEST(SparseDenseInvariant, FiresOnExtraDenseEntry) {
-  Matrix dense(2, 2, 0.0);
-  dense(0, 1) = 0.5;
-  const SparseMatrix sparse = SparseMatrix::from_dense(dense);
-  dense(1, 0) = 0.1;  // entry the sparse matrix never stored
-  const std::string msg = violation(
-      [&] { analysis::check_sparse_dense_consistency(sparse, dense); });
-  EXPECT_TRUE(mentions(msg, "should be absent")) << msg;
-}
-
 // ------------------------------------------------------------ smoothing
 
 TEST(SmoothingInvariant, AcceptsProperSmoothing) {

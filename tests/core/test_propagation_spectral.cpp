@@ -182,6 +182,30 @@ TEST(SpectralPropagation, RejectsAHorizonOfOne) {
   EXPECT_THROW(propagate_preferences(g, bad_horizon, nullptr), Error);
 }
 
+TEST(SpectralPropagation, DoublingStatsReadAsADenseRun) {
+  // perfbench's step-3 figures read these fields. The doubling's state is
+  // dense from step one; the Perron limit and an edgeless graph run no
+  // doubling step.
+  PropagationStats doubled;
+  propagate_preferences(smoothed_chain(8), doubling(8), &doubled);
+  EXPECT_EQ(doubled.doubling_steps, 4u);
+  EXPECT_EQ(doubled.densify_step, 1u);
+  EXPECT_EQ(doubled.fill_ratio, 1.0);
+  EXPECT_EQ(doubled.sparse_flops, 0u);
+
+  PropagationStats limit;
+  propagate_preferences(tournament(64, 0.99, 0.01), spectral(), &limit);
+  ASSERT_FALSE(limit.perron_fallback);
+  PropagationStats edgeless;
+  propagate_preferences(PreferenceGraph(8, {}), doubling(8), &edgeless);
+  for (const PropagationStats* stats : {&limit, &edgeless}) {
+    EXPECT_EQ(stats->doubling_steps, 0u);
+    EXPECT_EQ(stats->densify_step, 0u);
+    EXPECT_EQ(stats->fill_ratio, 0.0);
+    EXPECT_EQ(stats->sparse_flops, 0u);
+  }
+}
+
 TEST(SpectralPropagation, NoOverflowOnHeavyGraphs) {
   // Dense near-1 weights: unnormalized W^n would overflow by astronomical
   // margins; the renormalized doubling and the max-normalized power

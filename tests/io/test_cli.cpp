@@ -396,6 +396,13 @@ TEST(Cli, OnlyCanonicalSpellingsAreOptions) {
             std::string::npos)
       << err;
   EXPECT_EQ(cli_usage().find("fill-threshold"), std::string::npos);
+  EXPECT_EQ(run({"infer", "--votes", "v.csv", "--propagation-horizon", "8"},
+                &out, &err),
+            1);
+  EXPECT_NE(err.find("unknown option --propagation-horizon"),
+            std::string::npos)
+      << err;
+  EXPECT_EQ(cli_usage().find("propagation-horizon"), std::string::npos);
 }
 
 TEST(Cli, ServeProcessesJobsFile) {

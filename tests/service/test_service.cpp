@@ -185,6 +185,33 @@ TEST(ServiceTest, InvalidConfigIsRejectedStructurally) {
   EXPECT_EQ(svc.stats().rejected, 1u);
 }
 
+TEST(ServiceTest, WalkLengthOfOneIsRejectedAtSubmit) {
+  // Step 3 needs indirect paths of length >= 2; a job asking for less is
+  // refused before any step runs, not failed mid-pipeline.
+  RankingService svc;
+  RankingJob job = clean_job();
+  job.inference.propagation.max_length = 1;
+  const JobResult result = svc.wait(svc.submit(std::move(job)));
+  EXPECT_EQ(result.outcome, JobOutcome::Rejected);
+  EXPECT_EQ(result.stage, PipelineStage::Validation);
+  EXPECT_NE(result.reason.find("propagation.max_length"), std::string::npos)
+      << result.reason;
+
+  api::Request request;
+  for (VertexId i = 0; i + 1 < 30; ++i) {
+    for (WorkerId w = 0; w < 3; ++w) {
+      request.votes.push_back(Vote{w, i, i + 1, true});
+    }
+  }
+  request.inference.propagation.max_length = 1;
+  EXPECT_FALSE(api::validate(request).empty());
+  const api::Response response = api::rank(request);
+  EXPECT_EQ(response.outcome, JobOutcome::Rejected);
+  EXPECT_EQ(response.stage, PipelineStage::Validation);
+  request.inference.propagation.max_length = 2;
+  EXPECT_TRUE(api::rank(request).ok());
+}
+
 TEST(ServiceTest, EmptyBatchFailsAtHardening) {
   RankingService svc;
   RankingJob job;

@@ -186,48 +186,6 @@ TEST_F(SimdTest, GemmAccumBackendIdentity) {
   }
 }
 
-TEST_F(SimdTest, SpmmRowAccumBackendIdentity) {
-  // The CSR-row product kernel behind the sparse staged-dense regime.
-  // Widths hit the AVX2 build's 16-wide strips, its 4-wide strips and the
-  // 1..3-wide tails; scattered column indices and a stride wider than the
-  // row catch any lane that reads the wrong b row or past its end.
-  if (!simd::avx2_supported()) {
-    GTEST_SKIP() << "no AVX2 on this host";
-  }
-  const std::size_t b_rows = 23;
-  for (const std::size_t nnz : {std::size_t{0}, std::size_t{1},
-                                std::size_t{6}, std::size_t{17}}) {
-    for (const std::size_t w : {std::size_t{1}, std::size_t{3},
-                                std::size_t{4}, std::size_t{16},
-                                std::size_t{21}, std::size_t{39}}) {
-      const std::size_t b_stride = w + 5;
-      const std::vector<double> vals = random_values(nnz, 81 + nnz);
-      std::vector<std::uint32_t> idx(nnz);
-      for (std::size_t e = 0; e < nnz; ++e) {
-        idx[e] = static_cast<std::uint32_t>((7 * e + w) % b_rows);
-      }
-      const std::vector<double> b =
-          random_values(b_rows * b_stride, 82 + w);
-      const std::vector<double> base = random_values(w, 83 + nnz + w);
-      const auto run = [&] {
-        std::vector<double> out = base;
-        simd::spmm_row_accum(out.data(), vals.data(), idx.data(), nnz,
-                             b.data(), b_stride, w);
-        return out;
-      };
-      ASSERT_TRUE(simd::set_backend(simd::Backend::Scalar));
-      const std::vector<double> scalar_out = run();
-      ASSERT_TRUE(simd::set_backend(simd::Backend::Avx2));
-      const std::vector<double> avx2_out = run();
-      for (std::size_t j = 0; j < w; ++j) {
-        ASSERT_TRUE(same_bits(scalar_out[j], avx2_out[j]))
-            << "nnz=" << nnz << " w=" << w << " j=" << j << ": "
-            << scalar_out[j] << " vs " << avx2_out[j];
-      }
-    }
-  }
-}
-
 TEST_F(SimdTest, AddAndScaleBackendIdentity) {
   const std::vector<double> x = random_values(128, 31);
   const std::vector<double> base = random_values(128, 32);

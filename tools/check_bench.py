@@ -17,7 +17,9 @@ that report into a CI gate:
     current `speedup` at or above 0.9x that floor (the 0.9 absorbs
     run-to-run jitter; the floor itself encodes the expectation, e.g.
     "AVX2 beats scalar by 1.5x" on the simd kernel row);
-  * the object count `n` must match exactly;
+  * the object count `n` and the telemetry gate's shape (`pairs`,
+    `block_jobs`, `budget_pct`) must match exactly, so a gate cannot be
+    loosened or shrunk without a visible baseline change;
   * `accuracy` must stay within +/-0.05 of the baseline (the pipeline is
     seed-deterministic, so real drift means behavior changed).
 
@@ -49,7 +51,7 @@ import sys
 NOISE_FLOOR_MS = 0.5
 
 BOOLEAN_KEYS = {"identical", "telemetry_overhead_ok", "pool_overlap_ok"}
-EXACT_INT_KEYS = {"n"}
+EXACT_KEYS = {"n", "pairs", "block_jobs", "budget_pct"}
 ACCURACY_TOLERANCE = 0.05
 
 # Slack on `speedup_floor` rows: current speedup must stay at or above
@@ -106,7 +108,7 @@ def compare(baseline, current, tolerance):
                     failures.append(
                         f"{label}.{key}: correctness flag is "
                         f"{cur_value} (baseline {base_value}, must be true)")
-            elif leaf in EXACT_INT_KEYS:
+            elif leaf in EXACT_KEYS:
                 if cur_value != base_value:
                     failures.append(
                         f"{label}.{key}: {cur_value} != baseline "
@@ -132,7 +134,8 @@ def compare(baseline, current, tolerance):
 
 def self_test(baseline, tolerance):
     """The differ must pass an identical report and fail an injected
-    slowdown / a flipped correctness flag / a sunk speedup."""
+    slowdown / a flipped correctness flag / a sunk speedup / a changed
+    exact-match note."""
     clean = compare(baseline, copy.deepcopy(baseline), tolerance)
     if clean:
         return [f"self-test: baseline does not pass against itself: {clean}"]
@@ -171,9 +174,18 @@ def self_test(baseline, tolerance):
                 return True
         return False
 
+    def loosen_gate(report):
+        for run in report.get("runs", []):
+            for key, value in run.get("notes", {}).items():
+                if key in EXACT_KEYS:
+                    run["notes"][key] = value * 2
+                    return True
+        return False
+
     expect_failure(slow_down, "an injected slowdown")
     expect_failure(flip_flag, "a flipped correctness flag")
     expect_failure(sink_speedup, "a speedup sunk below its floor")
+    expect_failure(loosen_gate, "a changed exact-match note")
     return problems
 
 

@@ -54,15 +54,15 @@ Two rules are scoped to a subtree rather than all of src/:
                          rename, copy, resize_file).
   dense-in-propagation   constructing a dense Matrix (or materializing one
                          via .to_dense()) inside src/core/propagation.cpp.
-                         Propagation is sparse-first (DESIGN.md §7c): the
-                         Perron limit runs on the graph's CSR, the doubling
-                         on SparseMatrix kernels, and both cross to dense
-                         only at sanctioned sites, which carry lint:allow
-                         annotations: the doubling's densify and output
-                         points, the closure fill (pair_normalize, which
-                         every engine's closure goes through, the Perron
-                         limit's included), and dense_weights for the
-                         dense-by-nature BoundedWalks/ExactPaths engines. The
+                         The Perron branch stays on the graph's CSR
+                         (DESIGN.md §7c), and the pre-closure graph turns
+                         dense only at sanctioned sites, which carry
+                         lint:allow annotations: dense_weights, where the
+                         doubling starts and the dense-by-nature
+                         BoundedWalks/ExactPaths engines take their direct
+                         matrix, and the closure fill (pair_normalize,
+                         which every engine's closure goes through, the
+                         Perron limit's included). The
                          rule flags `Matrix(...)`, `Matrix name(...)`,
                          `Matrix::zero/identity`, and `.to_dense(` — but
                          not bare `Matrix m;` declarations, `Matrix x =
