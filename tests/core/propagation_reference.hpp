@@ -1,12 +1,11 @@
 // Reference step 3 doubling: the all-dense recurrence, kept as the oracle
 // for core/propagation.cpp.
 //
-// The engine's SpectralLimit doubling starts on CSR kernels and densifies
-// once the state's fill passes 20%. This reference runs the same
-// max-renormalized recurrence S(2m) = S(m) + W^m S(m) on the blocked dense
-// Matrix kernels from the first step, then pair-normalizes the sum as the
-// engine does. tests/core/test_determinism.cpp pins the engine's closure
-// to it bit for bit, wherever the engine switches representation.
+// It runs the max-renormalized recurrence S(2m) = S(m) + W^m S(m) on the
+// blocked dense Matrix kernels from the first step, then pair-normalizes
+// the sum as the engine does. The engine's SpectralLimit doubling runs the
+// same recurrence in its own loop; tests/core/test_determinism.cpp pins
+// the engine's closure to this one bit for bit.
 #pragma once
 
 #include "core/propagation.hpp"

@@ -145,10 +145,12 @@ RAW_INTRINSICS_RE = re.compile(
     r"immintrin\.h|\b_mm(?:256|512)?_\w+\s*\(|\b__m(?:128|256|512)\w*\b"
 )
 
-# Sparse-first guard for the propagation stage. Construction-with-args and
-# dense materialization only: `Matrix m;` declarations and assignments from
-# dense kernel returns stay unflagged (they alias or move a result, they do
-# not decide the representation).
+# Dense-materialization guard for the propagation stage: the Perron branch
+# stays on the CSR, and the pre-closure graph turns dense only at
+# lint:allow sites. Construction-with-args and dense materialization only:
+# `Matrix m;` declarations and assignments from dense kernel returns stay
+# unflagged (they alias or move a result, they do not decide the
+# representation).
 DENSE_IN_PROPAGATION_FILE = "src/core/propagation.cpp"
 DENSE_IN_PROPAGATION_RE = re.compile(
     r"\bMatrix\s*\(|\bMatrix\s+\w+\s*\(|\bMatrix::(?:zero|identity)\b"
